@@ -18,17 +18,19 @@ from .errors import (
 )
 from .experiments import (
     PopulationComparison,
+    ReproductionSettings,
     SubCountDistribution,
     SweepResult,
     TargetSignal,
     TrialOutcome,
+    distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
     gen_square,
     injection_ratio_experiment,
     reproduce_trials,
     reproduce_waveform,
-    subreservoir_count_sweep,
+    subreservoir_count_outcomes,
     sweep_heatmap,
 )
 from .numerics import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
@@ -46,7 +48,6 @@ from .seeding import derive_seed
 from .topology import (
     EnsembleSpec,
     TopologySpec,
-    build_block_diagonal,
     build_dense,
     build_sparse,
     build_weakly_coupled,

@@ -11,22 +11,23 @@ Exit codes: 0 success (a non-oscillatory outcome is still a result),
 """
 
 import argparse
-import copy
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
-from .oscillation import classify_trajectory
+from .oscillation import DEFAULT_WINDOW, classify_trajectory
 from .reservoir import Reservoir, init_state
-from .seeding import derive_seed
-from .topology import VALID_KINDS, TopologySpec, build_weights, sample_leak_vector
+from .seeding import ROLE_LEAK, ROLE_STATE, derive_seed
+from .topology import VALID_KINDS, ConfigFields, TopologySpec, build_weights, sample_leak_vector
 from .experiments import (
+    ReproductionSettings,
     distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
@@ -43,81 +44,161 @@ from .experiments import (
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
-# Sub-seed role for the initial state drawn by `generate`/`topology-demo`.
-_ROLE_STATE = 1
-_ROLE_LEAK = 2
-
-_SWEEP_LEAK_DEFAULT = [round(0.05 * i, 10) for i in range(1, 21)]
-_SWEEP_RHO_DEFAULT = [round(0.1 * i, 10) for i in range(1, 31)]
-
-_TOPOLOGY_DEFAULTS = {
-    "kind": "dense",
-    "n": 100,
-    "density": 0.1,
-    "sub_count": 1,
-    "coupling_scale": 0.05,
-    "coupling_density": 0.05,
-    "inject_ensemble": False,
-    "seed": 0,
-}
-
-DEFAULTS = {
-    "generate": {
-        "topology": dict(_TOPOLOGY_DEFAULTS),
-        "rho": 1.25,
-        "leak": 0.5,
-        "tau": 1000,
-        "plot_units": 5,
-        "svg": True,
-    },
-    "sweep": {
-        "leak_values": _SWEEP_LEAK_DEFAULT,
-        "rho_values": _SWEEP_RHO_DEFAULT,
-        "trials": 20,
-        "n": 100,
-        "tau": 1000,
-        "cells": None,
-        "seed": 0,
-    },
-    "inject-experiment": {
-        "populations": [4, 10, 25, 50, 100],
-        "trials": 200,
-        "tau": 1000,
-        "rho": 1.25,
-        "leak": 0.5,
-        "seed": 0,
-    },
-    "reproduce": {
-        "target": "sine",
-        "mode": "pure_sine",
-        "freq": 0.05,
-        "dt": None,
-        "tau": None,
-        "n": 500,
-        "sub_count": 8,
-        "coupling_scale": 0.05,
-        "coupling_density": 0.05,
-        "sub_counts": None,
-        "trials": 30,
-        "leak_mu": 0.6,
-        "leak_sigma": 0.1,
-        "rho": 1.25,
-        "ridge_lambda": 1e-8,
-        "washout": 100,
-        "max_attempts": 10,
-        "standardize": False,
-        "seed": 0,
-    },
-    "topology-demo": {
-        "n": 100,
-        "rho": 1.25,
-        "tau": 1000,
-        "seed": 0,
-    },
-}
-
 _TARGET_DT = {"sine": 1.0, "square": 0.01, "lorenz": 0.01}
 _TARGET_TAU = {"sine": 1000, "square": 1000, "lorenz": 2000}
+_SINE_MODES = ("pure_sine", "literal_ode")
+
+
+# ---------------------------------------------------------------------------
+# one config object per subcommand: defaults, validation, echo payload
+# ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _check_tau(tau: int) -> None:
+    _require(tau >= DEFAULT_WINDOW,
+             f"tau must be at least {DEFAULT_WINDOW} (the classifier window), got {tau}")
+
+
+@dataclass(frozen=True)
+class GenerateConfig(ConfigFields):
+    """`soesn generate`: one reservoir built from `topology`, scaled to
+    radius `rho`, run `tau` steps at a constant `leak`; the trace SVG (if
+    `svg`) draws the first `plot_units` units."""
+
+    topology: TopologySpec = field(default_factory=TopologySpec)
+    rho: float = 1.25
+    leak: float = 0.5
+    tau: int = 1000
+    plot_units: int = 5
+    svg: bool = True
+
+    def __post_init__(self):
+        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
+        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
+        _check_tau(self.tau)
+
+
+@dataclass(frozen=True)
+class SweepConfig(ConfigFields):
+    """`soesn sweep`: `trials` dense reservoirs of `n` units per (leak, rho)
+    cell, each run `tau` steps; `cells` caps the grid for smoke runs."""
+
+    leak_values: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(1, 21))
+    rho_values: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 31))
+    trials: int = 20
+    n: int = 100
+    tau: int = 1000
+    cells: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
+                 f"leak values must be a non-empty list in (0, 1], got {self.leak_values}")
+        _require(len(self.rho_values) > 0 and all(r > 0 for r in self.rho_values),
+                 f"rho values must be a non-empty list of positives, got {self.rho_values}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        _require(self.n >= 1, "n must be at least 1")
+        _check_tau(self.tau)
+        _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
+
+    def capped(self) -> "SweepConfig":
+        """The grid trimmed to about `cells` cells; the echo records the
+        trimmed grid, which trims to itself again on a rerun."""
+        if self.cells is None:
+            return self
+        cols = min(self.cells, len(self.rho_values))
+        rows = max(1, min(len(self.leak_values), self.cells // cols))
+        return replace(self, leak_values=self.leak_values[:rows],
+                       rho_values=self.rho_values[:cols])
+
+
+@dataclass(frozen=True)
+class InjectConfig(ConfigFields):
+    """`soesn inject-experiment`: per population, `trials` paired dense
+    reservoirs with and without the two-neuron ensemble, at radius `rho`
+    and constant `leak`, run `tau` steps."""
+
+    populations: tuple[int, ...] = (4, 10, 25, 50, 100)
+    trials: int = 200
+    tau: int = 1000
+    rho: float = 1.25
+    leak: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
+                 f"populations must be a non-empty list of sizes >= 2, got {self.populations}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
+        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
+        _check_tau(self.tau)
+
+
+@dataclass(frozen=True)
+class ReproduceConfig(ReproductionSettings):
+    """`soesn reproduce`: the readout of weakly coupled reservoirs of `n`
+    units fitted to a `target` waveform (`dt` and `tau` default per
+    target). One run at `sub_count` blocks, or with `sub_counts` the
+    boxplot sweep of `trials` trials per count."""
+
+    target: str = "sine"
+    mode: str = "pure_sine"
+    freq: float = 0.05
+    dt: float | None = None
+    tau: int | None = None
+    n: int = 500
+    sub_count: int = 8
+    coupling_scale: float = TopologySpec.coupling_scale
+    coupling_density: float = TopologySpec.coupling_density
+    sub_counts: tuple[int, ...] | None = None
+    trials: int = 30
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.target in _TARGET_DT,
+                 f"unknown target {self.target!r}; choose from {sorted(_TARGET_DT)}")
+        _require(self.mode in _SINE_MODES,
+                 f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
+        _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
+        tau = _TARGET_TAU[self.target] if self.tau is None else self.tau
+        _require(tau > max(1, self.washout),
+                 f"tau must exceed 1 and the washout {self.washout}, got {tau}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        for m in self.sub_counts or (self.sub_count,):
+            self.topology(m)
+
+    def topology(self, sub_count: int) -> TopologySpec:
+        return TopologySpec(
+            kind="weakly_coupled", n=self.n, sub_count=sub_count,
+            coupling_scale=self.coupling_scale, coupling_density=self.coupling_density,
+        )
+
+
+@dataclass(frozen=True)
+class TopologyDemoConfig(ConfigFields):
+    """`soesn topology-demo`: every topology kind at `n` units and radius
+    `rho`, run `tau` steps."""
+
+    n: int = 100
+    rho: float = 1.25
+    tau: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(self.n >= 1, "n must be at least 1")
+        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
+        _check_tau(self.tau)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
 
 
 def _float_list(text: str) -> list[float]:
@@ -134,7 +215,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each config flag's dest is the path of its config field (nested
+    fields as "topology.n"); unset flags stay out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="soesn",
         description="Self-oscillatory echo state reservoirs: simulation, "
@@ -143,25 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"soesn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
-        p.add_argument("--config", help="JSON config (e.g. a config.echo.json) to start from")
+    def command(name, help, default_out, seed_dest="seed"):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None,
+                       help="JSON config (e.g. a config.echo.json) to start from")
         p.add_argument("--out", default=default_out, help="output directory")
-        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--deterministic", action="store_true",
+        p.add_argument("--force", action="store_true", default=False,
+                       help="overwrite existing outputs")
+        p.add_argument("--deterministic", action="store_true", default=False,
                        help="omit the timestamp comment from SVG outputs")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for trials (never changes results)")
-        p.add_argument("--seed", type=int, help="base seed (default: $SOESN_SEED or 0)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for trials, at least 1 (never changes results)")
+        p.add_argument("--seed", type=int, dest=seed_dest, metavar="SEED",
+                       help="base seed (default: $SOESN_SEED or 0)")
+        return p
 
-    p = sub.add_parser("generate", help="build one reservoir, run it, classify it")
-    common(p, "soesn-generate")
-    p.add_argument("--topology", choices=VALID_KINDS, help="weight-matrix layout")
-    p.add_argument("--n", type=int, help="population size")
-    p.add_argument("--density", type=float, help="sparse connection probability")
-    p.add_argument("--sub", type=int, help="number of sub-reservoirs")
-    p.add_argument("--coupling-scale", type=float)
-    p.add_argument("--coupling-density", type=float)
-    p.add_argument("--inject", action=argparse.BooleanOptionalAction,
+    p = command("generate", "build one reservoir, run it, classify it", "soesn-generate",
+                seed_dest="topology.seed")
+    p.add_argument("--topology", dest="topology.kind", choices=VALID_KINDS,
+                   help="weight-matrix layout")
+    p.add_argument("--n", dest="topology.n", metavar="N", type=int, help="population size")
+    p.add_argument("--density", dest="topology.density", metavar="DENSITY", type=float,
+                   help="sparse connection probability")
+    p.add_argument("--sub", dest="topology.sub_count", metavar="SUB", type=int,
+                   help="number of sub-reservoirs")
+    p.add_argument("--coupling-scale", dest="topology.coupling_scale",
+                   metavar="COUPLING_SCALE", type=float)
+    p.add_argument("--coupling-density", dest="topology.coupling_density",
+                   metavar="COUPLING_DENSITY", type=float)
+    p.add_argument("--inject", dest="topology.inject_ensemble",
+                   action=argparse.BooleanOptionalAction,
                    help="splice in the calibrated two-neuron ensemble")
     p.add_argument("--rho", type=float, help="target spectral radius")
     p.add_argument("--leak", type=float, help="constant leak rate")
@@ -170,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action=argparse.BooleanOptionalAction, help="emit the trace SVG")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sweep", help="leak x spectral-radius oscillation-ratio heatmap")
-    common(p, "soesn-sweep")
+    p = command("sweep", "leak x spectral-radius oscillation-ratio heatmap", "soesn-sweep")
     p.add_argument("--leak-values", type=_float_list, help="comma-separated leak grid")
     p.add_argument("--rho-values", type=_float_list, help="comma-separated rho grid")
     p.add_argument("--trials", type=int, help="reservoirs per cell")
@@ -180,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, help="cap the grid to about this many cells (smoke runs)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("inject-experiment",
-                       help="oscillation ratio with vs without an injected ensemble")
-    common(p, "soesn-inject")
+    p = command("inject-experiment", "oscillation ratio with vs without an injected ensemble",
+                "soesn-inject")
     p.add_argument("--populations", type=_int_list, help="comma-separated population sizes")
     p.add_argument("--trials", type=int)
     p.add_argument("--tau", type=int)
@@ -190,15 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leak", type=float)
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("reproduce", help="train the readout to reproduce a target waveform")
-    common(p, "soesn-reproduce")
-    p.add_argument("--target", choices=("sine", "square", "lorenz"))
-    p.add_argument("--mode", choices=("pure_sine", "literal_ode"), help="sine flavour")
+    p = command("reproduce", "train the readout to reproduce a target waveform",
+                "soesn-reproduce")
+    p.add_argument("--target", choices=tuple(_TARGET_DT))
+    p.add_argument("--mode", choices=_SINE_MODES, help="sine flavour")
     p.add_argument("--freq", type=float, help="pure sine frequency (cycles per step)")
     p.add_argument("--dt", type=float, help="target sample spacing")
     p.add_argument("--tau", type=int, help="target steps (samples - 1)")
     p.add_argument("--n", type=int)
-    p.add_argument("--sub", type=int, help="sub-reservoir count (single run)")
+    p.add_argument("--sub", dest="sub_count", metavar="SUB", type=int,
+                   help="sub-reservoir count (single run)")
     p.add_argument("--sub-counts", type=_int_list,
                    help="comma-separated counts: run the boxplot sweep instead")
     p.add_argument("--trials", type=int, help="trials per count in sweep mode")
@@ -214,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="standardize target dimensions before the fit")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("topology-demo",
-                       help="build each topology, run it, and emit trajectories + reports")
-    common(p, "soesn-topology-demo")
+    p = command("topology-demo", "build each topology, run it, and emit trajectories + reports",
+                "soesn-topology-demo")
     p.add_argument("--n", type=int)
     p.add_argument("--rho", type=float)
     p.add_argument("--tau", type=int)
@@ -226,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration resolution and output helpers
 # ---------------------------------------------------------------------------
 
 
@@ -251,61 +350,39 @@ def _load_config_params(path: str, command: str) -> dict:
     return params
 
 
-def _merge(defaults: dict, config: dict, label: str) -> dict:
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
-    merged = copy.deepcopy(defaults)
-    for key, value in config.items():
-        if isinstance(merged.get(key), dict) and isinstance(value, dict):
-            merged[key] = _merge(merged[key], value, f"{label}.{key}")
-        else:
-            merged[key] = value
-    return merged
+def _resolve(cls, args, seed_path: str = "seed"):
+    """The command's config: defaults, overlaid by --config, overlaid by the
+    flags given.
 
-
-def _set_path(params: dict, path: str, value) -> None:
-    node = params
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
-
-
-def _config_provides(config_params: dict, path: str) -> bool:
-    node = config_params
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    return True
-
-
-def _resolve(command: str, args, overrides: dict, seed_path: str = "seed") -> dict:
-    """Defaults, overlaid by --config, overlaid by explicit flags.
-
-    The seed resolves flag > config > $SOESN_SEED > default, so a stray
-    environment seed never breaks a rerun from config.echo.json.
+    Values travel keyed by field path, so a flag overrides one field of a
+    nested object. The seed resolves flag > config > $SOESN_SEED > default,
+    so a stray environment seed never breaks a rerun from config.echo.json.
     """
-    params = copy.deepcopy(DEFAULTS[command])
-    config_params = {}
+    given = {}
     if args.config:
-        config_params = _load_config_params(args.config, command)
-        params = _merge(params, config_params, command)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        _set_path(params, key, value)
-    if args.seed is not None:
-        _set_path(params, seed_path, args.seed)
-    elif not _config_provides(config_params, seed_path):
-        env = os.environ.get("SOESN_SEED")
-        if env is not None:
-            try:
-                _set_path(params, seed_path, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"SOESN_SEED must be an integer, got {env!r}") from exc
-    return params
+        for key, value in _load_config_params(args.config, args.command).items():
+            nested = isinstance(value, dict)
+            given[(key,)] = {} if nested else value
+            if nested:
+                given.update({(key, k): v for k, v in value.items()})
+    names = {f.name for f in fields(cls)}
+    for dest, value in vars(args).items():
+        if dest.split(".")[0] in names:
+            given[tuple(dest.split("."))] = value
+    seed = tuple(seed_path.split("."))
+    env = os.environ.get("SOESN_SEED")
+    if env is not None and seed not in given:
+        try:
+            given[seed] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"SOESN_SEED must be an integer, got {env!r}") from exc
+    data = {}
+    for (head, *rest), value in given.items():
+        if not rest:
+            data[head] = value
+        elif isinstance(data.setdefault(head, {}), dict):
+            data[head][rest[0]] = value
+    return cls.from_dict(data, args.command)
 
 
 def _timestamp(args) -> str | None:
@@ -323,19 +400,16 @@ def _prepare_out(out_dir: str, filenames: list[str], force: bool) -> None:
         )
 
 
-def _write_echo(out_dir: str, command: str, params: dict) -> None:
-    payload = {"artifact_version": __version__, "command": command, "params": params}
-    with open(os.path.join(out_dir, "config.echo.json"), "w", encoding="utf-8",
-              newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_echo(out_dir: str, command: str, config: ConfigFields) -> None:
+    payload = {"artifact_version": __version__, "command": command, "params": config.to_dict()}
+    _write_json(os.path.join(out_dir, "config.echo.json"), payload)
 
 
-def _metadata(command: str, params: dict) -> dict:
+def _metadata(command: str, config: ConfigFields) -> dict:
     return {
         "artifact_version": __version__,
         "command": command,
-        "params": json.dumps(params, sort_keys=True),
+        "params": json.dumps(config.to_dict(), sort_keys=True),
     }
 
 
@@ -361,126 +435,68 @@ def _json_safe(value):
 
 
 def cmd_generate(args) -> int:
-    overrides = {
-        "topology.kind": args.topology,
-        "topology.n": args.n,
-        "topology.density": args.density,
-        "topology.sub_count": args.sub,
-        "topology.coupling_scale": args.coupling_scale,
-        "topology.coupling_density": args.coupling_density,
-        "topology.inject_ensemble": args.inject,
-        "rho": args.rho,
-        "leak": args.leak,
-        "tau": args.tau,
-        "plot_units": args.plot_units,
-        "svg": args.svg,
-    }
-    params = _resolve("generate", args, overrides, seed_path="topology.seed")
-    try:
-        spec = TopologySpec.from_dict(params["topology"])
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
-    if params["rho"] <= 0:
-        raise ConfigError(f"rho must be positive, got {params['rho']}")
-    if not 0 < params["leak"] <= 1:
-        raise ConfigError(f"leak must lie in (0, 1], got {params['leak']}")
-    if params["tau"] < 100:
-        raise ConfigError("tau must be at least 100 (the classifier window)")
-
+    config = _resolve(GenerateConfig, args, seed_path="topology.seed")
+    spec = config.topology
     files = ["config.echo.json", "trajectory.csv", "oscillation.json"]
-    if params["svg"]:
+    if config.svg:
         files.append("traces.svg")
     _prepare_out(args.out, files, args.force)
 
-    W = build_weights(spec, params["rho"])
-    state = init_state(spec.n, derive_seed(spec.seed, _ROLE_STATE))
-    trajectory = Reservoir(W, params["leak"], state).run(params["tau"])
+    W = build_weights(spec, config.rho)
+    state = init_state(spec.n, derive_seed(spec.seed, ROLE_STATE))
+    trajectory = Reservoir(W, config.leak, state).run(config.tau)
     report = classify_trajectory(trajectory)
 
     trajectory.to_csv(os.path.join(args.out, "trajectory.csv"))
-    payload = {"metadata": _metadata("generate", params)} | report.to_json_dict()
+    payload = {"metadata": _metadata("generate", config)} | report.to_json_dict()
     _write_json(os.path.join(args.out, "oscillation.json"), payload)
-    if params["svg"]:
-        count = max(1, min(params["plot_units"], trajectory.n))
+    if config.svg:
+        count = max(1, min(config.plot_units, trajectory.n))
         t = np.arange(trajectory.steps)
         series = [(f"x{i}", t, trajectory.unit(i)) for i in range(count)]
         svgplot.line_chart(
             os.path.join(args.out, "traces.svg"), series,
-            f"unit traces (n={spec.n}, rho={params['rho']}, leak={params['leak']})",
+            f"unit traces (n={spec.n}, rho={config.rho}, leak={config.leak})",
             "step", "state", timestamp=_timestamp(args),
         )
-    _write_echo(args.out, "generate", params)
+    _write_echo(args.out, "generate", config)
     verdict = "self-oscillatory" if report.reservoir_is_self_oscillatory else "damped"
     print(f"generate: {verdict}; outputs in {args.out}")
     return EXIT_OK
 
 
-def _capped_grid(leaks, rhos, cells):
-    if cells is None:
-        return leaks, rhos
-    if cells < 1:
-        raise ConfigError("cells must be at least 1")
-    cols = min(cells, len(rhos))
-    rows = max(1, min(len(leaks), cells // cols))
-    return leaks[:rows], rhos[:cols]
-
-
 def cmd_sweep(args) -> int:
-    overrides = {
-        "leak_values": args.leak_values,
-        "rho_values": args.rho_values,
-        "trials": args.trials,
-        "n": args.n,
-        "tau": args.tau,
-        "cells": args.cells,
-    }
-    params = _resolve("sweep", args, overrides)
-    leaks, rhos = _capped_grid(params["leak_values"], params["rho_values"], params["cells"])
-    params["leak_values"], params["rho_values"] = leaks, rhos
-
+    config = _resolve(SweepConfig, args).capped()
+    leaks, rhos = config.leak_values, config.rho_values
     _prepare_out(args.out, ["config.echo.json", "sweep.csv", "heatmap.svg"], args.force)
-    try:
-        result = sweep_heatmap(
-            leaks, rhos, params["trials"], params["n"], params["tau"],
-            params["seed"], jobs=args.jobs,
-        )
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = sweep_heatmap(
+        leaks, rhos, config.trials, config.n, config.tau, config.seed, jobs=args.jobs
+    )
 
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as f:
-        result.write_csv(f, _metadata("sweep", params))
+        result.write_csv(f, _metadata("sweep", config))
     svgplot.heatmap(
         os.path.join(args.out, "heatmap.svg"), result.grid,
         list(rhos), list(leaks),
-        f"self-oscillation ratio (n={params['n']}, trials={params['trials']})",
+        f"self-oscillation ratio (n={config.n}, trials={config.trials})",
         "spectral radius", "leak rate", timestamp=_timestamp(args),
     )
-    _write_echo(args.out, "sweep", params)
+    _write_echo(args.out, "sweep", config)
     print(f"sweep: {len(leaks)}x{len(rhos)} cells written to {args.out}")
     return EXIT_OK
 
 
 def cmd_inject(args) -> int:
-    overrides = {
-        "populations": args.populations,
-        "trials": args.trials,
-        "tau": args.tau,
-        "rho": args.rho,
-        "leak": args.leak,
-    }
-    params = _resolve("inject-experiment", args, overrides)
+    config = _resolve(InjectConfig, args)
     _prepare_out(args.out, ["config.echo.json", "injection.csv", "injection.svg"], args.force)
-    try:
-        rows = injection_ratio_experiment(
-            params["populations"], params["trials"], params["tau"],
-            params["rho"], params["leak"], params["seed"], jobs=args.jobs,
-        )
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = injection_ratio_experiment(
+        config.populations, config.trials, config.tau, config.rho, config.leak,
+        config.seed, jobs=args.jobs,
+    )
 
     with open(os.path.join(args.out, "injection.csv"), "w", encoding="utf-8",
               newline="\n") as f:
-        write_injection_csv(f, rows, _metadata("inject-experiment", params))
+        write_injection_csv(f, rows, _metadata("inject-experiment", config))
     populations = [r.population for r in rows]
     svgplot.line_chart(
         os.path.join(args.out, "injection.svg"),
@@ -488,89 +504,46 @@ def cmd_inject(args) -> int:
             ("without ensemble", populations, [r.ratio_without for r in rows]),
             ("with ensemble", populations, [r.ratio_with for r in rows]),
         ],
-        f"self-oscillation ratio vs population (trials={params['trials']})",
+        f"self-oscillation ratio vs population (trials={config.trials})",
         "population", "ratio", timestamp=_timestamp(args),
     )
-    _write_echo(args.out, "inject-experiment", params)
+    _write_echo(args.out, "inject-experiment", config)
     print(f"inject-experiment: {len(rows)} populations written to {args.out}")
     return EXIT_OK
 
 
-def _make_target(params):
-    name = params["target"]
-    if name not in _TARGET_DT:
-        raise ConfigError(f"unknown target {name!r}")
-    dt = params["dt"] if params["dt"] is not None else _TARGET_DT[name]
-    tau = params["tau"] if params["tau"] is not None else _TARGET_TAU[name]
-    if name == "sine":
-        return gen_sinusoid(tau, dt, params["mode"], params["freq"])
-    if name == "square":
+def _make_target(config: ReproduceConfig):
+    dt = config.dt if config.dt is not None else _TARGET_DT[config.target]
+    tau = _TARGET_TAU[config.target] if config.tau is None else config.tau
+    if config.target == "sine":
+        return gen_sinusoid(tau, dt, config.mode, config.freq)
+    if config.target == "square":
         return gen_square(tau, dt)
     return gen_lorenz(tau, dt)
 
 
 def cmd_reproduce(args) -> int:
-    overrides = {
-        "target": args.target,
-        "mode": args.mode,
-        "freq": args.freq,
-        "dt": args.dt,
-        "tau": args.tau,
-        "n": args.n,
-        "sub_count": args.sub,
-        "sub_counts": args.sub_counts,
-        "trials": args.trials,
-        "coupling_scale": args.coupling_scale,
-        "coupling_density": args.coupling_density,
-        "leak_mu": args.leak_mu,
-        "leak_sigma": args.leak_sigma,
-        "rho": args.rho,
-        "ridge_lambda": args.ridge_lambda,
-        "washout": args.washout,
-        "max_attempts": args.max_attempts,
-        "standardize": args.standardize,
-    }
-    params = _resolve("reproduce", args, overrides)
-    try:
-        target = _make_target(params)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if params["sub_counts"]:
-        return _reproduce_sweep(args, params, target)
-    return _reproduce_single(args, params, target)
+    config = _resolve(ReproduceConfig, args)
+    target = _make_target(config)
+    if config.sub_counts:
+        return _reproduce_sweep(args, config, target)
+    return _reproduce_single(args, config, target)
 
 
-def _reproduce_single(args, params, target) -> int:
+def _reproduce_single(args, config, target) -> int:
     files = ["config.echo.json", "nrmse.json", "overlay.svg"]
     _prepare_out(args.out, files, args.force)
-    try:
-        spec = TopologySpec(
-            kind="weakly_coupled",
-            n=params["n"],
-            sub_count=params["sub_count"],
-            coupling_scale=params["coupling_scale"],
-            coupling_density=params["coupling_density"],
-        )
-        outcome = reproduce_waveform(
-            spec, target, params["leak_mu"], params["leak_sigma"], params["rho"],
-            params["ridge_lambda"], params["washout"], params["max_attempts"],
-            params["seed"], params["standardize"],
-        )
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = config.topology(config.sub_count)
+    outcome = reproduce_waveform(spec, target, config, config.seed)
 
     payload = {
-        "metadata": _metadata("reproduce", params),
+        "metadata": _metadata("reproduce", config),
         "target": target.name,
     } | _json_safe(outcome.to_json_dict())
     _write_json(os.path.join(args.out, "nrmse.json"), payload)
 
     if outcome.oscillatory:
-        _, _, prediction = rebuild_trial(
-            spec, target, outcome.seed, params["leak_mu"], params["leak_sigma"],
-            params["rho"], params["ridge_lambda"], params["washout"],
-        )
+        _, _, prediction = rebuild_trial(spec, target, outcome.seed, config)
         t = np.arange(target.length) * target.dt
         series = []
         for dim in range(target.dims):
@@ -586,37 +559,32 @@ def _reproduce_single(args, params, target) -> int:
                  f"mean train NRMSE {outcome.mean_nrmse():.4g}"
     else:
         status = f"no oscillatory reservoir within {outcome.attempt_count} attempts"
-    _write_echo(args.out, "reproduce", params)
+    _write_echo(args.out, "reproduce", config)
     print(f"reproduce[{target.name}]: {status}; outputs in {args.out}")
     return EXIT_OK
 
 
-def _reproduce_sweep(args, params, target) -> int:
+def _reproduce_sweep(args, config, target) -> int:
     _prepare_out(
         args.out,
         ["config.echo.json", "boxplot.csv", "trials.jsonl", "summary.json"],
         args.force,
     )
-    try:
-        per_count = subreservoir_count_outcomes(
-            params["n"], params["sub_counts"], target, params["trials"],
-            params["leak_mu"], params["leak_sigma"], params["rho"],
-            params["ridge_lambda"], params["washout"], params["max_attempts"],
-            params["coupling_scale"], params["coupling_density"],
-            params["seed"], jobs=args.jobs,
-        )
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+    per_count = subreservoir_count_outcomes(
+        config.topology(1), config.sub_counts, target, config.trials, config,
+        config.seed, jobs=args.jobs,
+    )
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 
+    metadata = _metadata("reproduce", config)
     with open(os.path.join(args.out, "boxplot.csv"), "w", encoding="utf-8",
               newline="\n") as f:
-        write_boxplot_csv(f, distributions, _metadata("reproduce", params))
+        write_boxplot_csv(f, distributions, metadata)
     with open(os.path.join(args.out, "trials.jsonl"), "w", encoding="utf-8",
               newline="\n") as f:
-        write_outcomes_jsonl(f, per_count, _metadata("reproduce", params))
+        write_outcomes_jsonl(f, per_count, metadata)
     summary = {
-        "metadata": _metadata("reproduce", params),
+        "metadata": metadata,
         "target": target.name,
         "per_sub_count": [
             {
@@ -629,23 +597,14 @@ def _reproduce_sweep(args, params, target) -> int:
         ],
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
-    _write_echo(args.out, "reproduce", params)
-    print(f"reproduce[{target.name}]: sweep over {params['sub_counts']} written to {args.out}")
+    _write_echo(args.out, "reproduce", config)
+    print(f"reproduce[{target.name}]: sweep over {list(config.sub_counts)} written to {args.out}")
     return EXIT_OK
 
 
 def cmd_topology_demo(args) -> int:
-    overrides = {
-        "n": args.n,
-        "rho": args.rho,
-        "tau": args.tau,
-    }
-    params = _resolve("topology-demo", args, overrides)
-    n, rho, tau, seed = params["n"], params["rho"], params["tau"], params["seed"]
-    if rho <= 0:
-        raise ConfigError(f"rho must be positive, got {rho}")
-    if tau < 100:
-        raise ConfigError("tau must be at least 100 (the classifier window)")
+    config = _resolve(TopologyDemoConfig, args)
+    n, rho, tau, seed = config.n, config.rho, config.tau, config.seed
 
     kinds = ("dense", "sparse", "block_diagonal", "weakly_coupled")
     files = ["config.echo.json"]
@@ -658,17 +617,20 @@ def cmd_topology_demo(args) -> int:
         spec = TopologySpec(kind=kind, n=n, sub_count=sub_count,
                             seed=derive_seed(seed, kind_index))
         W = build_weights(spec, rho)
-        # block layouts get per-unit leak so the sub-reservoirs differ in pace
+        # block layouts get the reproduction's per-unit leak draw so the
+        # sub-reservoirs differ in pace
         if kind in ("block_diagonal", "weakly_coupled"):
-            leak = sample_leak_vector(n, 0.6, 0.1, derive_seed(spec.seed, _ROLE_LEAK))
+            leak = sample_leak_vector(n, ReproductionSettings.leak_mu,
+                                      ReproductionSettings.leak_sigma,
+                                      derive_seed(spec.seed, ROLE_LEAK))
         else:
             leak = 0.5
-        trajectory = Reservoir(W, leak, init_state(n, derive_seed(spec.seed, _ROLE_STATE))).run(tau)
+        trajectory = Reservoir(W, leak, init_state(n, derive_seed(spec.seed, ROLE_STATE))).run(tau)
         report = classify_trajectory(trajectory)
         trajectory.to_csv(os.path.join(args.out, f"{kind}_trajectory.csv"))
         _write_json(
             os.path.join(args.out, f"{kind}_report.json"),
-            {"metadata": _metadata("topology-demo", params), "kind": kind}
+            {"metadata": _metadata("topology-demo", config), "kind": kind}
             | report.to_json_dict(),
         )
         t = np.arange(trajectory.steps)
@@ -678,7 +640,7 @@ def cmd_topology_demo(args) -> int:
             [(f"x{i}", t, trajectory.unit(i)) for i in range(count)],
             f"{kind}: unit traces", "step", "state", timestamp=_timestamp(args),
         )
-    _write_echo(args.out, "topology-demo", params)
+    _write_echo(args.out, "topology-demo", config)
     print(f"topology-demo: {len(kinds)} topologies written to {args.out}")
     return EXIT_OK
 
@@ -696,11 +658,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except InputError as exc:  # ConfigError included
         print(f"soesn: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"soesn: invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"soesn: numeric failure: {exc}", file=sys.stderr)

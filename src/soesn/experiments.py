@@ -12,7 +12,8 @@ aggregated by trial index, giving bit-identical output at any parallelism.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from .numerics import scale_to_spectral_radius
 from .oscillation import classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state
-from .seeding import derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, derive_seed
 from .topology import (
+    ConfigFields,
     TopologySpec,
     build_dense,
     build_weights,
@@ -30,11 +32,6 @@ from .topology import (
     sample_leak_vector,
     two_neuron_ensemble,
 )
-
-# Sub-seed roles, mixed into a trial seed to decorrelate its random draws.
-_ROLE_WEIGHTS = 0
-_ROLE_STATE = 1
-_ROLE_LEAK = 2
 
 
 def _map_trials(worker, tasks, jobs):
@@ -82,11 +79,11 @@ class SweepResult:
 def _sweep_trial(task) -> bool:
     n, tau, leak, rho, seed, li, ri, t = task
     try:
-        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, _ROLE_WEIGHTS)), rho)
-        state = init_state(n, derive_seed(seed, _ROLE_STATE))
+        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
+        state = init_state(n, derive_seed(seed, ROLE_STATE))
         trajectory = Reservoir(W, leak, state).run(tau)
         return bool(classify_trajectory(trajectory).reservoir_is_self_oscillatory)
-    except (InputError, NumericError) as exc:
+    except NumericError as exc:
         raise NumericError(
             f"sweep cell (leak={leak}, rho={rho}) trial {t} failed: {exc}"
         ) from exc
@@ -162,8 +159,8 @@ def write_injection_csv(f, rows, metadata: dict | None = None) -> None:
 
 def _injection_trial(task):
     n, tau, rho, leak, seed, ensemble = task
-    W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, _ROLE_WEIGHTS)), rho)
-    state = init_state(n, derive_seed(seed, _ROLE_STATE))
+    W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
+    state = init_state(n, derive_seed(seed, ROLE_STATE))
     plain = classify_trajectory(Reservoir(W, leak, state).run(tau))
     seeded = classify_trajectory(Reservoir(inject_ensemble(W, ensemble), leak, state).run(tau))
     return (
@@ -360,55 +357,87 @@ class TrialOutcome:
         }
 
 
-def _attempt(spec: TopologySpec, tau, leak_mu, leak_sigma, rho, attempt_seed):
-    W = build_weights(spec.with_seed(derive_seed(attempt_seed, _ROLE_WEIGHTS)), rho)
-    leak = sample_leak_vector(spec.n, leak_mu, leak_sigma, derive_seed(attempt_seed, _ROLE_LEAK))
-    state = init_state(spec.n, derive_seed(attempt_seed, _ROLE_STATE))
+@dataclass(frozen=True)
+class ReproductionSettings(ConfigFields):
+    """How a reproduction trial draws its reservoirs and fits its readout.
+
+    Leak rates are drawn per unit from N(leak_mu, leak_sigma); each block is
+    scaled to spectral radius `rho`; up to `max_attempts` reservoirs are
+    tried until one is self-oscillatory; the ridge readout drops `washout`
+    leading steps. `standardize` rescales each target dimension to zero mean
+    and unit variance before the fit (pure conditioning; NRMSE is
+    scale-free either way).
+    """
+
+    leak_mu: float = 0.6
+    leak_sigma: float = 0.1
+    rho: float = 1.25
+    ridge_lambda: float = 1e-8
+    washout: int = 100
+    max_attempts: int = 10
+    standardize: bool = False
+
+    def __post_init__(self):
+        if self.leak_sigma < 0:
+            raise InputError(f"leak_sigma must be non-negative, got {self.leak_sigma}")
+        if not self.rho > 0:
+            raise InputError(f"rho must be positive, got {self.rho}")
+        if self.ridge_lambda < 0:
+            raise InputError(f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
+        if self.washout < 0:
+            raise InputError(f"washout must be non-negative, got {self.washout}")
+        if self.max_attempts < 0:
+            raise InputError(f"max_attempts must be non-negative, got {self.max_attempts}")
+
+
+def _attempt(spec: TopologySpec, tau, settings: ReproductionSettings, attempt_seed):
+    W = build_weights(spec.with_seed(derive_seed(attempt_seed, ROLE_WEIGHTS)), settings.rho)
+    leak = sample_leak_vector(
+        spec.n, settings.leak_mu, settings.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
+    )
+    state = init_state(spec.n, derive_seed(attempt_seed, ROLE_STATE))
     trajectory = Reservoir(W, leak, state).run(tau)
     return trajectory, classify_trajectory(trajectory)
 
 
-def _standardized(values: np.ndarray) -> np.ndarray:
-    mean = values.mean(axis=0)
-    sd = values.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return (values - mean) / sd
+def _fit(trajectory, target, settings: ReproductionSettings):
+    """The readout trained on the target (standardized when asked), with
+    the per-dimension mean and scale that map its output back."""
+    values, mean, sd = target.values, 0.0, 1.0
+    if settings.standardize:
+        mean = values.mean(axis=0)
+        sd = values.std(axis=0)
+        sd = np.where(sd == 0.0, 1.0, sd)
+        values = (values - mean) / sd
+    model = train_ridge(trajectory.rows, values, settings.ridge_lambda, settings.washout)
+    return model, mean, sd
 
 
 def reproduce_waveform(
     spec: TopologySpec,
     target: TargetSignal,
-    leak_mu: float = 0.6,
-    leak_sigma: float = 0.1,
-    rho: float = 1.25,
-    ridge_lambda: float = 1e-8,
-    washout: int = 100,
-    max_attempts: int = 10,
+    settings: ReproductionSettings = ReproductionSettings(),
     base_seed: int = 0,
-    standardize: bool = False,
 ) -> TrialOutcome:
     """Build reservoirs from `spec` until one is self-oscillatory (or the
     attempt budget runs out), then train the readout on the recorded states
     against the target and report per-dimension training NRMSE.
 
     Exhausting the attempts is a result, not an error: the outcome comes
-    back with oscillatory=False. `standardize` optionally rescales each
-    target dimension to zero mean / unit variance before the fit (pure
-    conditioning; NRMSE is scale-free either way).
+    back with oscillatory=False.
     """
-    if target.length < washout + 2:
+    if target.length < settings.washout + 2:
         raise InputError(
-            f"target length {target.length} too short for washout {washout}"
+            f"target length {target.length} too short for washout {settings.washout}"
         )
     tau = target.length - 1
     last_seed = base_seed
-    for attempt in range(max_attempts):
+    for attempt in range(settings.max_attempts):
         attempt_seed = derive_seed(base_seed, attempt)
         last_seed = attempt_seed
-        trajectory, report = _attempt(spec, tau, leak_mu, leak_sigma, rho, attempt_seed)
+        trajectory, report = _attempt(spec, tau, settings, attempt_seed)
         if report.reservoir_is_self_oscillatory:
-            values = _standardized(target.values) if standardize else target.values
-            model = train_ridge(trajectory.rows, values, ridge_lambda, washout)
+            model, _, _ = _fit(trajectory, target, settings)
             return TrialOutcome(
                 attempt_count=attempt + 1,
                 oscillatory=True,
@@ -416,7 +445,8 @@ def reproduce_waveform(
                 seed=attempt_seed,
             )
     return TrialOutcome(
-        attempt_count=max_attempts, oscillatory=False, train_nrmse=None, seed=last_seed
+        attempt_count=settings.max_attempts, oscillatory=False, train_nrmse=None,
+        seed=last_seed,
     )
 
 
@@ -424,52 +454,32 @@ def rebuild_trial(
     spec: TopologySpec,
     target: TargetSignal,
     attempt_seed: int,
-    leak_mu: float = 0.6,
-    leak_sigma: float = 0.1,
-    rho: float = 1.25,
-    ridge_lambda: float = 1e-8,
-    washout: int = 100,
+    settings: ReproductionSettings = ReproductionSettings(),
 ) -> tuple[StateTrajectory, ReadoutModel, np.ndarray]:
     """Reconstruct a reproduction attempt from its seed, returning the
-    trajectory, the trained model, and the full-length prediction (used for
-    target-versus-output plots)."""
-    tau = target.length - 1
-    trajectory, _ = _attempt(spec, tau, leak_mu, leak_sigma, rho, attempt_seed)
-    model = train_ridge(trajectory.rows, target.values, ridge_lambda, washout)
-    return trajectory, model, predict(model, trajectory.rows)
-
-
-def _reproduce_task(task) -> TrialOutcome:
-    (spec, target, leak_mu, leak_sigma, rho, ridge_lambda, washout,
-     max_attempts, seed) = task
-    return reproduce_waveform(
-        spec, target, leak_mu, leak_sigma, rho, ridge_lambda, washout,
-        max_attempts, seed,
-    )
+    trajectory, the trained model that was scored, and its full-length
+    prediction in target units (used for target-versus-output plots)."""
+    trajectory, _ = _attempt(spec, target.length - 1, settings, attempt_seed)
+    model, mean, sd = _fit(trajectory, target, settings)
+    prediction = predict(model, trajectory.rows)
+    if settings.standardize:
+        prediction = prediction * sd + mean
+    return trajectory, model, prediction
 
 
 def reproduce_trials(
     spec: TopologySpec,
     target: TargetSignal,
     trials: int,
-    leak_mu: float = 0.6,
-    leak_sigma: float = 0.1,
-    rho: float = 1.25,
-    ridge_lambda: float = 1e-8,
-    washout: int = 100,
-    max_attempts: int = 10,
+    settings: ReproductionSettings = ReproductionSettings(),
     base_seed: int = 0,
     jobs: int = 1,
 ) -> list[TrialOutcome]:
     """Independent reproduction trials with per-trial derived seeds."""
     if trials < 1:
         raise InputError("trials must be at least 1")
-    tasks = [
-        (spec, target, leak_mu, leak_sigma, rho, ridge_lambda, washout,
-         max_attempts, derive_seed(base_seed, t))
-        for t in range(trials)
-    ]
-    return _map_trials(_reproduce_task, tasks, jobs)
+    seeds = [derive_seed(base_seed, t) for t in range(trials)]
+    return _map_trials(partial(reproduce_waveform, spec, target, settings), seeds, jobs)
 
 
 @dataclass(frozen=True)
@@ -501,66 +511,24 @@ def distribution_from_outcomes(sub_count: int, outcomes) -> SubCountDistribution
 
 
 def subreservoir_count_outcomes(
-    n: int,
+    spec: TopologySpec,
     sub_counts,
     target: TargetSignal,
     trials: int,
-    leak_mu: float = 0.6,
-    leak_sigma: float = 0.1,
-    rho: float = 1.25,
-    ridge_lambda: float = 1e-8,
-    washout: int = 100,
-    max_attempts: int = 10,
-    coupling_scale: float = 0.05,
-    coupling_density: float = 0.05,
+    settings: ReproductionSettings = ReproductionSettings(),
     base_seed: int = 0,
     jobs: int = 1,
 ) -> list[tuple[int, list[TrialOutcome]]]:
-    """Raw reproduction outcomes per sub-reservoir count, using the weakly
-    coupled topology throughout (a single block at sub_count=1 is the dense
-    baseline)."""
-    results = []
-    for mi, m in enumerate(sub_counts):
-        spec = TopologySpec(
-            kind="weakly_coupled",
-            n=n,
-            sub_count=int(m),
-            coupling_scale=coupling_scale,
-            coupling_density=coupling_density,
-        )
-        outcomes = reproduce_trials(
-            spec, target, trials, leak_mu, leak_sigma, rho, ridge_lambda,
-            washout, max_attempts, derive_seed(base_seed, mi), jobs,
-        )
-        results.append((int(m), outcomes))
-    return results
-
-
-def subreservoir_count_sweep(
-    n: int,
-    sub_counts,
-    target: TargetSignal,
-    trials: int,
-    leak_mu: float = 0.6,
-    leak_sigma: float = 0.1,
-    rho: float = 1.25,
-    ridge_lambda: float = 1e-8,
-    washout: int = 100,
-    max_attempts: int = 10,
-    coupling_scale: float = 0.05,
-    coupling_density: float = 0.05,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> list[SubCountDistribution]:
-    """NRMSE distribution versus the number of sub-reservoirs at a fixed
-    population (summary view of subreservoir_count_outcomes)."""
+    """Raw reproduction outcomes per sub-reservoir count: `spec` with each
+    count in turn as its sub_count (a single block is the dense baseline of
+    the weakly coupled layout). Summarize each count with
+    distribution_from_outcomes."""
     return [
-        distribution_from_outcomes(m, outcomes)
-        for m, outcomes in subreservoir_count_outcomes(
-            n, sub_counts, target, trials, leak_mu, leak_sigma, rho,
-            ridge_lambda, washout, max_attempts, coupling_scale,
-            coupling_density, base_seed, jobs,
-        )
+        (int(m), reproduce_trials(
+            replace(spec, sub_count=int(m)), target, trials, settings,
+            derive_seed(base_seed, mi), jobs,
+        ))
+        for mi, m in enumerate(sub_counts)
     ]
 
 

@@ -2,6 +2,11 @@
 
 _MASK = (1 << 64) - 1
 
+# Sub-seed roles, mixed into a trial seed to decorrelate its random draws.
+ROLE_WEIGHTS = 0
+ROLE_STATE = 1
+ROLE_LEAK = 2
+
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK

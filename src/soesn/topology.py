@@ -3,7 +3,7 @@
 calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,8 +18,60 @@ VALID_KINDS = ("dense", "sparse", "block_diagonal", "weakly_coupled")
 _ENSEMBLE_CHECK_SEED = 1912
 
 
+def _conforms(value, kind) -> bool:
+    if getattr(kind, "__origin__", None) is tuple:  # tuple[T, ...]: a JSON list
+        element = kind.__args__[0]
+        return isinstance(value, (list, tuple)) and all(_conforms(v, element) for v in value)
+    if hasattr(kind, "__args__"):  # T | None
+        return any(_conforms(value, k) for k in kind.__args__)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and bool(np.isfinite(value)))
+    return isinstance(value, kind)
+
+
+class ConfigFields:
+    """JSON round trip for a config dataclass.
+
+    `to_dict` is the payload a run echoes. `from_dict` fills omitted fields
+    from the defaults and raises ConfigError for an unknown field, a value
+    of the wrong type (a bool is not an int, an int is a float, a float must
+    be finite, a list is a tuple, and a field typed as another config class
+    takes a nested object) or a value the class's own checks reject.
+    """
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data, label: str | None = None):
+        label = label or cls.__name__
+        if not isinstance(data, dict):
+            raise ConfigError(f"{label} must be a JSON object, got {data!r}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(kinds)
+        if unknown:
+            raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
+        values = {}
+        for name, value in data.items():
+            kind = kinds[name]
+            if hasattr(kind, "from_dict"):
+                value = kind.from_dict(value, f"{label}.{name}")
+            elif not _conforms(value, kind):
+                expected = kind.__name__ if isinstance(kind, type) else kind
+                raise ConfigError(f"{label}.{name} must be {expected}, got {value!r}")
+            values[name] = value
+        try:
+            return cls(**values)
+        except ConfigError:
+            raise
+        except InputError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+
+
 @dataclass
-class TopologySpec:
+class TopologySpec(ConfigFields):
     """Declarative recipe for a reservoir weight matrix.
 
     `density` applies to the sparse kind, `sub_count` and the coupling fields
@@ -52,29 +104,8 @@ class TopologySpec:
             raise InputError("coupling_scale must be non-negative")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise InputError(f"coupling_density must lie in [0, 1], got {self.coupling_density}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "density": self.density,
-            "sub_count": self.sub_count,
-            "coupling_scale": self.coupling_scale,
-            "coupling_density": self.coupling_density,
-            "inject_ensemble": self.inject_ensemble,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopologySpec":
-        known = {
-            "kind", "n", "density", "sub_count", "coupling_scale",
-            "coupling_density", "inject_ensemble", "seed",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown topology fields: {sorted(unknown)}")
-        return cls(**data)
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     def with_seed(self, seed: int) -> "TopologySpec":
         return replace(self, seed=seed)
@@ -110,27 +141,6 @@ def build_sparse(n: int, density: float, seed: int) -> np.ndarray:
     return np.where(mask, values, 0.0)
 
 
-def _fill_diagonal_blocks(W: np.ndarray, sizes: list[int], rng) -> None:
-    offset = 0
-    for size in sizes:
-        W[offset : offset + size, offset : offset + size] = rng.uniform(
-            -0.5, 0.5, size=(size, size)
-        )
-        offset += size
-
-
-def build_block_diagonal(n: int, sub_count: int, seed: int) -> np.ndarray:
-    """Independent dense diagonal blocks, zero everywhere else.
-
-    Blocks come back unscaled; callers rescale each one to the working
-    spectral radius (see build_weights)."""
-    sizes = block_sizes(n, sub_count)
-    rng = np.random.default_rng(seed)
-    W = np.zeros((n, n))
-    _fill_diagonal_blocks(W, sizes, rng)
-    return W
-
-
 def build_weakly_coupled(
     n: int,
     sub_count: int,
@@ -138,12 +148,15 @@ def build_weakly_coupled(
     coupling_density: float,
     seed: int,
 ) -> np.ndarray:
-    """Diagonal blocks as in build_block_diagonal plus sparse weak links
-    between blocks: off-block entries nonzero with probability
-    `coupling_density`, values uniform on [-0.5, 0.5] times `coupling_scale`.
+    """Independent dense diagonal blocks plus sparse weak links between
+    blocks: off-block entries nonzero with probability `coupling_density`,
+    values uniform on [-0.5, 0.5] times `coupling_scale`.
 
-    The diagonal blocks are drawn first from the same stream, so for a given
-    seed they match build_block_diagonal exactly.
+    The diagonal blocks are drawn first from the stream, so for a given seed
+    they do not depend on the coupling, and a zero density leaves every
+    off-block entry exactly +0.0: that is the block-diagonal layout. Blocks
+    come back unscaled; build_weights rescales each one to the working
+    spectral radius.
     """
     if coupling_scale < 0.0:
         raise InputError("coupling_scale must be non-negative")
@@ -152,9 +165,10 @@ def build_weakly_coupled(
     sizes = block_sizes(n, sub_count)
     rng = np.random.default_rng(seed)
     W = np.zeros((n, n))
-    _fill_diagonal_blocks(W, sizes, rng)
-
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for i, size in enumerate(sizes):
+        block = slice(offsets[i], offsets[i + 1])
+        W[block, block] = rng.uniform(-0.5, 0.5, size=(size, size))
     for i in range(sub_count):
         for j in range(sub_count):
             if i == j:
@@ -254,16 +268,14 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
     elif spec.kind == "sparse":
         W = scale_to_spectral_radius(build_sparse(spec.n, spec.density, spec.seed), rho)
     else:
-        if spec.kind == "block_diagonal":
-            W = build_block_diagonal(spec.n, spec.sub_count, spec.seed)
-        else:
-            W = build_weakly_coupled(
-                spec.n,
-                spec.sub_count,
-                spec.coupling_scale,
-                spec.coupling_density,
-                spec.seed,
-            )
+        coupled = spec.kind == "weakly_coupled"
+        W = build_weakly_coupled(
+            spec.n,
+            spec.sub_count,
+            spec.coupling_scale if coupled else 0.0,
+            spec.coupling_density if coupled else 0.0,
+            spec.seed,
+        )
         offset = 0
         for size in block_sizes(spec.n, spec.sub_count):
             block = slice(offset, offset + size)

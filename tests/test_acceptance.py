@@ -17,10 +17,12 @@ import numpy as np
 
 from soesn import (
     Reservoir,
+    ReproductionSettings,
     TopologySpec,
     build_dense,
     classify_trajectory,
     derive_seed,
+    distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
     gen_square,
@@ -30,7 +32,7 @@ from soesn import (
     reproduce_trials,
     scale_to_spectral_radius,
     spectral_radius,
-    subreservoir_count_sweep,
+    subreservoir_count_outcomes,
     sweep_heatmap,
     train_ridge,
     two_neuron_ensemble,
@@ -44,6 +46,9 @@ JOBS = 2
 
 SINE = gen_sinusoid(1000, dt=1.0, mode="pure_sine", freq=0.05)
 SQUARE = gen_square(1000, dt=0.01)
+REPRODUCTION = ReproductionSettings(
+    leak_mu=0.6, leak_sigma=0.1, rho=1.25, ridge_lambda=1e-8, washout=100, max_attempts=10
+)
 
 
 def check(cid: str, name: str, ok: bool, detail: str) -> None:
@@ -171,9 +176,7 @@ def test_c06_waveform_reproduction_sine_and_square():
     medians = {}
     for label, target in (("sine", SINE), ("square", SQUARE)):
         outcomes = reproduce_trials(
-            spec, target, trials=30, leak_mu=0.6, leak_sigma=0.1, rho=1.25,
-            ridge_lambda=1e-8, washout=100, max_attempts=10,
-            base_seed=BASE_SEED, jobs=JOBS,
+            spec, target, trials=30, settings=REPRODUCTION, base_seed=BASE_SEED, jobs=JOBS,
         )
         values = [o.mean_nrmse() for o in outcomes if o.oscillatory]
         assert values, f"no oscillatory trials for {label}"
@@ -190,9 +193,7 @@ def test_c07_lorenz_fit():
     target = gen_lorenz(2000, dt=0.01, x0=(0.0, 1.0, 1.05), sigma=10.0, alpha=28.0, beta=2.667)
     spec = _reproduction_spec(1000, 16)
     outcomes = reproduce_trials(
-        spec, target, trials=15, leak_mu=0.6, leak_sigma=0.1, rho=1.25,
-        ridge_lambda=1e-8, washout=100, max_attempts=10,
-        base_seed=BASE_SEED, jobs=JOBS,
+        spec, target, trials=15, settings=REPRODUCTION, base_seed=BASE_SEED, jobs=JOBS,
     )
     oscillatory = [o for o in outcomes if o.oscillatory]
     assert oscillatory, "no oscillatory Lorenz trials"
@@ -207,11 +208,11 @@ def test_c07_lorenz_fit():
 
 
 def test_c08_interior_optimum_in_sub_reservoir_count():
-    distributions = subreservoir_count_sweep(
-        512, [1, 8, 128], SINE, trials=30, leak_mu=0.6, leak_sigma=0.1,
-        rho=1.25, ridge_lambda=1e-8, washout=100, max_attempts=10,
+    per_count = subreservoir_count_outcomes(
+        _reproduction_spec(512, 1), [1, 8, 128], SINE, trials=30, settings=REPRODUCTION,
         base_seed=BASE_SEED, jobs=JOBS,
     )
+    distributions = [distribution_from_outcomes(m, outcomes) for m, outcomes in per_count]
     medians = {d.sub_count: d.quartiles()[1] for d in distributions}
     check(
         "C8", "interior-optimum",

@@ -83,10 +83,10 @@ class TestSweep:
         assert len(rows) - 1 == 2 * 3
 
     def test_default_ranges_cover_paper_sweep(self):
-        from soesn.cli import DEFAULTS
+        from soesn.cli import SweepConfig
 
-        leaks = DEFAULTS["sweep"]["leak_values"]
-        rhos = DEFAULTS["sweep"]["rho_values"]
+        leaks = SweepConfig().leak_values
+        rhos = SweepConfig().rho_values
         assert min(leaks) == 0.05 and max(leaks) == 1.0 and len(leaks) == 20
         assert min(rhos) == 0.1 and max(rhos) == 3.0 and len(rhos) == 30
 
@@ -171,10 +171,9 @@ class TestReproduce:
         assert json.loads(read(out / "nrmse.json"))["target"] == "square"
 
     def test_lorenz_uses_paper_initial_state(self, tmp_path):
-        from soesn.cli import _make_target, DEFAULTS
+        from soesn.cli import ReproduceConfig, _make_target
 
-        params = dict(DEFAULTS["reproduce"], target="lorenz", tau=10)
-        target = _make_target(params)
+        target = _make_target(ReproduceConfig(target="lorenz", tau=10, washout=0))
         assert np.array_equal(target.values[0], [0.0, 1.0, 1.05])
         assert target.dt == 0.01
 
@@ -223,9 +222,9 @@ class TestInjectExperiment:
         assert all(len(row.split(",")) == 3 for row in rows[1:])
 
     def test_default_populations(self):
-        from soesn.cli import DEFAULTS
+        from soesn.cli import InjectConfig
 
-        assert DEFAULTS["inject-experiment"]["populations"] == [4, 10, 25, 50, 100]
+        assert InjectConfig().populations == (4, 10, 25, 50, 100)
 
 
 class TestSvgOutput:
@@ -249,3 +248,147 @@ class TestTopologyDemo:
             assert (out / f"{kind}_trajectory.csv").exists()
             assert (out / f"{kind}_report.json").exists()
             assert (out / f"{kind}_traces.svg").exists()
+
+
+# Each base run is small, so a check that fails to reject still ends fast.
+SMALL_FLAGS = {
+    "generate": ["--n", "20", "--tau", "150"],
+    "sweep": ["--trials", "1", "--cells", "1", "--n", "20", "--tau", "200"],
+    "inject-experiment": ["--populations", "4", "--trials", "1", "--tau", "200"],
+    "reproduce": ["--n", "20", "--sub", "2", "--tau", "200", "--max-attempts", "1"],
+    "topology-demo": ["--n", "12", "--tau", "150"],
+}
+SMALL_PARAMS = {
+    "generate": {"topology": {"n": 20}, "tau": 150},
+    "sweep": {"trials": 1, "cells": 1, "n": 20, "tau": 200},
+    "inject-experiment": {"populations": [4], "trials": 1, "tau": 200},
+    "reproduce": {"n": 20, "sub_count": 2, "tau": 200, "max_attempts": 1},
+    "topology-demo": {"n": 12, "tau": 150},
+}
+COMMANDS = sorted(SMALL_FLAGS)
+
+BAD_FLAGS = [
+    ("generate", ["--tau", "50"]),
+    ("generate", ["--leak", "1.5"]),
+    ("generate", ["--sub", "30"]),
+    ("generate", ["--seed", "-1"]),
+    ("sweep", ["--tau", "50"]),
+    ("sweep", ["--n", "0"]),
+    ("sweep", ["--rho-values", "0.5,-1"]),
+    ("sweep", ["--cells", "0"]),
+    ("inject-experiment", ["--tau", "50"]),
+    ("inject-experiment", ["--populations", "1"]),
+    ("inject-experiment", ["--rho", "0"]),
+    ("reproduce", ["--washout", "-1"]),
+    ("reproduce", ["--tau", "100"]),
+    ("reproduce", ["--n", "0"]),
+    ("reproduce", ["--sub-counts", "1,40"]),
+    ("reproduce", ["--dt", "0"]),
+    ("reproduce", ["--leak-sigma", "-0.1"]),
+    ("topology-demo", ["--rho", "0"]),
+    ("topology-demo", ["--n", "0"]),
+] + [(command, ["--jobs", jobs]) for command in COMMANDS for jobs in ("0", "-3")]
+
+BAD_PARAMS = [
+    ("generate", {"topology": {"n": "abc"}}),
+    ("generate", {"topology": 5}),
+    ("generate", {"topology": {"kind": "ring"}}),
+    ("generate", {"topology": {"bogus": 1}}),
+    ("generate", {"svg": "yes"}),
+    ("generate", {"rho": float("nan")}),
+    ("generate", {"rho": {}}),
+    ("sweep", {"trials": 1.5}),
+    ("sweep", {"tau": "x"}),
+    ("sweep", {"leak_values": "0.5"}),
+    ("sweep", {"cells": True}),
+    ("inject-experiment", {"populations": [4, "10"]}),
+    ("inject-experiment", {"rho": None}),
+    ("inject-experiment", {"leak": 0.0}),
+    ("reproduce", {"n": "abc"}),
+    ("reproduce", {"standardize": 1}),
+    ("reproduce", {"washout": True}),
+    ("reproduce", {"target": "triangle"}),
+    ("reproduce", {"sub_counts": [1.5]}),
+    ("topology-demo", {"n": True}),
+    ("topology-demo", {"tau": 99}),
+] + [(command, {"bogus": 1}) for command in COMMANDS]
+
+
+def _config_file(tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+class TestExitCodes:
+    """Every subcommand honours the exit-code contract: 2 for any bad
+    configuration, caught before an output directory is made; 4 for
+    refusing to overwrite."""
+
+    @pytest.mark.parametrize("command,extra", BAD_FLAGS,
+                             ids=[f"{c} {' '.join(a)}" for c, a in BAD_FLAGS])
+    def test_bad_flag_is_config_error(self, command, extra, tmp_path):
+        argv = [command, *SMALL_FLAGS[command], *extra, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,bad", BAD_PARAMS,
+                             ids=[f"{c} {json.dumps(b)}" for c, b in BAD_PARAMS])
+    def test_bad_config_value_is_config_error(self, command, bad, tmp_path):
+        config = _config_file(
+            tmp_path, {"command": command, "params": SMALL_PARAMS[command] | bad}
+        )
+        argv = [command, "--config", config, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        "[1, 2]",
+        {"command": "no-such-command", "params": {}},
+        {"params": [1]},
+    ], ids=["bad-json", "not-an-object", "command-mismatch", "params-not-an-object"])
+    def test_bad_config_file_is_config_error(self, command, content, tmp_path):
+        if isinstance(content, dict) and "command" not in content:
+            content = {"command": command, **content}
+        argv = [command, "--config", _config_file(tmp_path, content),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_existing_output_without_force_is_io_error(self, command, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "config.echo.json").write_text("{}")
+        assert main([command, *SMALL_FLAGS[command], "--out", str(out)]) == EXIT_IO
+
+
+class TestStandardize:
+    ARGS = ["reproduce", "--target", "lorenz", "--n", "60", "--tau", "300",
+            "--seed", "3", "--deterministic"]
+
+    @staticmethod
+    def trial_records(out):
+        return read(out / "trials.jsonl").decode().splitlines()[1:]
+
+    def test_sub_count_mode_honours_standardize(self, tmp_path):
+        sweep = ["--sub-counts", "1,4", "--trials", "2"]
+        main(self.ARGS + sweep + ["--out", str(tmp_path / "raw")])
+        main(self.ARGS + sweep + ["--standardize", "--out", str(tmp_path / "std")])
+        raw, std = self.trial_records(tmp_path / "raw"), self.trial_records(tmp_path / "std")
+        assert len(raw) == len(std) == 4
+        assert raw != std
+
+    def test_rebuilt_overlay_model_is_the_scored_model(self):
+        from soesn import ReproductionSettings, TopologySpec, gen_lorenz, reproduce_waveform
+        from soesn.experiments import rebuild_trial
+
+        spec = TopologySpec(kind="weakly_coupled", n=60, sub_count=3)
+        target = gen_lorenz(300)
+        settings = ReproductionSettings(standardize=True)
+        outcome = reproduce_waveform(spec, target, settings, base_seed=3)
+        assert outcome.oscillatory
+        _, model, prediction = rebuild_trial(spec, target, outcome.seed, settings)
+        assert tuple(model.train_nrmse) == outcome.train_nrmse
+        assert prediction.shape == target.values.shape

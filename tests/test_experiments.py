@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from soesn import (
+    ReproductionSettings,
     TargetSignal,
     TopologySpec,
     derive_seed,
+    distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
     gen_square,
     injection_ratio_experiment,
     reproduce_trials,
     reproduce_waveform,
-    subreservoir_count_sweep,
+    subreservoir_count_outcomes,
     sweep_heatmap,
 )
 from soesn.errors import InputError, NumericError
@@ -175,21 +177,22 @@ class TestReproduceWaveform:
         from soesn.experiments import _attempt
 
         sine = gen_sinusoid(400, dt=1.0)
-        probe = reproduce_waveform(SPEC, sine, max_attempts=5, base_seed=17)
+        probe = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=5), base_seed=17)
         assert probe.oscillatory
-        trajectory, _ = _attempt(SPEC, 400, 0.6, 0.1, 1.25, probe.seed)
+        trajectory, _ = _attempt(SPEC, 400, ReproductionSettings(), probe.seed)
         pre_trained = train_ridge(trajectory.rows, sine.values, 1.0, 100)
         realizable = TargetSignal("realizable", 1.0, predict(pre_trained, trajectory.rows))
         with pytest.warns(UserWarning, match="least squares"):
             outcome = reproduce_waveform(
-                SPEC, realizable, ridge_lambda=0.0, max_attempts=5, base_seed=17
+                SPEC, realizable, ReproductionSettings(ridge_lambda=0.0, max_attempts=5),
+                base_seed=17,
             )
         assert outcome.oscillatory
         assert outcome.train_nrmse[0] <= 1e-10
 
     def test_zero_attempts_exhausts_immediately(self):
         sine = gen_sinusoid(300, dt=1.0)
-        outcome = reproduce_waveform(SPEC, sine, max_attempts=0, base_seed=1)
+        outcome = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=0), base_seed=1)
         assert not outcome.oscillatory
         assert outcome.attempt_count == 0
         assert outcome.train_nrmse is None
@@ -197,11 +200,11 @@ class TestReproduceWaveform:
     def test_target_shorter_than_washout_rejected(self):
         sine = gen_sinusoid(50, dt=1.0)
         with pytest.raises(InputError):
-            reproduce_waveform(SPEC, sine, washout=100)
+            reproduce_waveform(SPEC, sine, ReproductionSettings(washout=100))
 
     def test_outcome_json_shape(self):
         sine = gen_sinusoid(300, dt=1.0)
-        outcome = reproduce_waveform(SPEC, sine, max_attempts=5, base_seed=2)
+        outcome = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=5), base_seed=2)
         payload = outcome.to_json_dict()
         assert set(payload) == {"attempt_count", "oscillatory", "train_nrmse", "seed"}
 
@@ -212,17 +215,27 @@ class TestReproduceWaveform:
         assert serial == parallel
 
 
+def sub_count_distributions(sub_counts, target, trials, base_seed):
+    spec = TopologySpec(kind="weakly_coupled", n=48)
+    return [
+        distribution_from_outcomes(m, outcomes)
+        for m, outcomes in subreservoir_count_outcomes(
+            spec, sub_counts, target, trials, base_seed=base_seed
+        )
+    ]
+
+
 class TestSubCountSweep:
     def test_includes_single_block_baseline_and_determinism(self):
         sine = gen_sinusoid(300, dt=1.0)
-        a = subreservoir_count_sweep(48, [1, 4], sine, trials=3, base_seed=5)
-        b = subreservoir_count_sweep(48, [1, 4], sine, trials=3, base_seed=5)
+        a = sub_count_distributions([1, 4], sine, trials=3, base_seed=5)
+        b = sub_count_distributions([1, 4], sine, trials=3, base_seed=5)
         assert [d.sub_count for d in a] == [1, 4]
         assert a == b
 
     def test_boxplot_csv_rows(self):
         sine = gen_sinusoid(300, dt=1.0)
-        dists = subreservoir_count_sweep(48, [1, 4], sine, trials=3, base_seed=5)
+        dists = sub_count_distributions([1, 4], sine, trials=3, base_seed=5)
         buffer = io.StringIO()
         write_boxplot_csv(buffer, dists)
         lines = buffer.getvalue().splitlines()

@@ -5,7 +5,6 @@ from soesn import (
     EnsembleSpec,
     Reservoir,
     TopologySpec,
-    build_block_diagonal,
     build_dense,
     build_sparse,
     build_weakly_coupled,
@@ -66,18 +65,20 @@ class TestSparse:
 
 
 class TestBlockDiagonal:
+    """The block-diagonal layout is the weakly coupled build with no coupling."""
+
     def test_off_blocks_zero(self):
-        W = build_block_diagonal(4, 2, seed=0)
+        W = build_weakly_coupled(4, 2, 0.0, 0.0, seed=0)
         assert np.all(W[:2, 2:] == 0.0)
         assert np.all(W[2:, :2] == 0.0)
 
     def test_single_block_equals_dense(self):
         assert np.array_equal(
-            build_block_diagonal(100, 1, seed=9), build_dense(100, seed=9)
+            build_weakly_coupled(100, 1, 0.0, 0.0, seed=9), build_dense(100, seed=9)
         )
 
     def test_block_entry_count(self):
-        W = build_block_diagonal(100, 4, seed=2)
+        W = build_weakly_coupled(100, 4, 0.0, 0.0, seed=2)
         mask = np.zeros((100, 100), dtype=bool)
         for start in (0, 25, 50, 75):
             mask[start : start + 25, start : start + 25] = True
@@ -88,7 +89,7 @@ class TestBlockDiagonal:
         sizes = block_sizes(1000, 16)
         assert sum(sizes) == 1000
         assert set(sizes) == {62, 63}
-        W = build_block_diagonal(1000, 16, seed=0)
+        W = build_weakly_coupled(1000, 16, 0.0, 0.0, seed=0)
         assert W.shape == (1000, 1000)
 
     def test_sub_count_bounds(self):
@@ -100,12 +101,12 @@ class TestBlockDiagonal:
 
 class TestWeaklyCoupled:
     def test_zero_scale_matches_block_diagonal(self):
-        blocks = build_block_diagonal(60, 3, seed=11)
+        blocks = build_weakly_coupled(60, 3, 0.0, 0.0, seed=11)
         coupled = build_weakly_coupled(60, 3, 0.0, 0.5, seed=11)
         assert np.array_equal(coupled, blocks)
 
     def test_zero_density_matches_block_diagonal(self):
-        blocks = build_block_diagonal(60, 3, seed=11)
+        blocks = build_weakly_coupled(60, 3, 0.0, 0.0, seed=11)
         coupled = build_weakly_coupled(60, 3, 0.05, 0.0, seed=11)
         assert np.array_equal(coupled, blocks)
 
@@ -264,3 +265,10 @@ class TestTopologySpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             TopologySpec.from_dict({"kind": "dense", "n": 10, "wires": 3})
+
+    def test_from_dict_rejects_wrong_types_and_ranges(self):
+        for bad in ({"n": True}, {"n": "10"}, {"density": float("inf")}, {"n": 0},
+                    {"kind": "ring"}):
+            with pytest.raises(ConfigError):
+                TopologySpec.from_dict(bad)
+        assert TopologySpec.from_dict({"n": 10, "density": 1}).density == 1
