@@ -33,8 +33,7 @@ from .experiments import (
     gen_sinusoid,
     gen_square,
     injection_ratio_experiment,
-    rebuild_trial,
-    reproduce_waveform,
+    reproduce_with_prediction,
     subreservoir_count_outcomes,
     sweep_heatmap,
     write_boxplot_csv,
@@ -534,7 +533,7 @@ def _reproduce_single(args, config, target) -> int:
     files = ["config.echo.json", "nrmse.json", "overlay.svg"]
     _prepare_out(args.out, files, args.force)
     spec = config.topology(config.sub_count)
-    outcome = reproduce_waveform(spec, target, config, config.seed)
+    outcome, prediction = reproduce_with_prediction(spec, target, config, config.seed)
 
     payload = {
         "metadata": _metadata("reproduce", config),
@@ -543,7 +542,6 @@ def _reproduce_single(args, config, target) -> int:
     _write_json(os.path.join(args.out, "nrmse.json"), payload)
 
     if outcome.oscillatory:
-        _, _, prediction = rebuild_trial(spec, target, outcome.seed, config)
         t = np.arange(target.length) * target.dt
         series = []
         for dim in range(target.dims):

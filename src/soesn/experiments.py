@@ -11,7 +11,6 @@ aggregated by trial index, giving bit-identical output at any parallelism.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -37,6 +36,8 @@ from .topology import (
 def _map_trials(worker, tasks, jobs):
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only here: keeps `--version` fast
+
     chunk = max(1, len(tasks) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
@@ -413,6 +414,45 @@ def _fit(trajectory, target, settings: ReproductionSettings):
     return model, mean, sd
 
 
+def _search(spec: TopologySpec, target: TargetSignal, settings: ReproductionSettings,
+            base_seed: int):
+    """The trial's outcome, plus the oscillatory attempt's trajectory and
+    fitted readout `(trajectory, model, mean, sd)`, or None when the attempt
+    budget ran out."""
+    if target.length < settings.washout + 2:
+        raise InputError(
+            f"target length {target.length} too short for washout {settings.washout}"
+        )
+    tau = target.length - 1
+    last_seed = base_seed
+    for attempt in range(settings.max_attempts):
+        attempt_seed = derive_seed(base_seed, attempt)
+        last_seed = attempt_seed
+        trajectory, report = _attempt(spec, tau, settings, attempt_seed)
+        if report.reservoir_is_self_oscillatory:
+            model, mean, sd = _fit(trajectory, target, settings)
+            outcome = TrialOutcome(
+                attempt_count=attempt + 1,
+                oscillatory=True,
+                train_nrmse=tuple(float(v) for v in model.train_nrmse),
+                seed=attempt_seed,
+            )
+            return outcome, (trajectory, model, mean, sd)
+    outcome = TrialOutcome(
+        attempt_count=settings.max_attempts, oscillatory=False, train_nrmse=None,
+        seed=last_seed,
+    )
+    return outcome, None
+
+
+def _prediction(trajectory, model, mean, sd, settings: ReproductionSettings) -> np.ndarray:
+    """The readout's full-length output in target units."""
+    prediction = predict(model, trajectory.rows)
+    if settings.standardize:
+        prediction = prediction * sd + mean
+    return prediction
+
+
 def reproduce_waveform(
     spec: TopologySpec,
     target: TargetSignal,
@@ -426,28 +466,22 @@ def reproduce_waveform(
     Exhausting the attempts is a result, not an error: the outcome comes
     back with oscillatory=False.
     """
-    if target.length < settings.washout + 2:
-        raise InputError(
-            f"target length {target.length} too short for washout {settings.washout}"
-        )
-    tau = target.length - 1
-    last_seed = base_seed
-    for attempt in range(settings.max_attempts):
-        attempt_seed = derive_seed(base_seed, attempt)
-        last_seed = attempt_seed
-        trajectory, report = _attempt(spec, tau, settings, attempt_seed)
-        if report.reservoir_is_self_oscillatory:
-            model, _, _ = _fit(trajectory, target, settings)
-            return TrialOutcome(
-                attempt_count=attempt + 1,
-                oscillatory=True,
-                train_nrmse=tuple(float(v) for v in model.train_nrmse),
-                seed=attempt_seed,
-            )
-    return TrialOutcome(
-        attempt_count=settings.max_attempts, oscillatory=False, train_nrmse=None,
-        seed=last_seed,
-    )
+    return _search(spec, target, settings, base_seed)[0]
+
+
+def reproduce_with_prediction(
+    spec: TopologySpec,
+    target: TargetSignal,
+    settings: ReproductionSettings = ReproductionSettings(),
+    base_seed: int = 0,
+) -> tuple[TrialOutcome, np.ndarray | None]:
+    """reproduce_waveform plus the scored readout's full-length prediction in
+    target units (None when no attempt oscillated), taken from the attempt
+    already simulated (used for target-versus-output plots)."""
+    outcome, winner = _search(spec, target, settings, base_seed)
+    if winner is None:
+        return outcome, None
+    return outcome, _prediction(*winner, settings)
 
 
 def rebuild_trial(
@@ -456,15 +490,12 @@ def rebuild_trial(
     attempt_seed: int,
     settings: ReproductionSettings = ReproductionSettings(),
 ) -> tuple[StateTrajectory, ReadoutModel, np.ndarray]:
-    """Reconstruct a reproduction attempt from its seed, returning the
-    trajectory, the trained model that was scored, and its full-length
-    prediction in target units (used for target-versus-output plots)."""
+    """Reconstruct a reproduction attempt from its seed (say, one recorded in
+    trials.jsonl), returning the trajectory, the trained model that was
+    scored, and its full-length prediction in target units."""
     trajectory, _ = _attempt(spec, target.length - 1, settings, attempt_seed)
     model, mean, sd = _fit(trajectory, target, settings)
-    prediction = predict(model, trajectory.rows)
-    if settings.standardize:
-        prediction = prediction * sd + mean
-    return trajectory, model, prediction
+    return trajectory, model, _prediction(trajectory, model, mean, sd, settings)
 
 
 def reproduce_trials(

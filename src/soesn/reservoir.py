@@ -92,16 +92,36 @@ class Reservoir:
         """Advance `tau` ticks, recording every state including the initial one.
 
         The reservoir is left at the final state, so consecutive runs
-        concatenate: run(a) then run(b) visits the same states as run(a+b).
+        concatenate: run(a) then run(b) visits the same states as run(a+b),
+        and both give the same bits as `tau` calls of step(). Finiteness is
+        checked once, after the last tick: a non-finite state raises the
+        NumericError step() would raise, naming the first failing step and
+        unit, and leaves the reservoir at the last finite state.
         """
         if tau < 1:
             raise InputError("tau must be at least 1")
+        W, leak, keep = self.W, self.leak, 1.0 - self.leak
         rows = np.empty((tau + 1, self.n))
         rows[0] = self.state
+        drive = np.empty(self.n)
         for t in range(tau):
-            self.step()
-            rows[t + 1] = self.state
-        return StateTrajectory(rows)
+            x, new = rows[t], rows[t + 1]
+            np.matmul(W, x, out=drive)
+            np.tanh(drive, out=drive)
+            drive *= leak
+            np.multiply(keep, x, out=new)
+            new += drive
+        # finite states stay in [-1, 1], so the sum is finite unless one is not
+        if not np.isfinite(rows.sum()):
+            step, unit = np.argwhere(~np.isfinite(rows[1:]))[0]
+            self.state = rows[step].copy()
+            self.step_count += int(step)
+            raise NumericError(
+                f"non-finite state at unit {unit} on step {self.step_count + 1}"
+            )
+        self.state = rows[-1].copy()
+        self.step_count += tau
+        return StateTrajectory._adopt(rows)
 
 
 class StateTrajectory:
@@ -109,12 +129,22 @@ class StateTrajectory:
     t steps (row 0 is the initial state)."""
 
     def __init__(self, rows):
-        rows = np.array(rows, dtype=float)
+        self._hold(np.array(rows, dtype=float))
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray) -> "StateTrajectory":
+        """A trajectory over the float array `rows` itself, not a copy: the
+        caller hands it over and never writes it again."""
+        trajectory = cls.__new__(cls)
+        trajectory._hold(rows)
+        return trajectory
+
+    def _hold(self, rows: np.ndarray) -> None:
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DimensionError(f"trajectory must be 2-D and non-empty, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise InputError("trajectory values must be finite")
-        if np.max(np.abs(rows)) > 1.0 + 1e-12:
+        if max(rows.max(), -rows.min()) > 1.0 + 1e-12:
             raise InputError("trajectory values must lie within [-1, 1]")
         rows.setflags(write=False)
         self.rows = rows

@@ -4,7 +4,7 @@ Hand-rolled on purpose: output bytes depend only on the data and an optional
 timestamp comment, so reruns of a CLI command can be compared directly.
 """
 
-from xml.sax import saxutils
+from html import escape
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class _Canvas:
         self.text(WIDTH / 2, 20, title, anchor="middle", size=14)
 
     def text(self, x, y, s, anchor="start", size=11, fill="#222"):
-        escaped = saxutils.escape(str(s))
+        escaped = escape(str(s), quote=False)
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{escaped}</text>\n'

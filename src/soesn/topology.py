@@ -4,6 +4,7 @@ calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -169,16 +170,29 @@ def build_weakly_coupled(
     for i, size in enumerate(sizes):
         block = slice(offsets[i], offsets[i + 1])
         W[block, block] = rng.uniform(-0.5, 0.5, size=(size, size))
-    for i in range(sub_count):
-        for j in range(sub_count):
-            if i == j:
+    # The off-block stream runs pair by pair (i, j), j != i, row-major, each
+    # pair drawing its mask block and then its value block. One row block's
+    # pairs are drawn at once and split into runs of equal-width column
+    # blocks (the widths change only at n % sub_count), each run a strided
+    # view of W. uniform(-0.5, 0.5) is -0.5 + 1.0 * random(), so the values
+    # are the very bits a per-pair draw gives.
+    wide = n % sub_count
+    for i, height in enumerate(sizes):
+        rows = slice(offsets[i], offsets[i + 1])
+        stream = rng.random(2 * height * (n - height))
+        cuts = sorted({0, i, i + 1, wide, sub_count})
+        start = 0
+        for j0, j1 in zip(cuts, cuts[1:]):
+            if j0 == i:
                 continue
-            rows = slice(offsets[i], offsets[i + 1])
-            cols = slice(offsets[j], offsets[j + 1])
-            shape = (sizes[i], sizes[j])
-            mask = rng.random(size=shape) < coupling_density
-            values = rng.uniform(-0.5, 0.5, size=shape) * coupling_scale
-            W[rows, cols] = np.where(mask, values, 0.0)
+            count, width = j1 - j0, sizes[j0]
+            draws = stream[start : start + 2 * count * height * width]
+            draws = draws.reshape(count, 2, height, width)
+            start += draws.size
+            pairs = W[rows, offsets[j0] : offsets[j1]].reshape(height, count, width, copy=False)
+            values = draws[:, 1] - 0.5
+            values *= coupling_scale
+            np.copyto(pairs.transpose(1, 0, 2), values, where=draws[:, 0] < coupling_density)
     return W
 
 
@@ -186,13 +200,14 @@ def build_weakly_coupled(
 class EnsembleSpec:
     """A small sub-network verified at construction to oscillate on its own
     (1000 steps at leak 0.5). The 2x2 case must carry three excitatory and
-    one inhibitory synapse."""
+    one inhibitory synapse. The weights are a read-only copy."""
 
     size: int
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        weights.setflags(write=False)
         if weights.shape != (self.size, self.size):
             raise InputError(
                 f"ensemble weights must be {self.size}x{self.size}, got {weights.shape}"
@@ -214,11 +229,15 @@ class EnsembleSpec:
             raise InputError("candidate ensemble does not oscillate standalone")
 
 
+@cache
 def two_neuron_ensemble() -> EnsembleSpec:
     """The canonical reciprocal pair: each unit excites itself, one excites
     the other and is inhibited back. The unscaled matrix has eigenvalues
     1 +/- i, so the linearization rotates instead of settling; scaling to
-    radius 1.25 matches the working point used everywhere else."""
+    radius 1.25 matches the working point used everywhere else.
+
+    Built, and its standalone oscillation verified, on the first call; later
+    calls return that same immutable spec."""
     base = np.array([[1.0, 1.0], [-1.0, 1.0]])
     return EnsembleSpec(size=2, weights=scale_to_spectral_radius(base, 1.25))
 

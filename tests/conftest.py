@@ -1,7 +1,7 @@
 """Shared test oracles, deliberately independent of the library's own code
 paths: the DFT oracle loops over the definition, the RK4 oracle is written
-per-component from the tableau, and the ridge oracle uses the explicit
-inverse formula."""
+per-component from the tableau, the ridge oracle uses the explicit inverse
+formula, and the weakly coupled builder draws block pair by block pair."""
 
 import cmath
 import math
@@ -59,6 +59,32 @@ def ridge_oracle(X, Y, lam):
     """Explicit (X'X + lam I)^-1 X'Y normal-equation solution."""
     n = X.shape[1]
     return np.linalg.inv(X.T @ X + lam * np.eye(n)) @ (X.T @ Y)
+
+
+def pair_loop_weakly_coupled(n, sub_count, coupling_scale, coupling_density, seed):
+    """The weakly coupled layout drawn one block pair at a time, in the
+    stream order build_weakly_coupled must keep: every diagonal block, then
+    each ordered pair (i, j), j != i, row-major, mask block before value
+    block."""
+    base, extra = divmod(n, sub_count)
+    sizes = [base + 1] * extra + [base] * (sub_count - extra)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n))
+    for i, size in enumerate(sizes):
+        block = slice(offsets[i], offsets[i + 1])
+        W[block, block] = rng.uniform(-0.5, 0.5, size=(size, size))
+    for i in range(sub_count):
+        for j in range(sub_count):
+            if i == j:
+                continue
+            rows = slice(offsets[i], offsets[i + 1])
+            cols = slice(offsets[j], offsets[j + 1])
+            shape = (sizes[i], sizes[j])
+            mask = rng.random(size=shape) < coupling_density
+            values = rng.uniform(-0.5, 0.5, size=shape) * coupling_scale
+            W[rows, cols] = np.where(mask, values, 0.0)
+    return W
 
 
 def classifier_corpus(length=1000):

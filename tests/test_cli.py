@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,3 +394,50 @@ class TestStandardize:
         _, model, prediction = rebuild_trial(spec, target, outcome.seed, settings)
         assert tuple(model.train_nrmse) == outcome.train_nrmse
         assert prediction.shape == target.values.shape
+
+    def test_single_run_prediction_is_the_rebuilt_models(self):
+        from soesn import ReproductionSettings, TopologySpec, gen_lorenz
+        from soesn.experiments import rebuild_trial, reproduce_with_prediction
+
+        spec = TopologySpec(kind="weakly_coupled", n=60, sub_count=3)
+        target = gen_lorenz(300)
+        settings = ReproductionSettings(standardize=True)
+        outcome, prediction = reproduce_with_prediction(spec, target, settings, base_seed=3)
+        _, _, rebuilt = rebuild_trial(spec, target, outcome.seed, settings)
+        assert prediction.tobytes() == rebuilt.tobytes()
+
+
+def test_single_run_reproduce_simulates_each_attempt_once(tmp_path, monkeypatch):
+    from soesn.reservoir import Reservoir
+
+    taus = []
+    run = Reservoir.run
+
+    def counted(self, tau):
+        taus.append(tau)
+        return run(self, tau)
+
+    monkeypatch.setattr(Reservoir, "run", counted)
+    out = tmp_path / "r"
+    args = ["reproduce", "--target", "sine", "--n", "40", "--sub", "1", "--tau", "300",
+            "--max-attempts", "4", "--seed", "6", "--deterministic", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    payload = json.loads(read(out / "nrmse.json"))
+    assert payload["oscillatory"] and payload["attempt_count"] == 3
+    assert taus == [300] * payload["attempt_count"]
+    assert (out / "overlay.svg").exists()
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # `soesn --version` pays for every module `soesn.cli` imports
+    import soesn
+
+    heavy = ["xml.sax", "urllib.request", "http.client", "ssl", "email",
+             "multiprocessing", "concurrent.futures.process"]
+    code = "import sys, soesn.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soesn.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    loaded = set(result.stdout.split())
+    assert "soesn.cli" in loaded
+    assert sorted(loaded.intersection(heavy)) == []

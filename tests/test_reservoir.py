@@ -153,6 +153,34 @@ class TestRun:
         with pytest.raises(NumericError, match="step 1"):
             r.run(5)
 
+    def test_failed_run_stops_at_last_finite_state(self):
+        # unit 1's drive becomes inf - inf once the two states differ in sign,
+        # which first happens on step 3
+        W = np.array([[0.9, -1.5], [np.inf, np.inf]])
+        stepped, r = Reservoir(np.eye(2), 0.5, [0.3, 0.2]), Reservoir(np.eye(2), 0.5, [0.3, 0.2])
+        stepped.W = r.W = W
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError) as expected:
+                while True:
+                    stepped.step()
+            with pytest.raises(NumericError, match="unit 1 on step 3") as raised:
+                r.run(50)
+        assert str(raised.value) == str(expected.value)
+        assert r.step_count == stepped.step_count == 2
+        assert np.array_equal(r.state, stepped.state)
+
+    @pytest.mark.parametrize("n", [2, 64, 200])
+    @pytest.mark.parametrize("vector_leak", [False, True])
+    def test_run_is_repeated_step_bit_for_bit(self, n, vector_leak):
+        rng = np.random.default_rng(n)
+        W = scale_to_spectral_radius(build_dense(n, seed=n), 1.3)
+        leak = rng.uniform(0.05, 1.0, n) if vector_leak else 0.4
+        state = init_state(n, seed=n)
+        trajectory = Reservoir(W, leak, state).run(300)
+        stepped = Reservoir(W, leak, state)
+        rows = [stepped.state] + [stepped.step().state for _ in range(300)]
+        assert trajectory.rows.tobytes() == np.array(rows).tobytes()
+
     def test_determinism_bit_exact(self):
         t1 = two_unit_reservoir().run(500)
         t2 = two_unit_reservoir().run(500)

@@ -19,6 +19,8 @@ from soesn import (
 from soesn.errors import CannotScaleError, ConfigError, InputError
 from soesn.topology import block_sizes
 
+from conftest import pair_loop_weakly_coupled
+
 
 class TestDense:
     def test_deterministic(self):
@@ -110,6 +112,19 @@ class TestWeaklyCoupled:
         coupled = build_weakly_coupled(60, 3, 0.05, 0.0, seed=11)
         assert np.array_equal(coupled, blocks)
 
+    @pytest.mark.parametrize(
+        "n, m", [(103, 7), (103, 1), (103, 2), (103, 10), (103, 103), (100, 4), (64, 8),
+                 (17, 5), (10, 9)],
+    )
+    def test_matches_pair_loop_oracle_bit_for_bit(self, n, m):
+        # uneven blocks, one block, one unit per block; zero scale, zero and
+        # full density
+        for scale, density in [(0.05, 0.05), (0.0, 0.3), (0.05, 0.0), (0.2, 1.0)]:
+            for seed in (0, 5, 11):
+                expected = pair_loop_weakly_coupled(n, m, scale, density, seed)
+                W = build_weakly_coupled(n, m, scale, density, seed)
+                assert W.tobytes() == expected.tobytes(), (scale, density, seed)
+
     def test_coupling_bounds_and_fraction(self):
         W = build_weakly_coupled(100, 4, 0.05, 0.05, seed=5)
         mask = np.zeros((100, 100), dtype=bool)
@@ -156,6 +171,15 @@ class TestEnsemble:
         assert len(bins) == 2 and abs(bins[0] - bins[1]) <= 1
         assert all(u.tail_stddev > 0.01 for u in report.per_unit)
         assert report.phase_locked
+
+    def test_canonical_pair_is_built_once_and_read_only(self):
+        ensemble = two_neuron_ensemble()
+        assert two_neuron_ensemble() is ensemble
+        with pytest.raises(ValueError):
+            ensemble.weights[0, 0] = 0.0
+        weights = ensemble.weights.copy()
+        EnsembleSpec(size=2, weights=weights)
+        assert weights.flags.writeable
 
     def test_rejects_wrong_sign_pattern(self):
         with pytest.raises(InputError, match="positive"):
