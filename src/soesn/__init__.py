@@ -40,7 +40,6 @@ from .oscillation import (
     classify_trajectory,
     classify_unit,
     dominant_frequency_hz,
-    is_phase_locked,
 )
 from .readout import ReadoutModel, nrmse, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state

@@ -166,8 +166,9 @@ class ReproduceConfig(ReproductionSettings):
                  f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
         _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
         tau = _TARGET_TAU[self.target] if self.tau is None else self.tau
-        _require(tau > max(1, self.washout),
-                 f"tau must exceed 1 and the washout {self.washout}, got {tau}")
+        _require(tau >= max(DEFAULT_WINDOW - 1, self.washout + 1),
+                 f"tau must exceed the washout {self.washout} and be at least "
+                 f"{DEFAULT_WINDOW - 1} (tau + 1 samples fill the classifier window), got {tau}")
         _require(self.trials >= 1, "trials must be at least 1")
         for m in self.sub_counts or (self.sub_count,):
             self.topology(m)
@@ -226,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     fields as "topology.n"); unset flags stay out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="soesn",
+        allow_abbrev=False,
         description="Self-oscillatory echo state reservoirs: simulation, "
         "classification, readout training, and experiments.",
     )
@@ -233,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, default_out, seed_dest="seed"):
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON config (e.g. a config.echo.json) to start from")
         p.add_argument("--out", default=default_out, help="output directory")

@@ -50,6 +50,43 @@ def write_metadata(f, metadata: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Dense-reservoir oscillation ratios (the sweep and the injection comparison)
+# ---------------------------------------------------------------------------
+
+
+def _dense_trial(task) -> tuple[bool, ...]:
+    """One seeded dense reservoir scaled to rho, run from one drawn state
+    once per arm: the plain matrix (arm None) or the matrix with an
+    ensemble spliced in. One self-oscillatory flag per arm."""
+    cell, t, n, tau, leak, rho, seed, arms = task
+    try:
+        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
+        state = init_state(n, derive_seed(seed, ROLE_STATE))
+        return tuple(
+            bool(classify_trajectory(
+                Reservoir(W if arm is None else inject_ensemble(W, arm), leak, state).run(tau)
+            ).reservoir_is_self_oscillatory)
+            for arm in arms
+        )
+    except NumericError as exc:
+        raise NumericError(f"{cell} trial {t} failed: {exc}") from exc
+
+
+def _dense_ratios(cells, trials, tau, base_seed, arms, jobs) -> np.ndarray:
+    """Per cell `(label, index, n, leak, rho)`, the fraction of `trials`
+    dense reservoirs (seeded by the cell index and the trial number) that
+    each arm leaves self-oscillatory, shaped (cells, arms). The mean of 0/1
+    flags is exact, so it equals count / trials bit for bit."""
+    tasks = [
+        (label, t, n, tau, leak, rho, derive_seed(base_seed, *index, t), arms)
+        for label, index, n, leak, rho in cells
+        for t in range(trials)
+    ]
+    flags = np.array(_map_trials(_dense_trial, tasks, jobs), dtype=float)
+    return flags.reshape(len(cells), trials, len(arms)).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # Leak x spectral-radius sweep
 # ---------------------------------------------------------------------------
 
@@ -75,19 +112,6 @@ class SweepResult:
             for ri, rho in enumerate(self.rho_values):
                 ratio = repr(float(self.grid[li, ri]))
                 f.write(f"{leak!r},{rho!r},{ratio},{self.trials_per_cell}\n")
-
-
-def _sweep_trial(task) -> bool:
-    n, tau, leak, rho, seed, li, ri, t = task
-    try:
-        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
-        state = init_state(n, derive_seed(seed, ROLE_STATE))
-        trajectory = Reservoir(W, leak, state).run(tau)
-        return bool(classify_trajectory(trajectory).reservoir_is_self_oscillatory)
-    except NumericError as exc:
-        raise NumericError(
-            f"sweep cell (leak={leak}, rho={rho}) trial {t} failed: {exc}"
-        ) from exc
 
 
 def sweep_heatmap(
@@ -116,21 +140,13 @@ def sweep_heatmap(
     if any(r <= 0.0 for r in rho_values):
         raise InputError("rho values must be positive")
 
-    tasks = [
-        (n, tau, a, r, derive_seed(base_seed, li, ri, t), li, ri, t)
+    cells = [
+        (f"sweep cell (leak={a}, rho={r})", (li, ri), n, a, r)
         for li, a in enumerate(leak_values)
         for ri, r in enumerate(rho_values)
-        for t in range(trials)
     ]
-    flags = _map_trials(_sweep_trial, tasks, jobs)
-
-    grid = np.empty((len(leak_values), len(rho_values)))
-    index = 0
-    for li in range(len(leak_values)):
-        for ri in range(len(rho_values)):
-            cell = flags[index : index + trials]
-            grid[li, ri] = sum(cell) / trials
-            index += trials
+    ratios = _dense_ratios(cells, trials, tau, base_seed, (None,), jobs)
+    grid = ratios.reshape(len(leak_values), len(rho_values))
     return SweepResult(grid, trials, leak_values, rho_values, base_seed)
 
 
@@ -158,18 +174,6 @@ def write_injection_csv(f, rows, metadata: dict | None = None) -> None:
         f.write(f"{row.population},{row.ratio_without!r},{row.ratio_with!r}\n")
 
 
-def _injection_trial(task):
-    n, tau, rho, leak, seed, ensemble = task
-    W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
-    state = init_state(n, derive_seed(seed, ROLE_STATE))
-    plain = classify_trajectory(Reservoir(W, leak, state).run(tau))
-    seeded = classify_trajectory(Reservoir(inject_ensemble(W, ensemble), leak, state).run(tau))
-    return (
-        bool(plain.reservoir_is_self_oscillatory),
-        bool(seeded.reservoir_is_self_oscillatory),
-    )
-
-
 def injection_ratio_experiment(
     populations,
     trials: int,
@@ -192,28 +196,13 @@ def injection_ratio_experiment(
         raise InputError("trials must be at least 1")
     if any(p < 2 for p in populations):
         raise InputError("every population must be at least 2")
-    ensemble = two_neuron_ensemble()
-
-    tasks = [
-        (p, tau, rho, leak, derive_seed(base_seed, pi, t), ensemble)
-        for pi, p in enumerate(populations)
-        for t in range(trials)
+    cells = [(f"injection cell (population={p})", (pi,), p, leak, rho)
+             for pi, p in enumerate(populations)]
+    ratios = _dense_ratios(cells, trials, tau, base_seed, (None, two_neuron_ensemble()), jobs)
+    return [
+        PopulationComparison(p, float(without), float(with_))
+        for p, (without, with_) in zip(populations, ratios)
     ]
-    outcomes = _map_trials(_injection_trial, tasks, jobs)
-
-    rows = []
-    index = 0
-    for p in populations:
-        cell = outcomes[index : index + trials]
-        rows.append(
-            PopulationComparison(
-                population=p,
-                ratio_without=sum(w for w, _ in cell) / trials,
-                ratio_with=sum(i for _, i in cell) / trials,
-            )
-        )
-        index += trials
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +381,7 @@ class ReproductionSettings(ConfigFields):
 
 
 def _attempt(spec: TopologySpec, tau, settings: ReproductionSettings, attempt_seed):
-    W = build_weights(spec.with_seed(derive_seed(attempt_seed, ROLE_WEIGHTS)), settings.rho)
+    W = build_weights(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), settings.rho)
     leak = sample_leak_vector(
         spec.n, settings.leak_mu, settings.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
     )

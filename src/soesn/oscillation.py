@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import periodogram
 from .reservoir import StateTrajectory
 
 DEFAULT_WINDOW = 100
@@ -80,29 +79,18 @@ def classify_unit(
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise InputError(f"signal must be one-dimensional, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("signal values must be finite")
+    return _classify_columns(x[:, None], window, amplitude_floor, peak_share)[0]
+
+
+def _classify_columns(rows, window, amplitude_floor, peak_share):
+    # one classification per column, from its trailing `window` rows
     if window < 16:
         raise InputError(f"analysis window must be at least 16 samples, got {window}")
-    if x.shape[0] < window:
-        raise InputError(f"signal length {x.shape[0]} is shorter than window {window}")
-
-    tail = x[-window:]
-    tail_stddev = float(tail.std())
-    power = periodogram(tail).bin_power
-    non_dc = power[1:]
-    total = float(non_dc.sum())
-
-    oscillating = (
-        tail_stddev > amplitude_floor
-        and total > 0.0
-        and float(non_dc.max()) / total > peak_share
-    )
-    dominant = int(np.argmax(non_dc)) + 1 if oscillating else None
-    return UnitClassification(oscillating, dominant, tail_stddev)
-
-
-def _classify_columns(tail, amplitude_floor, peak_share):
-    # batched version of classify_unit's arithmetic, one column per unit
-    window = tail.shape[0]
+    if rows.shape[0] < window:
+        raise InputError(f"series has {rows.shape[0]} samples, needs at least {window}")
+    tail = rows[-window:]
     spectrum = np.fft.rfft(tail - tail.mean(axis=0), axis=0)
     power = (spectrum.real**2 + spectrum.imag**2) / window
     stddev = tail.std(axis=0)
@@ -134,15 +122,7 @@ def classify_trajectory(
     oscillation seeded in a few units is still oscillation, whether or not it
     has spread to the rest.
     """
-    if window < 16:
-        raise InputError(f"analysis window must be at least 16 samples, got {window}")
-    if trajectory.steps < window:
-        raise InputError(
-            f"trajectory has {trajectory.steps} rows, needs at least {window}"
-        )
-    units = _classify_columns(
-        trajectory.rows[-window:], amplitude_floor, peak_share
-    )
+    units = _classify_columns(trajectory.rows, window, amplitude_floor, peak_share)
     bins = [u.dominant_bin for u in units if u.is_oscillating]
     locked = (max(bins) - min(bins) <= 1) if len(bins) >= 2 else None
     return OscillationReport(
@@ -153,14 +133,6 @@ def classify_trajectory(
         amplitude_floor=amplitude_floor,
         peak_share=peak_share,
     )
-
-
-def is_phase_locked(report: OscillationReport) -> bool:
-    """True when all oscillating units agree on the dominant bin within +/-1."""
-    bins = report.oscillating_bins()
-    if len(bins) < 2:
-        raise InputError("phase locking needs at least two oscillating units")
-    return max(bins) - min(bins) <= 1
 
 
 def dominant_frequency_hz(dominant_bin: int, window: int, dt: float) -> float:

@@ -3,7 +3,7 @@
 calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -71,9 +71,10 @@ class ConfigFields:
             raise ConfigError(f"{label}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopologySpec(ConfigFields):
-    """Declarative recipe for a reservoir weight matrix.
+    """Declarative recipe for a reservoir weight matrix; frozen, and checked
+    once when built (dataclasses.replace builds a checked copy).
 
     `density` applies to the sparse kind, `sub_count` and the coupling fields
     to the block kinds. Population is split into near-equal contiguous blocks
@@ -90,9 +91,6 @@ class TopologySpec(ConfigFields):
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.kind not in VALID_KINDS:
             raise InputError(f"unknown topology kind {self.kind!r}; choose from {VALID_KINDS}")
         if self.n < 1:
@@ -107,9 +105,6 @@ class TopologySpec(ConfigFields):
             raise InputError(f"coupling_density must lie in [0, 1], got {self.coupling_density}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
-
-    def with_seed(self, seed: int) -> "TopologySpec":
-        return replace(self, seed=seed)
 
 
 def block_sizes(n: int, sub_count: int) -> list[int]:
@@ -278,7 +273,6 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
     untouched. An injected ensemble is spliced in last so it keeps its own
     calibrated weights.
     """
-    spec.validate()
     if rho <= 0:
         raise InputError(f"target spectral radius must be positive, got {rho}")
 

@@ -1,13 +1,27 @@
 """Shared test oracles, deliberately independent of the library's own code
 paths: the DFT oracle loops over the definition, the RK4 oracle is written
 per-component from the tableau, the ridge oracle uses the explicit inverse
-formula, and the weakly coupled builder draws block pair by block pair."""
+formula, the weakly coupled builder draws block pair by block pair, and
+the two ratio experiments are re-run trial by trial from the library's
+building blocks."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+
+from soesn import (
+    Reservoir,
+    build_dense,
+    classify_trajectory,
+    derive_seed,
+    init_state,
+    inject_ensemble,
+    scale_to_spectral_radius,
+    two_neuron_ensemble,
+)
+from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
 
 
 def naive_dft_power(signal):
@@ -85,6 +99,46 @@ def pair_loop_weakly_coupled(n, sub_count, coupling_scale, coupling_density, see
             values = rng.uniform(-0.5, 0.5, size=shape) * coupling_scale
             W[rows, cols] = np.where(mask, values, 0.0)
     return W
+
+
+def _reference_dense_trial(n, tau, leak, rho, seed, ensemble=None):
+    """One ratio-experiment trial written out: build the seeded dense
+    matrix, scale it, draw the state, then run and classify the plain arm
+    and, given an ensemble, the arm with it spliced in."""
+    W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
+    state = init_state(n, derive_seed(seed, ROLE_STATE))
+    plain = classify_trajectory(Reservoir(W, leak, state).run(tau))
+    if ensemble is None:
+        return plain.reservoir_is_self_oscillatory
+    seeded = classify_trajectory(Reservoir(inject_ensemble(W, ensemble), leak, state).run(tau))
+    return plain.reservoir_is_self_oscillatory, seeded.reservoir_is_self_oscillatory
+
+
+def reference_sweep_grid(leak_values, rho_values, trials, n, tau, base_seed):
+    """The sweep's ratio grid, one trial at a time."""
+    grid = np.empty((len(leak_values), len(rho_values)))
+    for li, leak in enumerate(leak_values):
+        for ri, rho in enumerate(rho_values):
+            flags = [
+                _reference_dense_trial(n, tau, leak, rho, derive_seed(base_seed, li, ri, t))
+                for t in range(trials)
+            ]
+            grid[li, ri] = sum(flags) / trials
+    return grid
+
+
+def reference_injection_rows(populations, trials, tau, rho, leak, base_seed):
+    """(population, ratio_without, ratio_with) per population, one paired
+    trial at a time."""
+    rows = []
+    for pi, p in enumerate(populations):
+        pairs = [
+            _reference_dense_trial(p, tau, leak, rho, derive_seed(base_seed, pi, t),
+                                   two_neuron_ensemble())
+            for t in range(trials)
+        ]
+        rows.append((p, sum(w for w, _ in pairs) / trials, sum(i for _, i in pairs) / trials))
+    return rows
 
 
 def classifier_corpus(length=1000):

@@ -175,9 +175,17 @@ class TestReproduce:
     def test_lorenz_uses_paper_initial_state(self, tmp_path):
         from soesn.cli import ReproduceConfig, _make_target
 
-        target = _make_target(ReproduceConfig(target="lorenz", tau=10, washout=0))
+        target = _make_target(ReproduceConfig(target="lorenz", tau=99, washout=0))
         assert np.array_equal(target.values[0], [0.0, 1.0, 1.05])
         assert target.dt == 0.01
+
+    def test_shortest_tau_fills_the_classifier_window(self, tmp_path):
+        # tau + 1 = 100 samples is exactly one classifier window
+        out = tmp_path / "short"
+        code = main(["reproduce", "--n", "20", "--sub", "2", "--tau", "99", "--washout", "10",
+                     "--max-attempts", "2", "--out", str(out), "--deterministic"])
+        assert code == EXIT_OK
+        assert (out / "nrmse.json").exists()
 
     def test_exhaustion_is_success_exit(self, tmp_path):
         # max_attempts 0 exhausts immediately; still exit 0 with the flag recorded
@@ -287,6 +295,10 @@ BAD_FLAGS = [
     ("reproduce", ["--sub-counts", "1,40"]),
     ("reproduce", ["--dt", "0"]),
     ("reproduce", ["--leak-sigma", "-0.1"]),
+    ("reproduce", ["--sub-count", "4"]),  # a prefix of --sub-counts, not a flag
+    ("reproduce", ["--tau", "50", "--washout", "10"]),  # 51 samples < the window
+    ("reproduce", ["--tau", "50", "--washout", "10", "--max-attempts", "0"]),
+    ("sweep", ["--trial", "1"]),
     ("topology-demo", ["--rho", "0"]),
     ("topology-demo", ["--n", "0"]),
 ] + [(command, ["--jobs", jobs]) for command in COMMANDS for jobs in ("0", "-3")]

@@ -22,7 +22,7 @@ from soesn import (
 from soesn.errors import InputError, NumericError
 from soesn.experiments import rebuild_trial, write_boxplot_csv, write_injection_csv
 
-from conftest import rk4_lorenz_oracle_step
+from conftest import reference_injection_rows, reference_sweep_grid, rk4_lorenz_oracle_step
 
 
 class TestSeedDerivation:
@@ -137,6 +137,14 @@ class TestSweepHeatmap:
         with pytest.raises(NumericError, match=r"cell \(leak=0.5, rho=1.5\)"):
             sweep_heatmap([0.5], [1.5], trials=1, n=10, tau=200)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_matches_trial_by_trial_reference(self, jobs):
+        leaks, rhos = [0.3, 0.8], [0.8, 1.5, 2.5]
+        result = sweep_heatmap(leaks, rhos, trials=4, n=30, tau=200, base_seed=21, jobs=jobs)
+        reference = reference_sweep_grid(leaks, rhos, 4, 30, 200, 21)
+        assert result.grid.tobytes() == reference.tobytes()
+        assert 0.0 < result.grid.mean() < 1.0
+
 
 class TestInjectionExperiment:
     def test_population_two_always_oscillates_with_injection(self):
@@ -149,6 +157,25 @@ class TestInjectionExperiment:
         assert [(r.ratio_without, r.ratio_with) for r in a] == [
             (r.ratio_without, r.ratio_with) for r in b
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ratios_match_trial_by_trial_reference(self, jobs):
+        rows = injection_ratio_experiment([4, 12, 30], trials=6, tau=200, rho=1.25,
+                                          leak=0.5, base_seed=4, jobs=jobs)
+        reference = reference_injection_rows([4, 12, 30], 6, 200, 1.25, 0.5, 4)
+        got = [(r.population, r.ratio_without, r.ratio_with) for r in rows]
+        assert repr(got) == repr(reference)
+        assert len({(w, i) for _, w, i in reference}) > 1
+
+    def test_trial_errors_carry_cell_context(self, monkeypatch):
+        import soesn.experiments as module
+
+        def boom(n, seed):
+            raise NumericError("synthetic failure")
+
+        monkeypatch.setattr(module, "build_dense", boom)
+        with pytest.raises(NumericError, match=r"cell \(population=4\) trial 0"):
+            injection_ratio_experiment([4], trials=1, tau=200)
 
     def test_population_below_two_rejected(self):
         with pytest.raises(InputError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from soesn import (
-    OscillationReport,
     Reservoir,
     StateTrajectory,
     UnitClassification,
@@ -13,14 +12,13 @@ from soesn import (
     classify_unit,
     dominant_frequency_hz,
     init_state,
-    is_phase_locked,
     periodogram,
     scale_to_spectral_radius,
     two_neuron_ensemble,
 )
 from soesn.errors import InputError
 
-from conftest import classifier_corpus
+from conftest import classifier_corpus, naive_dft_power
 
 
 class TestClassifyUnit:
@@ -99,14 +97,19 @@ class TestClassifyTrajectory:
         assert bins[0] == bins[1]
 
     def test_batch_path_matches_unit_path(self, rng):
-        rows = np.clip(rng.normal(0.0, 0.3, (400, 12)), -1.0, 1.0)
-        trajectory = StateTrajectory(rows)
-        report = classify_trajectory(trajectory)
+        # both paths against the rule written out over the direct DFT
+        noise = np.clip(rng.normal(0.0, 0.3, (400, 12)), -1.0, 1.0)
+        ripple = 0.5 + 4e-4 * np.sin(2 * np.pi * 10 * np.arange(400) / 100.0)
+        rows = np.column_stack([noise, np.full(400, 0.2), ripple])
+        report = classify_trajectory(StateTrajectory(rows))
         for i, unit in enumerate(report.per_unit):
-            reference = classify_unit(rows[:, i])
-            assert unit.is_oscillating == reference.is_oscillating
-            assert unit.dominant_bin == reference.dominant_bin
-            assert unit.tail_stddev == pytest.approx(reference.tail_stddev, abs=1e-12)
+            reference = _oracle_unit(rows[-100:, i])
+            for path in (unit, classify_unit(rows[:, i])):
+                assert path.is_oscillating == reference.is_oscillating
+                assert path.dominant_bin == reference.dominant_bin
+                assert path.tail_stddev == pytest.approx(reference.tail_stddev, abs=1e-12)
+        assert any(u.is_oscillating for u in report.per_unit)
+        assert not all(u.is_oscillating for u in report.per_unit)
 
     def test_short_trajectory_rejected(self):
         rows = np.zeros((50, 2))
@@ -114,34 +117,45 @@ class TestClassifyTrajectory:
             classify_trajectory(StateTrajectory(rows), window=100)
 
 
-def _report(bins):
-    units = tuple(
-        UnitClassification(True, b, 0.5) if b is not None else UnitClassification(False, None, 0.0)
-        for b in bins
-    )
-    return OscillationReport(
-        per_unit=units,
-        reservoir_is_self_oscillatory=any(u.is_oscillating for u in units),
-        phase_locked=None,
-        window=100,
-        amplitude_floor=1e-3,
-        peak_share=0.05,
-    )
+def _oracle_unit(tail, amplitude_floor=1e-3, peak_share=0.05):
+    """The classifier rule from its definition: the tail moves (population
+    stddev above the floor) and one non-DC bin of the direct DFT holds more
+    than `peak_share` of the non-DC power."""
+    values = [float(v) for v in tail]
+    mean = sum(values) / len(values)
+    stddev = (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+    non_dc = list(naive_dft_power(values)[1:])
+    total = sum(non_dc)
+    oscillating = stddev > amplitude_floor and total > 0.0 and max(non_dc) / total > peak_share
+    dominant = non_dc.index(max(non_dc)) + 1 if oscillating else None
+    return UnitClassification(oscillating, dominant, stddev)
+
+
+def _locked(bins):
+    """phase_locked of 300 steps of sinusoids, one column per entry of
+    `bins`: a dominant bin, or None for a flat column."""
+    t = np.arange(300)
+    rows = np.zeros((300, len(bins)))
+    for i, b in enumerate(bins):
+        if b is not None:
+            rows[:, i] = 0.5 * np.sin(2 * np.pi * b * t / 100.0 + 0.4 * i)
+    report = classify_trajectory(StateTrajectory(rows))
+    assert report.oscillating_bins() == [b for b in bins if b is not None]
+    return report.phase_locked
 
 
 class TestPhaseLock:
     def test_agreeing_bins(self):
-        assert is_phase_locked(_report([7, 7, 7]))
+        assert _locked([7, 7, 7]) is True
 
     def test_adjacent_bins_tolerated(self):
-        assert is_phase_locked(_report([7, 8]))
+        assert _locked([7, 8]) is True
 
     def test_distant_bins_rejected(self):
-        assert not is_phase_locked(_report([5, 12]))
+        assert _locked([5, 12]) is False
 
     def test_requires_two_oscillating_units(self):
-        with pytest.raises(InputError):
-            is_phase_locked(_report([7, None]))
+        assert _locked([7, None]) is None
 
 
 class TestDominantFrequency:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,14 @@ class TestTopologySpec:
             TopologySpec(n=4, sub_count=5)
         with pytest.raises(InputError):
             TopologySpec(coupling_scale=-1.0)
+
+    def test_frozen_and_rechecked_on_replace(self):
+        spec = TopologySpec(kind="weakly_coupled", n=12, sub_count=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sub_count = 20
+        assert dataclasses.replace(spec, seed=5).seed == 5
+        with pytest.raises(InputError):
+            dataclasses.replace(spec, sub_count=20)
 
     def test_round_trip(self):
         spec = TopologySpec(kind="sparse", n=64, density=0.2, seed=12)
