@@ -17,9 +17,11 @@ from .errors import (
     UndefinedMetricError,
 )
 from .experiments import (
+    InjectConfig,
     PopulationComparison,
     ReproductionSettings,
     SubCountDistribution,
+    SweepConfig,
     SweepResult,
     TargetSignal,
     TrialOutcome,

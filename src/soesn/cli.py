@@ -15,19 +15,23 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
-from .oscillation import DEFAULT_WINDOW, classify_trajectory
+from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
 from .seeding import ROLE_LEAK, ROLE_STATE, derive_seed
 from .topology import VALID_KINDS, ConfigFields, TopologySpec, build_weights, sample_leak_vector
 from .experiments import (
+    InjectConfig,
     ReproductionSettings,
+    SweepConfig,
+    _require,
+    _require_window,
     distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
@@ -53,16 +57,6 @@ _SINE_MODES = ("pure_sine", "literal_ode")
 # ---------------------------------------------------------------------------
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
-
-def _check_tau(tau: int) -> None:
-    _require(tau >= DEFAULT_WINDOW,
-             f"tau must be at least {DEFAULT_WINDOW} (the classifier window), got {tau}")
-
-
 @dataclass(frozen=True)
 class GenerateConfig(ConfigFields):
     """`soesn generate`: one reservoir built from `topology`, scaled to
@@ -79,63 +73,7 @@ class GenerateConfig(ConfigFields):
     def __post_init__(self):
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
         _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
-        _check_tau(self.tau)
-
-
-@dataclass(frozen=True)
-class SweepConfig(ConfigFields):
-    """`soesn sweep`: `trials` dense reservoirs of `n` units per (leak, rho)
-    cell, each run `tau` steps; `cells` caps the grid for smoke runs."""
-
-    leak_values: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(1, 21))
-    rho_values: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 31))
-    trials: int = 20
-    n: int = 100
-    tau: int = 1000
-    cells: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
-                 f"leak values must be a non-empty list in (0, 1], got {self.leak_values}")
-        _require(len(self.rho_values) > 0 and all(r > 0 for r in self.rho_values),
-                 f"rho values must be a non-empty list of positives, got {self.rho_values}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        _require(self.n >= 1, "n must be at least 1")
-        _check_tau(self.tau)
-        _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
-
-    def capped(self) -> "SweepConfig":
-        """The grid trimmed to about `cells` cells; the echo records the
-        trimmed grid, which trims to itself again on a rerun."""
-        if self.cells is None:
-            return self
-        cols = min(self.cells, len(self.rho_values))
-        rows = max(1, min(len(self.leak_values), self.cells // cols))
-        return replace(self, leak_values=self.leak_values[:rows],
-                       rho_values=self.rho_values[:cols])
-
-
-@dataclass(frozen=True)
-class InjectConfig(ConfigFields):
-    """`soesn inject-experiment`: per population, `trials` paired dense
-    reservoirs with and without the two-neuron ensemble, at radius `rho`
-    and constant `leak`, run `tau` steps."""
-
-    populations: tuple[int, ...] = (4, 10, 25, 50, 100)
-    trials: int = 200
-    tau: int = 1000
-    rho: float = 1.25
-    leak: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
-                 f"populations must be a non-empty list of sizes >= 2, got {self.populations}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
-        _check_tau(self.tau)
+        _require_window(self.tau)
 
 
 @dataclass(frozen=True)
@@ -166,9 +104,10 @@ class ReproduceConfig(ReproductionSettings):
                  f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
         _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
         tau = _TARGET_TAU[self.target] if self.tau is None else self.tau
-        _require(tau >= max(DEFAULT_WINDOW - 1, self.washout + 1),
-                 f"tau must exceed the washout {self.washout} and be at least "
-                 f"{DEFAULT_WINDOW - 1} (tau + 1 samples fill the classifier window), got {tau}")
+        _require_window(tau)
+        _require(tau > self.washout, f"tau must exceed the washout {self.washout}, got {tau}")
+        _require(self.sub_counts is None or len(self.sub_counts) > 0,
+                 f"sub_counts must be a non-empty list, got {self.sub_counts}")
         _require(self.trials >= 1, "trials must be at least 1")
         for m in self.sub_counts or (self.sub_count,):
             self.topology(m)
@@ -193,7 +132,7 @@ class TopologyDemoConfig(ConfigFields):
     def __post_init__(self):
         _require(self.n >= 1, "n must be at least 1")
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _check_tau(self.tau)
+        _require_window(self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -468,33 +407,28 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _resolve(SweepConfig, args).capped()
-    leaks, rhos = config.leak_values, config.rho_values
+    requested = _resolve(SweepConfig, args)
     _prepare_out(args.out, ["config.echo.json", "sweep.csv", "heatmap.svg"], args.force)
-    result = sweep_heatmap(
-        leaks, rhos, config.trials, config.n, config.tau, config.seed, jobs=args.jobs
-    )
+    result = sweep_heatmap(requested, jobs=args.jobs)
+    config = result.config  # the capped grid that was swept
 
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as f:
         result.write_csv(f, _metadata("sweep", config))
     svgplot.heatmap(
         os.path.join(args.out, "heatmap.svg"), result.grid,
-        list(rhos), list(leaks),
+        list(config.rho_values), list(config.leak_values),
         f"self-oscillation ratio (n={config.n}, trials={config.trials})",
         "spectral radius", "leak rate", timestamp=_timestamp(args),
     )
     _write_echo(args.out, "sweep", config)
-    print(f"sweep: {len(leaks)}x{len(rhos)} cells written to {args.out}")
+    print(f"sweep: {len(config.leak_values)}x{len(config.rho_values)} cells written to {args.out}")
     return EXIT_OK
 
 
 def cmd_inject(args) -> int:
     config = _resolve(InjectConfig, args)
     _prepare_out(args.out, ["config.echo.json", "injection.csv", "injection.svg"], args.force)
-    rows = injection_ratio_experiment(
-        config.populations, config.trials, config.tau, config.rho, config.leak,
-        config.seed, jobs=args.jobs,
-    )
+    rows = injection_ratio_experiment(config, jobs=args.jobs)
 
     with open(os.path.join(args.out, "injection.csv"), "w", encoding="utf-8",
               newline="\n") as f:

@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .numerics import scale_to_spectral_radius
-from .oscillation import classify_trajectory
+from .oscillation import DEFAULT_WINDOW, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, derive_seed
@@ -47,6 +47,114 @@ def write_metadata(f, metadata: dict) -> None:
     """Prefix an output file with `# key=value` lines."""
     for key, value in metadata.items():
         f.write(f"# {key}={value}\n")
+
+
+# ---------------------------------------------------------------------------
+# Experiment configs: defaults and range checks, made once when built
+# ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _require_window(tau: int) -> None:
+    """A run of `tau` steps records tau + 1 rows, and the classifier needs
+    one full window of them."""
+    _require(tau + 1 >= DEFAULT_WINDOW,
+             f"tau must be at least {DEFAULT_WINDOW - 1} (tau + 1 samples fill the "
+             f"classifier window), got {tau}")
+
+
+@dataclass(frozen=True)
+class SweepConfig(ConfigFields):
+    """The leak x spectral-radius sweep: `trials` dense reservoirs of `n`
+    units per (leak, rho) cell, each run `tau` steps; `cells` caps the grid
+    for smoke runs."""
+
+    leak_values: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(1, 21))
+    rho_values: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 31))
+    trials: int = 20
+    n: int = 100
+    tau: int = 1000
+    cells: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
+                 f"leak values must be a non-empty list in (0, 1], got {self.leak_values}")
+        _require(len(self.rho_values) > 0 and all(r > 0 for r in self.rho_values),
+                 f"rho values must be a non-empty list of positives, got {self.rho_values}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        _require(self.n >= 1, "n must be at least 1")
+        _require_window(self.tau)
+        _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
+
+    def capped(self) -> "SweepConfig":
+        """The grid trimmed to about `cells` cells; the echo records the
+        trimmed grid, which trims to itself again on a rerun."""
+        if self.cells is None:
+            return self
+        cols = min(self.cells, len(self.rho_values))
+        rows = max(1, min(len(self.leak_values), self.cells // cols))
+        return replace(self, leak_values=self.leak_values[:rows],
+                       rho_values=self.rho_values[:cols])
+
+
+@dataclass(frozen=True)
+class InjectConfig(ConfigFields):
+    """The ensemble-injection comparison: per population, `trials` paired
+    dense reservoirs with and without the two-neuron ensemble, at radius
+    `rho` and constant `leak`, run `tau` steps."""
+
+    populations: tuple[int, ...] = (4, 10, 25, 50, 100)
+    trials: int = 200
+    tau: int = 1000
+    rho: float = 1.25
+    leak: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
+                 f"populations must be a non-empty list of sizes >= 2, got {self.populations}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
+        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
+        _require_window(self.tau)
+
+
+@dataclass(frozen=True)
+class ReproductionSettings(ConfigFields):
+    """How a reproduction trial draws its reservoirs and fits its readout.
+
+    Leak rates are drawn per unit from N(leak_mu, leak_sigma); each block is
+    scaled to spectral radius `rho`; up to `max_attempts` reservoirs are
+    tried until one is self-oscillatory; the ridge readout drops `washout`
+    leading steps. `standardize` rescales each target dimension to zero mean
+    and unit variance before the fit (pure conditioning; NRMSE is
+    scale-free either way).
+    """
+
+    leak_mu: float = 0.6
+    leak_sigma: float = 0.1
+    rho: float = 1.25
+    ridge_lambda: float = 1e-8
+    washout: int = 100
+    max_attempts: int = 10
+    standardize: bool = False
+
+    def __post_init__(self):
+        if self.leak_sigma < 0:
+            raise InputError(f"leak_sigma must be non-negative, got {self.leak_sigma}")
+        if not self.rho > 0:
+            raise InputError(f"rho must be positive, got {self.rho}")
+        if self.ridge_lambda < 0:
+            raise InputError(f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
+        if self.washout < 0:
+            raise InputError(f"washout must be non-negative, got {self.washout}")
+        if self.max_attempts < 0:
+            raise InputError(f"max_attempts must be non-negative, got {self.max_attempts}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +201,11 @@ def _dense_ratios(cells, trials, tau, base_seed, arms, jobs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Fraction of self-oscillatory reservoirs per (leak, rho) cell."""
+    """Fraction of self-oscillatory reservoirs per (leak, rho) cell of the
+    swept config's grid."""
 
     grid: np.ndarray
-    trials_per_cell: int
-    leak_values: tuple[float, ...]
-    rho_values: tuple[float, ...]
-    base_seed: int
+    config: SweepConfig
 
     def ratio(self, leak_index: int, rho_index: int) -> float:
         return float(self.grid[leak_index, rho_index])
@@ -108,46 +214,30 @@ class SweepResult:
         if metadata:
             write_metadata(f, metadata)
         f.write("leak,rho,ratio,trials\n")
-        for li, leak in enumerate(self.leak_values):
-            for ri, rho in enumerate(self.rho_values):
+        # a JSON config may give the grid as integers; the rows are floats
+        for li, leak in enumerate(self.config.leak_values):
+            for ri, rho in enumerate(self.config.rho_values):
                 ratio = repr(float(self.grid[li, ri]))
-                f.write(f"{leak!r},{rho!r},{ratio},{self.trials_per_cell}\n")
+                f.write(f"{float(leak)!r},{float(rho)!r},{ratio},{self.config.trials}\n")
 
 
-def sweep_heatmap(
-    leak_values,
-    rho_values,
-    trials: int,
-    n: int,
-    tau: int = 1000,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> SweepResult:
-    """Monte-Carlo oscillation ratio over a (leak, spectral radius) grid.
+def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
+    """Monte-Carlo oscillation ratio over the (leak, spectral radius) grid
+    of `config.capped()`.
 
     Each cell builds `trials` dense reservoirs with fresh derived seeds,
     scales them to the cell's radius, runs them for `tau` steps, and counts
     the fraction classified self-oscillatory.
     """
-    leak_values = tuple(float(a) for a in leak_values)
-    rho_values = tuple(float(r) for r in rho_values)
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    if not leak_values or not rho_values:
-        raise InputError("need at least one leak value and one rho value")
-    if any(not 0.0 < a <= 1.0 for a in leak_values):
-        raise InputError("leak values must lie in (0, 1]")
-    if any(r <= 0.0 for r in rho_values):
-        raise InputError("rho values must be positive")
-
+    config = config.capped()
+    leaks, rhos = config.leak_values, config.rho_values
     cells = [
-        (f"sweep cell (leak={a}, rho={r})", (li, ri), n, a, r)
-        for li, a in enumerate(leak_values)
-        for ri, r in enumerate(rho_values)
+        (f"sweep cell (leak={a}, rho={r})", (li, ri), config.n, a, r)
+        for li, a in enumerate(leaks)
+        for ri, r in enumerate(rhos)
     ]
-    ratios = _dense_ratios(cells, trials, tau, base_seed, (None,), jobs)
-    grid = ratios.reshape(len(leak_values), len(rho_values))
-    return SweepResult(grid, trials, leak_values, rho_values, base_seed)
+    ratios = _dense_ratios(cells, config.trials, config.tau, config.seed, (None,), jobs)
+    return SweepResult(ratios.reshape(len(leaks), len(rhos)), config)
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +265,23 @@ def write_injection_csv(f, rows, metadata: dict | None = None) -> None:
 
 
 def injection_ratio_experiment(
-    populations,
-    trials: int,
-    tau: int = 1000,
-    rho: float = 1.25,
-    leak: float = 0.5,
-    base_seed: int = 0,
-    jobs: int = 1,
+    config: InjectConfig, jobs: int = 1
 ) -> list[PopulationComparison]:
     """Oscillation ratio with and without the calibrated two-neuron ensemble
-    spliced into the reservoir, over a range of populations.
+    spliced into the reservoir, over `config.populations`.
 
     The arms are paired: each trial uses the same scaled weight matrix and
     the same initial state, differing only in the injected leading block.
     The matrix is scaled before injection, so the ensemble keeps its own
     calibrated weights.
     """
-    populations = [int(p) for p in populations]
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    if any(p < 2 for p in populations):
-        raise InputError("every population must be at least 2")
-    cells = [(f"injection cell (population={p})", (pi,), p, leak, rho)
-             for pi, p in enumerate(populations)]
-    ratios = _dense_ratios(cells, trials, tau, base_seed, (None, two_neuron_ensemble()), jobs)
+    cells = [(f"injection cell (population={p})", (pi,), p, config.leak, config.rho)
+             for pi, p in enumerate(config.populations)]
+    ratios = _dense_ratios(cells, config.trials, config.tau, config.seed,
+                           (None, two_neuron_ensemble()), jobs)
     return [
         PopulationComparison(p, float(without), float(with_))
-        for p, (without, with_) in zip(populations, ratios)
+        for p, (without, with_) in zip(config.populations, ratios)
     ]
 
 
@@ -345,39 +425,6 @@ class TrialOutcome:
             "train_nrmse": nrmse_values,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class ReproductionSettings(ConfigFields):
-    """How a reproduction trial draws its reservoirs and fits its readout.
-
-    Leak rates are drawn per unit from N(leak_mu, leak_sigma); each block is
-    scaled to spectral radius `rho`; up to `max_attempts` reservoirs are
-    tried until one is self-oscillatory; the ridge readout drops `washout`
-    leading steps. `standardize` rescales each target dimension to zero mean
-    and unit variance before the fit (pure conditioning; NRMSE is
-    scale-free either way).
-    """
-
-    leak_mu: float = 0.6
-    leak_sigma: float = 0.1
-    rho: float = 1.25
-    ridge_lambda: float = 1e-8
-    washout: int = 100
-    max_attempts: int = 10
-    standardize: bool = False
-
-    def __post_init__(self):
-        if self.leak_sigma < 0:
-            raise InputError(f"leak_sigma must be non-negative, got {self.leak_sigma}")
-        if not self.rho > 0:
-            raise InputError(f"rho must be positive, got {self.rho}")
-        if self.ridge_lambda < 0:
-            raise InputError(f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
-        if self.washout < 0:
-            raise InputError(f"washout must be non-negative, got {self.washout}")
-        if self.max_attempts < 0:
-            raise InputError(f"max_attempts must be non-negative, got {self.max_attempts}")
 
 
 def _attempt(spec: TopologySpec, tau, settings: ReproductionSettings, attempt_seed):

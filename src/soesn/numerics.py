@@ -159,6 +159,11 @@ def periodogram(signal) -> PowerSpectrum:
         raise InputError(f"signal too short for a periodogram: {n} < 8 samples")
     if not np.all(np.isfinite(x)):
         raise InputError("signal values must be finite")
-    spectrum = np.fft.rfft(x - x.mean())
-    power = (spectrum.real**2 + spectrum.imag**2) / n
-    return PowerSpectrum(bin_power=power, sample_count=n)
+    return PowerSpectrum(bin_power=_column_periodogram(x), sample_count=n)
+
+
+def _column_periodogram(x: np.ndarray) -> np.ndarray:
+    # periodogram's arithmetic down axis 0, one spectrum per column (the
+    # classifier's batch path uses it unchecked)
+    spectrum = np.fft.rfft(x - x.mean(axis=0), axis=0)
+    return (spectrum.real**2 + spectrum.imag**2) / x.shape[0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .numerics import _column_periodogram
 from .reservoir import StateTrajectory
 
 DEFAULT_WINDOW = 100
@@ -91,10 +92,8 @@ def _classify_columns(rows, window, amplitude_floor, peak_share):
     if rows.shape[0] < window:
         raise InputError(f"series has {rows.shape[0]} samples, needs at least {window}")
     tail = rows[-window:]
-    spectrum = np.fft.rfft(tail - tail.mean(axis=0), axis=0)
-    power = (spectrum.real**2 + spectrum.imag**2) / window
     stddev = tail.std(axis=0)
-    non_dc = power[1:]
+    non_dc = _column_periodogram(tail)[1:]
     total = non_dc.sum(axis=0)
     peak = non_dc.max(axis=0)
     share = peak / np.where(total > 0.0, total, 1.0)

@@ -39,7 +39,9 @@ class ConfigFields:
     from the defaults and raises ConfigError for an unknown field, a value
     of the wrong type (a bool is not an int, an int is a float, a float must
     be finite, a list is a tuple, and a field typed as another config class
-    takes a nested object) or a value the class's own checks reject.
+    takes a nested object) or a value the class's own checks reject. A list
+    is stored as a tuple, its numbers as given, so the built config equals
+    and hashes like one built in code and echoes the same bytes.
     """
 
     def to_dict(self) -> dict:
@@ -62,6 +64,8 @@ class ConfigFields:
             elif not _conforms(value, kind):
                 expected = kind.__name__ if isinstance(kind, type) else kind
                 raise ConfigError(f"{label}.{name} must be {expected}, got {value!r}")
+            elif isinstance(value, list):  # only tuple fields take one
+                value = tuple(value)
             values[name] = value
         try:
             return cls(**values)

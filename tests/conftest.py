@@ -7,9 +7,12 @@ building blocks."""
 
 import cmath
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from soesn import (
     Reservoir,
@@ -22,6 +25,24 @@ from soesn import (
     two_neuron_ensemble,
 )
 from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
+
+# Property tests draw the same examples on every run and store none, so the
+# suite stays deterministic and leaves no example database behind. The
+# explain phase is off: it re-runs a failing test under a line tracer for
+# about a minute before the failure is reported.
+settings.register_profile("soesn", derandomize=True, database=None, deadline=None,
+                          max_examples=40,
+                          phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("soesn")
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from the source in its home
+    # directory, at collection and whatever the profile says; keep that cache
+    # out of the checkout
+    home = tempfile.TemporaryDirectory(prefix="soesn-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def naive_dft_power(signal):

@@ -16,8 +16,10 @@ from collections import Counter
 import numpy as np
 
 from soesn import (
+    InjectConfig,
     Reservoir,
     ReproductionSettings,
+    SweepConfig,
     TopologySpec,
     build_dense,
     classify_trajectory,
@@ -88,9 +90,9 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
 
 
 def test_c01_subcritical_radius_suppresses_oscillation():
-    result = sweep_heatmap(
-        [0.5], [0.8, 2.0], trials=200, n=100, tau=1000, base_seed=BASE_SEED, jobs=JOBS
-    )
+    config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 2.0), trials=200, n=100,
+                         tau=1000, seed=BASE_SEED)
+    result = sweep_heatmap(config, jobs=JOBS)
     low, high = result.ratio(0, 0), result.ratio(0, 1)
     check(
         "C1", "subcritical-radius-suppression",
@@ -113,10 +115,9 @@ def test_c02_leak_controls_frequency():
 
 
 def test_c03_ensemble_injection_raises_ratio():
-    rows = injection_ratio_experiment(
-        [10, 50, 500], trials=500, tau=1000, rho=1.25, leak=0.5,
-        base_seed=BASE_SEED, jobs=JOBS,
-    )
+    config = InjectConfig(populations=(10, 50, 500), trials=500, tau=1000, rho=1.25, leak=0.5,
+                          seed=BASE_SEED)
+    rows = injection_ratio_experiment(config, jobs=JOBS)
     by_population = {row.population: row for row in rows}
     gap10 = by_population[10].gap
     gap500 = by_population[500].gap

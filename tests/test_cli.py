@@ -293,6 +293,7 @@ BAD_FLAGS = [
     ("reproduce", ["--tau", "100"]),
     ("reproduce", ["--n", "0"]),
     ("reproduce", ["--sub-counts", "1,40"]),
+    ("reproduce", ["--sub-counts", ","]),
     ("reproduce", ["--dt", "0"]),
     ("reproduce", ["--leak-sigma", "-0.1"]),
     ("reproduce", ["--sub-count", "4"]),  # a prefix of --sub-counts, not a flag
@@ -323,8 +324,9 @@ BAD_PARAMS = [
     ("reproduce", {"washout": True}),
     ("reproduce", {"target": "triangle"}),
     ("reproduce", {"sub_counts": [1.5]}),
+    ("reproduce", {"sub_counts": []}),
     ("topology-demo", {"n": True}),
-    ("topology-demo", {"tau": 99}),
+    ("topology-demo", {"tau": 98}),
 ] + [(command, {"bogus": 1}) for command in COMMANDS]
 
 
@@ -369,6 +371,13 @@ class TestExitCodes:
         argv = [command, "--config", _config_file(tmp_path, content),
                 "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["generate", "sweep", "inject-experiment",
+                                         "topology-demo"])
+    def test_shortest_tau_fills_the_classifier_window(self, command, tmp_path):
+        # tau + 1 = 100 rows is exactly one classifier window (reproduce: TestReproduce)
+        argv = [command, *SMALL_FLAGS[command], "--tau", "99", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_existing_output_without_force_is_io_error(self, command, tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from soesn import (
+    InjectConfig,
     ReproductionSettings,
+    SweepConfig,
     TargetSignal,
     TopologySpec,
     derive_seed,
@@ -95,23 +97,28 @@ class TestLorenz:
 
 class TestSweepHeatmap:
     def test_single_trial_ratio_is_binary(self):
-        result = sweep_heatmap([0.5], [1.25], trials=1, n=40, tau=300, base_seed=5)
+        config = SweepConfig(leak_values=(0.5,), rho_values=(1.25,), trials=1, n=40, tau=300,
+                             seed=5)
+        result = sweep_heatmap(config)
         assert result.grid[0, 0] in (0.0, 1.0)
 
     def test_deterministic_across_calls(self):
-        kwargs = dict(trials=3, n=40, tau=300, base_seed=11)
-        a = sweep_heatmap([0.3, 0.7], [0.8, 1.5], **kwargs)
-        b = sweep_heatmap([0.3, 0.7], [0.8, 1.5], **kwargs)
+        config = SweepConfig(leak_values=(0.3, 0.7), rho_values=(0.8, 1.5), trials=3, n=40,
+                             tau=300, seed=11)
+        a = sweep_heatmap(config)
+        b = sweep_heatmap(config)
         assert np.array_equal(a.grid, b.grid)
 
     def test_jobs_do_not_change_results(self):
-        kwargs = dict(trials=4, n=40, tau=300, base_seed=13)
-        serial = sweep_heatmap([0.5], [0.8, 1.5], **kwargs, jobs=1)
-        parallel = sweep_heatmap([0.5], [0.8, 1.5], **kwargs, jobs=2)
+        config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=4, n=40,
+                             tau=300, seed=13)
+        serial = sweep_heatmap(config, jobs=1)
+        parallel = sweep_heatmap(config, jobs=2)
         assert np.array_equal(serial.grid, parallel.grid)
 
     def test_csv_shape(self):
-        result = sweep_heatmap([0.3, 0.7], [0.8, 1.5, 2.0], trials=2, n=30, tau=200, base_seed=1)
+        result = sweep_heatmap(SweepConfig(leak_values=(0.3, 0.7), rho_values=(0.8, 1.5, 2.0),
+                                           trials=2, n=30, tau=200, seed=1))
         buffer = io.StringIO()
         result.write_csv(buffer, {"artifact_version": "test"})
         lines = buffer.getvalue().splitlines()
@@ -121,11 +128,11 @@ class TestSweepHeatmap:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            sweep_heatmap([1.5], [1.0], trials=1, n=10)
+            SweepConfig(leak_values=(1.5,), rho_values=(1.0,), trials=1, n=10)
         with pytest.raises(InputError):
-            sweep_heatmap([0.5], [-1.0], trials=1, n=10)
+            SweepConfig(leak_values=(0.5,), rho_values=(-1.0,), trials=1, n=10)
         with pytest.raises(InputError):
-            sweep_heatmap([0.5], [1.0], trials=0, n=10)
+            SweepConfig(leak_values=(0.5,), rho_values=(1.0,), trials=0, n=10)
 
     def test_trial_errors_carry_cell_context(self, monkeypatch):
         import soesn.experiments as module
@@ -135,12 +142,14 @@ class TestSweepHeatmap:
 
         monkeypatch.setattr(module, "build_dense", boom)
         with pytest.raises(NumericError, match=r"cell \(leak=0.5, rho=1.5\)"):
-            sweep_heatmap([0.5], [1.5], trials=1, n=10, tau=200)
+            sweep_heatmap(SweepConfig(leak_values=(0.5,), rho_values=(1.5,), trials=1, n=10,
+                                      tau=200))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grid_matches_trial_by_trial_reference(self, jobs):
-        leaks, rhos = [0.3, 0.8], [0.8, 1.5, 2.5]
-        result = sweep_heatmap(leaks, rhos, trials=4, n=30, tau=200, base_seed=21, jobs=jobs)
+        leaks, rhos = (0.3, 0.8), (0.8, 1.5, 2.5)
+        config = SweepConfig(leak_values=leaks, rho_values=rhos, trials=4, n=30, tau=200, seed=21)
+        result = sweep_heatmap(config, jobs=jobs)
         reference = reference_sweep_grid(leaks, rhos, 4, 30, 200, 21)
         assert result.grid.tobytes() == reference.tobytes()
         assert 0.0 < result.grid.mean() < 1.0
@@ -148,20 +157,23 @@ class TestSweepHeatmap:
 
 class TestInjectionExperiment:
     def test_population_two_always_oscillates_with_injection(self):
-        rows = injection_ratio_experiment([2], trials=20, tau=1000, base_seed=3)
+        rows = injection_ratio_experiment(InjectConfig(populations=(2,), trials=20, tau=1000,
+                                                       seed=3))
         assert rows[0].ratio_with == 1.0
 
     def test_deterministic(self):
-        a = injection_ratio_experiment([4, 10], trials=5, tau=300, base_seed=9)
-        b = injection_ratio_experiment([4, 10], trials=5, tau=300, base_seed=9)
+        config = InjectConfig(populations=(4, 10), trials=5, tau=300, seed=9)
+        a = injection_ratio_experiment(config)
+        b = injection_ratio_experiment(config)
         assert [(r.ratio_without, r.ratio_with) for r in a] == [
             (r.ratio_without, r.ratio_with) for r in b
         ]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_ratios_match_trial_by_trial_reference(self, jobs):
-        rows = injection_ratio_experiment([4, 12, 30], trials=6, tau=200, rho=1.25,
-                                          leak=0.5, base_seed=4, jobs=jobs)
+        config = InjectConfig(populations=(4, 12, 30), trials=6, tau=200, rho=1.25, leak=0.5,
+                              seed=4)
+        rows = injection_ratio_experiment(config, jobs=jobs)
         reference = reference_injection_rows([4, 12, 30], 6, 200, 1.25, 0.5, 4)
         got = [(r.population, r.ratio_without, r.ratio_with) for r in rows]
         assert repr(got) == repr(reference)
@@ -175,14 +187,15 @@ class TestInjectionExperiment:
 
         monkeypatch.setattr(module, "build_dense", boom)
         with pytest.raises(NumericError, match=r"cell \(population=4\) trial 0"):
-            injection_ratio_experiment([4], trials=1, tau=200)
+            injection_ratio_experiment(InjectConfig(populations=(4,), trials=1, tau=200))
 
     def test_population_below_two_rejected(self):
         with pytest.raises(InputError):
-            injection_ratio_experiment([1], trials=2, tau=200)
+            InjectConfig(populations=(1,), trials=2, tau=200)
 
     def test_csv_schema(self):
-        rows = injection_ratio_experiment([4], trials=2, tau=200, base_seed=1)
+        rows = injection_ratio_experiment(InjectConfig(populations=(4,), trials=2, tau=200,
+                                                       seed=1))
         buffer = io.StringIO()
         write_injection_csv(buffer, rows)
         lines = buffer.getvalue().splitlines()

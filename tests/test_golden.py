@@ -108,3 +108,18 @@ def test_rerun_from_committed_echo_matches_golden(case, tmp_path):
     code = main([argv[0], "--config", str(config), "--out", str(tmp_path), "--deterministic"])
     assert code == EXIT_OK
     assert payload_digests(tmp_path) == digests
+
+
+# A hand-written config (not an echo) whose grids hold JSON integers: the
+# echo keeps them as given, sweep.csv writes them as floats.
+INT_GRID_DIGESTS = {
+    "config.echo.json": "f4fe59e90137dd8a68454da5d538fe85bb0b57fd300258a85afc1e87de27451d",
+    "sweep.csv": "8d5be628cd28d89d6f01b45139aa5414fb1d99d431d064c9d50502d95e4330f6",
+}
+
+
+def test_integer_grid_config_matches_golden(tmp_path):
+    config = GOLDEN / "sweep-int-grid.config.json"
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path), "--deterministic"])
+    assert code == EXIT_OK
+    assert payload_digests(tmp_path) == INT_GRID_DIGESTS
