@@ -19,7 +19,7 @@ from .errors import (
 from .experiments import (
     InjectConfig,
     PopulationComparison,
-    ReproductionSettings,
+    ReproduceConfig,
     SubCountDistribution,
     SweepConfig,
     SweepResult,

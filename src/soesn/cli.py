@@ -24,18 +24,17 @@ from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
-from .seeding import ROLE_LEAK, ROLE_STATE, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, check_seed, derive_seed
 from .topology import VALID_KINDS, ConfigFields, TopologySpec, build_weights, sample_leak_vector
 from .experiments import (
     InjectConfig,
-    ReproductionSettings,
+    ReproduceConfig,
     SweepConfig,
+    _SINE_MODES,
+    _TARGET_DT,
     _require,
     _require_window,
     distribution_from_outcomes,
-    gen_lorenz,
-    gen_sinusoid,
-    gen_square,
     injection_ratio_experiment,
     reproduce_with_prediction,
     subreservoir_count_outcomes,
@@ -46,10 +45,6 @@ from .experiments import (
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
-
-_TARGET_DT = {"sine": 1.0, "square": 0.01, "lorenz": 0.01}
-_TARGET_TAU = {"sine": 1000, "square": 1000, "lorenz": 2000}
-_SINE_MODES = ("pure_sine", "literal_ode")
 
 
 # ---------------------------------------------------------------------------
@@ -77,49 +72,6 @@ class GenerateConfig(ConfigFields):
 
 
 @dataclass(frozen=True)
-class ReproduceConfig(ReproductionSettings):
-    """`soesn reproduce`: the readout of weakly coupled reservoirs of `n`
-    units fitted to a `target` waveform (`dt` and `tau` default per
-    target). One run at `sub_count` blocks, or with `sub_counts` the
-    boxplot sweep of `trials` trials per count."""
-
-    target: str = "sine"
-    mode: str = "pure_sine"
-    freq: float = 0.05
-    dt: float | None = None
-    tau: int | None = None
-    n: int = 500
-    sub_count: int = 8
-    coupling_scale: float = TopologySpec.coupling_scale
-    coupling_density: float = TopologySpec.coupling_density
-    sub_counts: tuple[int, ...] | None = None
-    trials: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.target in _TARGET_DT,
-                 f"unknown target {self.target!r}; choose from {sorted(_TARGET_DT)}")
-        _require(self.mode in _SINE_MODES,
-                 f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
-        _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
-        tau = _TARGET_TAU[self.target] if self.tau is None else self.tau
-        _require_window(tau)
-        _require(tau > self.washout, f"tau must exceed the washout {self.washout}, got {tau}")
-        _require(self.sub_counts is None or len(self.sub_counts) > 0,
-                 f"sub_counts must be a non-empty list, got {self.sub_counts}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        for m in self.sub_counts or (self.sub_count,):
-            self.topology(m)
-
-    def topology(self, sub_count: int) -> TopologySpec:
-        return TopologySpec(
-            kind="weakly_coupled", n=self.n, sub_count=sub_count,
-            coupling_scale=self.coupling_scale, coupling_density=self.coupling_density,
-        )
-
-
-@dataclass(frozen=True)
 class TopologyDemoConfig(ConfigFields):
     """`soesn topology-demo`: every topology kind at `n` units and radius
     `rho`, run `tau` steps."""
@@ -133,6 +85,7 @@ class TopologyDemoConfig(ConfigFields):
         _require(self.n >= 1, "n must be at least 1")
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
         _require_window(self.tau)
+        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +401,9 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
-def _make_target(config: ReproduceConfig):
-    dt = config.dt if config.dt is not None else _TARGET_DT[config.target]
-    tau = _TARGET_TAU[config.target] if config.tau is None else config.tau
-    if config.target == "sine":
-        return gen_sinusoid(tau, dt, config.mode, config.freq)
-    if config.target == "square":
-        return gen_square(tau, dt)
-    return gen_lorenz(tau, dt)
-
-
 def cmd_reproduce(args) -> int:
     config = _resolve(ReproduceConfig, args)
-    target = _make_target(config)
+    target = config.target_signal()
     if config.sub_counts:
         return _reproduce_sweep(args, config, target)
     return _reproduce_single(args, config, target)
@@ -469,8 +412,7 @@ def cmd_reproduce(args) -> int:
 def _reproduce_single(args, config, target) -> int:
     files = ["config.echo.json", "nrmse.json", "overlay.svg"]
     _prepare_out(args.out, files, args.force)
-    spec = config.topology(config.sub_count)
-    outcome, prediction = reproduce_with_prediction(spec, target, config, config.seed)
+    outcome, prediction = reproduce_with_prediction(config, target)
 
     payload = {
         "metadata": _metadata("reproduce", config),
@@ -505,10 +447,7 @@ def _reproduce_sweep(args, config, target) -> int:
         ["config.echo.json", "boxplot.csv", "trials.jsonl", "summary.json"],
         args.force,
     )
-    per_count = subreservoir_count_outcomes(
-        config.topology(1), config.sub_counts, target, config.trials, config,
-        config.seed, jobs=args.jobs,
-    )
+    per_count = subreservoir_count_outcomes(config, target, jobs=args.jobs)
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 
     metadata = _metadata("reproduce", config)
@@ -555,8 +494,7 @@ def cmd_topology_demo(args) -> int:
         # block layouts get the reproduction's per-unit leak draw so the
         # sub-reservoirs differ in pace
         if kind in ("block_diagonal", "weakly_coupled"):
-            leak = sample_leak_vector(n, ReproductionSettings.leak_mu,
-                                      ReproductionSettings.leak_sigma,
+            leak = sample_leak_vector(n, ReproduceConfig.leak_mu, ReproduceConfig.leak_sigma,
                                       derive_seed(spec.seed, ROLE_LEAK))
         else:
             leak = 0.5

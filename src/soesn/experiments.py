@@ -11,6 +11,7 @@ aggregated by trial index, giving bit-identical output at any parallelism.
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -21,7 +22,7 @@ from .numerics import scale_to_spectral_radius
 from .oscillation import DEFAULT_WINDOW, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state
-from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
 from .topology import (
     ConfigFields,
     TopologySpec,
@@ -34,12 +35,15 @@ from .topology import (
 
 
 def _map_trials(worker, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
+    # a forking pool starts every worker at once: never more than the tasks
+    # or the CPUs can use
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only here: keeps `--version` fast
 
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -90,6 +94,7 @@ class SweepConfig(ConfigFields):
         _require(self.n >= 1, "n must be at least 1")
         _require_window(self.tau)
         _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
+        check_seed(self.seed)
 
     def capped(self) -> "SweepConfig":
         """The grid trimmed to about `cells` cells; the echo records the
@@ -122,11 +127,20 @@ class InjectConfig(ConfigFields):
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
         _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
         _require_window(self.tau)
+        check_seed(self.seed)
+
+
+_TARGET_DT = {"sine": 1.0, "square": 0.01, "lorenz": 0.01}
+_TARGET_TAU = {"sine": 1000, "square": 1000, "lorenz": 2000}
+_SINE_MODES = ("pure_sine", "literal_ode")
 
 
 @dataclass(frozen=True)
-class ReproductionSettings(ConfigFields):
-    """How a reproduction trial draws its reservoirs and fits its readout.
+class ReproduceConfig(ConfigFields):
+    """Waveform reproduction: the readout of weakly coupled reservoirs of `n`
+    units fitted to a `target` waveform (`dt` and `tau` default per
+    target). Trials run at `sub_count` blocks or, with `sub_counts`,
+    `trials` trials run per count (the boxplot sweep).
 
     Leak rates are drawn per unit from N(leak_mu, leak_sigma); each block is
     scaled to spectral radius `rho`; up to `max_attempts` reservoirs are
@@ -143,18 +157,61 @@ class ReproductionSettings(ConfigFields):
     washout: int = 100
     max_attempts: int = 10
     standardize: bool = False
+    target: str = "sine"
+    mode: str = "pure_sine"
+    freq: float = 0.05
+    dt: float | None = None
+    tau: int | None = None
+    n: int = 500
+    sub_count: int = 8
+    coupling_scale: float = TopologySpec.coupling_scale
+    coupling_density: float = TopologySpec.coupling_density
+    sub_counts: tuple[int, ...] | None = None
+    trials: int = 30
+    seed: int = 0
 
     def __post_init__(self):
-        if self.leak_sigma < 0:
-            raise InputError(f"leak_sigma must be non-negative, got {self.leak_sigma}")
-        if not self.rho > 0:
-            raise InputError(f"rho must be positive, got {self.rho}")
-        if self.ridge_lambda < 0:
-            raise InputError(f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
-        if self.washout < 0:
-            raise InputError(f"washout must be non-negative, got {self.washout}")
-        if self.max_attempts < 0:
-            raise InputError(f"max_attempts must be non-negative, got {self.max_attempts}")
+        _require(self.leak_sigma >= 0, f"leak_sigma must be non-negative, got {self.leak_sigma}")
+        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
+        _require(self.ridge_lambda >= 0,
+                 f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
+        _require(self.washout >= 0, f"washout must be non-negative, got {self.washout}")
+        _require(self.max_attempts >= 0,
+                 f"max_attempts must be non-negative, got {self.max_attempts}")
+        _require(self.target in _TARGET_DT,
+                 f"unknown target {self.target!r}; choose from {sorted(_TARGET_DT)}")
+        _require(self.mode in _SINE_MODES,
+                 f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
+        _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
+        _require_window(self.target_tau)
+        _require(self.target_tau > self.washout,
+                 f"tau must exceed the washout {self.washout}, got {self.target_tau}")
+        _require(self.sub_counts is None or len(self.sub_counts) > 0,
+                 f"sub_counts must be a non-empty list, got {self.sub_counts}")
+        _require(self.trials >= 1, "trials must be at least 1")
+        check_seed(self.seed)
+        for m in self.sub_counts or (self.sub_count,):
+            self.topology(m)
+
+    @property
+    def target_tau(self) -> int:
+        """The target's steps: `tau`, or the target's default."""
+        return _TARGET_TAU[self.target] if self.tau is None else self.tau
+
+    def target_signal(self) -> "TargetSignal":
+        """The `target` waveform, `target_tau` steps at spacing `dt`."""
+        dt = _TARGET_DT[self.target] if self.dt is None else self.dt
+        if self.target == "sine":
+            return gen_sinusoid(self.target_tau, dt, self.mode, self.freq)
+        if self.target == "square":
+            return gen_square(self.target_tau, dt)
+        return gen_lorenz(self.target_tau, dt)
+
+    def topology(self, sub_count: int) -> TopologySpec:
+        return TopologySpec(
+            kind="weakly_coupled", n=self.n, sub_count=sub_count,
+            coupling_scale=self.coupling_scale, coupling_density=self.coupling_density,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -427,46 +484,46 @@ class TrialOutcome:
         }
 
 
-def _attempt(spec: TopologySpec, tau, settings: ReproductionSettings, attempt_seed):
-    W = build_weights(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), settings.rho)
+def _attempt(config: ReproduceConfig, tau, attempt_seed):
+    spec = config.topology(config.sub_count)
+    W = build_weights(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), config.rho)
     leak = sample_leak_vector(
-        spec.n, settings.leak_mu, settings.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
+        spec.n, config.leak_mu, config.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
     )
     state = init_state(spec.n, derive_seed(attempt_seed, ROLE_STATE))
     trajectory = Reservoir(W, leak, state).run(tau)
     return trajectory, classify_trajectory(trajectory)
 
 
-def _fit(trajectory, target, settings: ReproductionSettings):
+def _fit(trajectory, target, config: ReproduceConfig):
     """The readout trained on the target (standardized when asked), with
     the per-dimension mean and scale that map its output back."""
     values, mean, sd = target.values, 0.0, 1.0
-    if settings.standardize:
+    if config.standardize:
         mean = values.mean(axis=0)
         sd = values.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
         values = (values - mean) / sd
-    model = train_ridge(trajectory.rows, values, settings.ridge_lambda, settings.washout)
+    model = train_ridge(trajectory.rows, values, config.ridge_lambda, config.washout)
     return model, mean, sd
 
 
-def _search(spec: TopologySpec, target: TargetSignal, settings: ReproductionSettings,
-            base_seed: int):
+def _search(config: ReproduceConfig, target: TargetSignal):
     """The trial's outcome, plus the oscillatory attempt's trajectory and
     fitted readout `(trajectory, model, mean, sd)`, or None when the attempt
     budget ran out."""
-    if target.length < settings.washout + 2:
+    if target.length < config.washout + 2:
         raise InputError(
-            f"target length {target.length} too short for washout {settings.washout}"
+            f"target length {target.length} too short for washout {config.washout}"
         )
     tau = target.length - 1
-    last_seed = base_seed
-    for attempt in range(settings.max_attempts):
-        attempt_seed = derive_seed(base_seed, attempt)
+    last_seed = config.seed
+    for attempt in range(config.max_attempts):
+        attempt_seed = derive_seed(config.seed, attempt)
         last_seed = attempt_seed
-        trajectory, report = _attempt(spec, tau, settings, attempt_seed)
+        trajectory, report = _attempt(config, tau, attempt_seed)
         if report.reservoir_is_self_oscillatory:
-            model, mean, sd = _fit(trajectory, target, settings)
+            model, mean, sd = _fit(trajectory, target, config)
             outcome = TrialOutcome(
                 attempt_count=attempt + 1,
                 oscillatory=True,
@@ -475,78 +532,62 @@ def _search(spec: TopologySpec, target: TargetSignal, settings: ReproductionSett
             )
             return outcome, (trajectory, model, mean, sd)
     outcome = TrialOutcome(
-        attempt_count=settings.max_attempts, oscillatory=False, train_nrmse=None,
+        attempt_count=config.max_attempts, oscillatory=False, train_nrmse=None,
         seed=last_seed,
     )
     return outcome, None
 
 
-def _prediction(trajectory, model, mean, sd, settings: ReproductionSettings) -> np.ndarray:
+def _prediction(trajectory, model, mean, sd, config: ReproduceConfig) -> np.ndarray:
     """The readout's full-length output in target units."""
     prediction = predict(model, trajectory.rows)
-    if settings.standardize:
+    if config.standardize:
         prediction = prediction * sd + mean
     return prediction
 
 
-def reproduce_waveform(
-    spec: TopologySpec,
-    target: TargetSignal,
-    settings: ReproductionSettings = ReproductionSettings(),
-    base_seed: int = 0,
-) -> TrialOutcome:
-    """Build reservoirs from `spec` until one is self-oscillatory (or the
-    attempt budget runs out), then train the readout on the recorded states
-    against the target and report per-dimension training NRMSE.
+def reproduce_waveform(config: ReproduceConfig, target: TargetSignal) -> TrialOutcome:
+    """One trial at `config.sub_count` blocks from base seed `config.seed`:
+    build reservoirs until one is self-oscillatory (or the attempt budget
+    runs out), then train the readout on the recorded states against the
+    target and report per-dimension training NRMSE.
 
     Exhausting the attempts is a result, not an error: the outcome comes
     back with oscillatory=False.
     """
-    return _search(spec, target, settings, base_seed)[0]
+    return _search(config, target)[0]
 
 
 def reproduce_with_prediction(
-    spec: TopologySpec,
-    target: TargetSignal,
-    settings: ReproductionSettings = ReproductionSettings(),
-    base_seed: int = 0,
+    config: ReproduceConfig, target: TargetSignal
 ) -> tuple[TrialOutcome, np.ndarray | None]:
     """reproduce_waveform plus the scored readout's full-length prediction in
     target units (None when no attempt oscillated), taken from the attempt
     already simulated (used for target-versus-output plots)."""
-    outcome, winner = _search(spec, target, settings, base_seed)
+    outcome, winner = _search(config, target)
     if winner is None:
         return outcome, None
-    return outcome, _prediction(*winner, settings)
+    return outcome, _prediction(*winner, config)
 
 
 def rebuild_trial(
-    spec: TopologySpec,
-    target: TargetSignal,
-    attempt_seed: int,
-    settings: ReproductionSettings = ReproductionSettings(),
+    config: ReproduceConfig, target: TargetSignal, attempt_seed: int
 ) -> tuple[StateTrajectory, ReadoutModel, np.ndarray]:
     """Reconstruct a reproduction attempt from its seed (say, one recorded in
     trials.jsonl), returning the trajectory, the trained model that was
     scored, and its full-length prediction in target units."""
-    trajectory, _ = _attempt(spec, target.length - 1, settings, attempt_seed)
-    model, mean, sd = _fit(trajectory, target, settings)
-    return trajectory, model, _prediction(trajectory, model, mean, sd, settings)
+    trajectory, _ = _attempt(config, target.length - 1, attempt_seed)
+    model, mean, sd = _fit(trajectory, target, config)
+    return trajectory, model, _prediction(trajectory, model, mean, sd, config)
 
 
 def reproduce_trials(
-    spec: TopologySpec,
-    target: TargetSignal,
-    trials: int,
-    settings: ReproductionSettings = ReproductionSettings(),
-    base_seed: int = 0,
-    jobs: int = 1,
+    config: ReproduceConfig, target: TargetSignal, jobs: int = 1
 ) -> list[TrialOutcome]:
-    """Independent reproduction trials with per-trial derived seeds."""
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    seeds = [derive_seed(base_seed, t) for t in range(trials)]
-    return _map_trials(partial(reproduce_waveform, spec, target, settings), seeds, jobs)
+    """`config.trials` independent reproduction trials at `config.sub_count`,
+    trial t from base seed derive_seed(config.seed, t)."""
+    trials = [replace(config, seed=derive_seed(config.seed, t)) for t in range(config.trials)]
+    return _map_trials(partial(reproduce_waveform, target=target), trials, jobs)
 
 
 @dataclass(frozen=True)
@@ -578,24 +619,17 @@ def distribution_from_outcomes(sub_count: int, outcomes) -> SubCountDistribution
 
 
 def subreservoir_count_outcomes(
-    spec: TopologySpec,
-    sub_counts,
-    target: TargetSignal,
-    trials: int,
-    settings: ReproductionSettings = ReproductionSettings(),
-    base_seed: int = 0,
-    jobs: int = 1,
+    config: ReproduceConfig, target: TargetSignal, jobs: int = 1
 ) -> list[tuple[int, list[TrialOutcome]]]:
-    """Raw reproduction outcomes per sub-reservoir count: `spec` with each
-    count in turn as its sub_count (a single block is the dense baseline of
-    the weakly coupled layout). Summarize each count with
-    distribution_from_outcomes."""
+    """Raw reproduction outcomes per count in `config.sub_counts`, the
+    count's trials from base seed derive_seed(config.seed, count index) (a
+    single block is the dense baseline of the weakly coupled layout).
+    Summarize each count with distribution_from_outcomes."""
+    _require(config.sub_counts is not None, "subreservoir_count_outcomes needs sub_counts")
     return [
-        (int(m), reproduce_trials(
-            replace(spec, sub_count=int(m)), target, trials, settings,
-            derive_seed(base_seed, mi), jobs,
-        ))
-        for mi, m in enumerate(sub_counts)
+        (m, reproduce_trials(replace(config, sub_count=m, seed=derive_seed(config.seed, mi)),
+                             target, jobs))
+        for mi, m in enumerate(config.sub_counts)
     ]
 
 

@@ -1,11 +1,20 @@
 """Deterministic 64-bit seed derivation for experiment trials."""
 
+from .errors import InputError
+
 _MASK = (1 << 64) - 1
 
 # Sub-seed roles, mixed into a trial seed to decorrelate its random draws.
 ROLE_WEIGHTS = 0
 ROLE_STATE = 1
 ROLE_LEAK = 2
+
+
+def check_seed(seed: int) -> None:
+    """A base seed names one stream only if derive_seed never masks it: it
+    must lie in [0, 2**64)."""
+    if not 0 <= seed <= _MASK:
+        raise InputError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _splitmix64(z: int) -> int:

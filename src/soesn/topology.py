@@ -12,6 +12,7 @@ from .errors import ConfigError, InputError
 from .numerics import scale_to_spectral_radius
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
+from .seeding import check_seed
 
 VALID_KINDS = ("dense", "sparse", "block_diagonal", "weakly_coupled")
 
@@ -107,8 +108,7 @@ class TopologySpec(ConfigFields):
             raise InputError("coupling_scale must be non-negative")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise InputError(f"coupling_density must lie in [0, 1], got {self.coupling_density}")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 def block_sizes(n: int, sub_count: int) -> list[int]:

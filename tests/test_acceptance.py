@@ -12,15 +12,15 @@ some reservoirs are genuinely multistable.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
 from soesn import (
     InjectConfig,
+    ReproduceConfig,
     Reservoir,
-    ReproductionSettings,
     SweepConfig,
-    TopologySpec,
     build_dense,
     classify_trajectory,
     derive_seed,
@@ -48,8 +48,9 @@ JOBS = 2
 
 SINE = gen_sinusoid(1000, dt=1.0, mode="pure_sine", freq=0.05)
 SQUARE = gen_square(1000, dt=0.01)
-REPRODUCTION = ReproductionSettings(
-    leak_mu=0.6, leak_sigma=0.1, rho=1.25, ridge_lambda=1e-8, washout=100, max_attempts=10
+REPRODUCTION = ReproduceConfig(
+    leak_mu=0.6, leak_sigma=0.1, rho=1.25, ridge_lambda=1e-8, washout=100, max_attempts=10,
+    seed=BASE_SEED,
 )
 
 
@@ -168,17 +169,11 @@ def test_c05_washout_preserves_per_unit_bins():
     )
 
 
-def _reproduction_spec(n, sub_count):
-    return TopologySpec(kind="weakly_coupled", n=n, sub_count=sub_count)
-
-
 def test_c06_waveform_reproduction_sine_and_square():
-    spec = _reproduction_spec(500, 8)
+    config = replace(REPRODUCTION, n=500, sub_count=8, trials=30)
     medians = {}
     for label, target in (("sine", SINE), ("square", SQUARE)):
-        outcomes = reproduce_trials(
-            spec, target, trials=30, settings=REPRODUCTION, base_seed=BASE_SEED, jobs=JOBS,
-        )
+        outcomes = reproduce_trials(config, target, jobs=JOBS)
         values = [o.mean_nrmse() for o in outcomes if o.oscillatory]
         assert values, f"no oscillatory trials for {label}"
         medians[label] = float(np.median(values))
@@ -192,10 +187,8 @@ def test_c06_waveform_reproduction_sine_and_square():
 
 def test_c07_lorenz_fit():
     target = gen_lorenz(2000, dt=0.01, x0=(0.0, 1.0, 1.05), sigma=10.0, alpha=28.0, beta=2.667)
-    spec = _reproduction_spec(1000, 16)
-    outcomes = reproduce_trials(
-        spec, target, trials=15, settings=REPRODUCTION, base_seed=BASE_SEED, jobs=JOBS,
-    )
+    config = replace(REPRODUCTION, n=1000, sub_count=16, trials=15)
+    outcomes = reproduce_trials(config, target, jobs=JOBS)
     oscillatory = [o for o in outcomes if o.oscillatory]
     assert oscillatory, "no oscillatory Lorenz trials"
     per_dim = np.array([o.train_nrmse for o in oscillatory])
@@ -209,10 +202,8 @@ def test_c07_lorenz_fit():
 
 
 def test_c08_interior_optimum_in_sub_reservoir_count():
-    per_count = subreservoir_count_outcomes(
-        _reproduction_spec(512, 1), [1, 8, 128], SINE, trials=30, settings=REPRODUCTION,
-        base_seed=BASE_SEED, jobs=JOBS,
-    )
+    config = replace(REPRODUCTION, n=512, sub_counts=(1, 8, 128), trials=30)
+    per_count = subreservoir_count_outcomes(config, SINE, jobs=JOBS)
     distributions = [distribution_from_outcomes(m, outcomes) for m, outcomes in per_count]
     medians = {d.sub_count: d.quartiles()[1] for d in distributions}
     check(

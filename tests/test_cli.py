@@ -173,9 +173,9 @@ class TestReproduce:
         assert json.loads(read(out / "nrmse.json"))["target"] == "square"
 
     def test_lorenz_uses_paper_initial_state(self, tmp_path):
-        from soesn.cli import ReproduceConfig, _make_target
+        from soesn.cli import ReproduceConfig
 
-        target = _make_target(ReproduceConfig(target="lorenz", tau=99, washout=0))
+        target = ReproduceConfig(target="lorenz", tau=99, washout=0).target_signal()
         assert np.array_equal(target.values[0], [0.0, 1.0, 1.05])
         assert target.dt == 0.01
 
@@ -302,7 +302,10 @@ BAD_FLAGS = [
     ("sweep", ["--trial", "1"]),
     ("topology-demo", ["--rho", "0"]),
     ("topology-demo", ["--n", "0"]),
-] + [(command, ["--jobs", jobs]) for command in COMMANDS for jobs in ("0", "-3")]
+] + [(command, ["--jobs", jobs]) for command in COMMANDS for jobs in ("0", "-3")] + [
+    # a seed names one stream: derive_seed would mask these onto others
+    (command, ["--seed", "-1"]) for command in COMMANDS if command != "generate"
+] + [(command, ["--seed", str(2**64)]) for command in COMMANDS]
 
 BAD_PARAMS = [
     ("generate", {"topology": {"n": "abc"}}),
@@ -380,6 +383,13 @@ class TestExitCodes:
         assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_env_seed_is_config_error(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOESN_SEED", "-1")
+        assert main([command, *SMALL_FLAGS[command], "--out", str(tmp_path / "o")]) \
+            == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_existing_output_without_force_is_io_error(self, command, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
@@ -404,27 +414,25 @@ class TestStandardize:
         assert raw != std
 
     def test_rebuilt_overlay_model_is_the_scored_model(self):
-        from soesn import ReproductionSettings, TopologySpec, gen_lorenz, reproduce_waveform
+        from soesn import ReproduceConfig, gen_lorenz, reproduce_waveform
         from soesn.experiments import rebuild_trial
 
-        spec = TopologySpec(kind="weakly_coupled", n=60, sub_count=3)
+        config = ReproduceConfig(n=60, sub_count=3, standardize=True, seed=3)
         target = gen_lorenz(300)
-        settings = ReproductionSettings(standardize=True)
-        outcome = reproduce_waveform(spec, target, settings, base_seed=3)
+        outcome = reproduce_waveform(config, target)
         assert outcome.oscillatory
-        _, model, prediction = rebuild_trial(spec, target, outcome.seed, settings)
+        _, model, prediction = rebuild_trial(config, target, outcome.seed)
         assert tuple(model.train_nrmse) == outcome.train_nrmse
         assert prediction.shape == target.values.shape
 
     def test_single_run_prediction_is_the_rebuilt_models(self):
-        from soesn import ReproductionSettings, TopologySpec, gen_lorenz
+        from soesn import ReproduceConfig, gen_lorenz
         from soesn.experiments import rebuild_trial, reproduce_with_prediction
 
-        spec = TopologySpec(kind="weakly_coupled", n=60, sub_count=3)
+        config = ReproduceConfig(n=60, sub_count=3, standardize=True, seed=3)
         target = gen_lorenz(300)
-        settings = ReproductionSettings(standardize=True)
-        outcome, prediction = reproduce_with_prediction(spec, target, settings, base_seed=3)
-        _, _, rebuilt = rebuild_trial(spec, target, outcome.seed, settings)
+        outcome, prediction = reproduce_with_prediction(config, target)
+        _, _, rebuilt = rebuild_trial(config, target, outcome.seed)
         assert prediction.tobytes() == rebuilt.tobytes()
 
 

@@ -1,16 +1,17 @@
-"""Properties of the seven config classes, over generated values: the JSON
-echo round trip rebuilds an equal, hashable config, and an out-of-range
-leak, radius or population is rejected both when built in code and when
-read from JSON."""
+"""Properties of the six config classes, over generated values: the JSON
+echo round trip rebuilds an equal, hashable config; an out-of-range leak,
+radius, population or seed is rejected both when built in code and when
+read from JSON; and a JSON value of the wrong type is a ConfigError."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soesn import InjectConfig, ReproductionSettings, SweepConfig, TopologySpec
-from soesn.cli import GenerateConfig, ReproduceConfig, TopologyDemoConfig
+from soesn import InjectConfig, ReproduceConfig, SweepConfig, TopologySpec
+from soesn.cli import GenerateConfig, TopologyDemoConfig
 from soesn.errors import ConfigError, InputError
 from soesn.topology import VALID_KINDS
 
@@ -19,7 +20,7 @@ def _finite(**bounds):
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
-seeds = st.integers(0, 2**63 - 1)
+seeds = st.integers(0, 2**64 - 1)
 taus = st.integers(99, 5000)
 counts = st.integers(1, 500)
 # JSON may give a float field an integer; the echo keeps it as given
@@ -80,7 +81,6 @@ CONFIGS = {
         InjectConfig, populations=st.lists(st.integers(2, 1000), min_size=1, max_size=5)
         .map(tuple), trials=counts, tau=taus, rho=positives, leak=leaks, seed=seeds,
     ),
-    "ReproductionSettings": st.builds(ReproductionSettings, **SETTINGS),
     "ReproduceConfig": reproduce_configs(),
     "TopologyDemoConfig": st.builds(
         TopologyDemoConfig, n=counts, rho=positives, tau=taus, seed=seeds,
@@ -100,6 +100,7 @@ def test_echo_round_trip_rebuilds_an_equal_hashable_config(name, data):
 bad_leaks = st.one_of(_finite(max_value=0.0), _finite(min_value=1.0, exclude_min=True),
                       st.integers(max_value=0), st.integers(min_value=2))
 bad_rhos = st.one_of(_finite(max_value=0.0), st.integers(max_value=0))
+bad_seeds = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
 
 
 def _spliced(good, bad):
@@ -116,11 +117,11 @@ OUT_OF_RANGE = [
     (GenerateConfig, "rho", bad_rhos),
     (InjectConfig, "rho", bad_rhos),
     (TopologyDemoConfig, "rho", bad_rhos),
-    (ReproductionSettings, "rho", bad_rhos),
     (ReproduceConfig, "rho", bad_rhos),
     (SweepConfig, "rho_values", _spliced(positives, bad_rhos)),
     (InjectConfig, "populations", _spliced(st.integers(2, 1000), st.integers(max_value=1))),
-]
+] + [(cls, "seed", bad_seeds)
+     for cls in (TopologySpec, SweepConfig, InjectConfig, ReproduceConfig, TopologyDemoConfig)]
 
 
 @pytest.mark.parametrize("cls,name,values", OUT_OF_RANGE,
@@ -132,3 +133,48 @@ def test_out_of_range_value_is_rejected(cls, name, values, data):
         cls(**{name: value})
     with pytest.raises(ConfigError):
         cls.from_dict(json.loads(json.dumps({name: value})))
+
+
+strings = st.sampled_from(["", "1", "1.5", "true", "abc"])
+
+
+def _wrong_values(kind):
+    """JSON values of the wrong type for a field typed `kind`: a string,
+    list or object where a number belongs, true or 1.5 where an int
+    belongs, a number where a string, a list or an object belongs, and
+    null unless the field is optional."""
+    options = getattr(kind, "__args__", ()) if getattr(kind, "__origin__", None) is None else ()
+    optional = type(None) in options
+    if optional:
+        (kind,) = [k for k in options if k is not type(None)]
+    wrong = [] if optional else [st.none()]
+    if getattr(kind, "__origin__", None) is tuple:  # a JSON list of kind.__args__[0]
+        element = kind.__args__[0]
+        wrong += [strings, st.integers(), st.just({"v": 1}), st.booleans(),
+                  st.tuples(_wrong_values(element).filter(lambda v: v is not None)).map(list)]
+    elif kind in (int, float):
+        wrong += [strings, st.lists(st.integers(), max_size=2),
+                  st.just({"v": 1}), st.booleans()]
+        if kind is int:
+            wrong += [st.just(1.5), _finite().filter(lambda v: v != int(v))]
+    elif kind is bool:
+        wrong += [strings, st.integers(), st.just(1.5), st.just([True])]
+    elif kind is str:
+        wrong += [st.integers(), st.just(1.5), st.booleans(), st.just(["sine"]),
+                  st.just({"v": 1})]
+    else:  # a nested config takes a JSON object
+        wrong += [strings, st.integers(), st.booleans(), st.just([{}])]
+    return st.one_of(wrong)
+
+
+WRONG_TYPED = [TopologySpec, GenerateConfig, SweepConfig, InjectConfig, ReproduceConfig,
+               TopologyDemoConfig]
+
+
+@pytest.mark.parametrize("cls", WRONG_TYPED, ids=[cls.__name__ for cls in WRONG_TYPED])
+@given(data=st.data())
+def test_wrong_typed_value_is_a_config_error(cls, data):
+    for f in fields(cls):
+        value = data.draw(_wrong_values(f.type), label=f.name)
+        with pytest.raises(ConfigError, match=f.name):
+            cls.from_dict(json.loads(json.dumps({f.name: value})))

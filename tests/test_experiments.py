@@ -1,15 +1,16 @@
 import io
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from soesn import (
     InjectConfig,
-    ReproductionSettings,
+    ReproduceConfig,
     SweepConfig,
     TargetSignal,
-    TopologySpec,
     derive_seed,
     distribution_from_outcomes,
     gen_lorenz,
@@ -22,9 +23,43 @@ from soesn import (
     sweep_heatmap,
 )
 from soesn.errors import InputError, NumericError
-from soesn.experiments import rebuild_trial, write_boxplot_csv, write_injection_csv
+from soesn.experiments import _map_trials, write_boxplot_csv, write_injection_csv
 
 from conftest import reference_injection_rows, reference_sweep_grid, rk4_lorenz_oracle_step
+
+
+@pytest.mark.parametrize("jobs,tasks,cpus,pool", [
+    (5000, 2, 8, (2, 1)),      # never more workers than tasks
+    (5000, 100, 8, (8, 3)),    # nor than CPUs; chunks are sized for the capped count
+    (3, 100, 8, (3, 8)),
+    (2, 100, 2, (2, 12)),
+    (4, 100, None, None),      # unknown CPU count: serial
+    (1, 100, 8, None),
+])
+def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
+    # a recording stand-in for the process pool: maps serially, starts nothing
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            made.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _map_trials(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert made == ([] if pool is None else [pool])
 
 
 class TestSeedDerivation:
@@ -203,7 +238,7 @@ class TestInjectionExperiment:
         assert len(lines) == 2
 
 
-SPEC = TopologySpec(kind="weakly_coupled", n=60, sub_count=3)
+CONFIG = ReproduceConfig(n=60, sub_count=3)
 
 
 class TestReproduceWaveform:
@@ -217,22 +252,21 @@ class TestReproduceWaveform:
         from soesn.experiments import _attempt
 
         sine = gen_sinusoid(400, dt=1.0)
-        probe = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=5), base_seed=17)
+        probe = reproduce_waveform(replace(CONFIG, max_attempts=5, seed=17), sine)
         assert probe.oscillatory
-        trajectory, _ = _attempt(SPEC, 400, ReproductionSettings(), probe.seed)
+        trajectory, _ = _attempt(CONFIG, 400, probe.seed)
         pre_trained = train_ridge(trajectory.rows, sine.values, 1.0, 100)
         realizable = TargetSignal("realizable", 1.0, predict(pre_trained, trajectory.rows))
         with pytest.warns(UserWarning, match="least squares"):
             outcome = reproduce_waveform(
-                SPEC, realizable, ReproductionSettings(ridge_lambda=0.0, max_attempts=5),
-                base_seed=17,
+                replace(CONFIG, ridge_lambda=0.0, max_attempts=5, seed=17), realizable
             )
         assert outcome.oscillatory
         assert outcome.train_nrmse[0] <= 1e-10
 
     def test_zero_attempts_exhausts_immediately(self):
         sine = gen_sinusoid(300, dt=1.0)
-        outcome = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=0), base_seed=1)
+        outcome = reproduce_waveform(replace(CONFIG, max_attempts=0, seed=1), sine)
         assert not outcome.oscillatory
         assert outcome.attempt_count == 0
         assert outcome.train_nrmse is None
@@ -240,28 +274,27 @@ class TestReproduceWaveform:
     def test_target_shorter_than_washout_rejected(self):
         sine = gen_sinusoid(50, dt=1.0)
         with pytest.raises(InputError):
-            reproduce_waveform(SPEC, sine, ReproductionSettings(washout=100))
+            reproduce_waveform(replace(CONFIG, washout=100), sine)
 
     def test_outcome_json_shape(self):
         sine = gen_sinusoid(300, dt=1.0)
-        outcome = reproduce_waveform(SPEC, sine, ReproductionSettings(max_attempts=5), base_seed=2)
+        outcome = reproduce_waveform(replace(CONFIG, max_attempts=5, seed=2), sine)
         payload = outcome.to_json_dict()
         assert set(payload) == {"attempt_count", "oscillatory", "train_nrmse", "seed"}
 
     def test_trials_are_deterministic_and_job_independent(self):
         sine = gen_sinusoid(300, dt=1.0)
-        serial = reproduce_trials(SPEC, sine, trials=3, base_seed=8, jobs=1)
-        parallel = reproduce_trials(SPEC, sine, trials=3, base_seed=8, jobs=2)
+        config = replace(CONFIG, trials=3, seed=8)
+        serial = reproduce_trials(config, sine, jobs=1)
+        parallel = reproduce_trials(config, sine, jobs=2)
         assert serial == parallel
 
 
 def sub_count_distributions(sub_counts, target, trials, base_seed):
-    spec = TopologySpec(kind="weakly_coupled", n=48)
+    config = ReproduceConfig(n=48, sub_counts=tuple(sub_counts), trials=trials, seed=base_seed)
     return [
         distribution_from_outcomes(m, outcomes)
-        for m, outcomes in subreservoir_count_outcomes(
-            spec, sub_counts, target, trials, base_seed=base_seed
-        )
+        for m, outcomes in subreservoir_count_outcomes(config, target)
     ]
 
 

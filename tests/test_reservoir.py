@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soesn import (
     Reservoir,
@@ -231,3 +234,39 @@ class TestTrajectoryCsv:
         trajectory = two_unit_reservoir().run(5)
         with pytest.raises(ValueError):
             trajectory.rows[0, 0] = 9.9
+
+
+# Reservoir contracts over generated inputs: any finite weights (entries up
+# to 1e6 in magnitude), a scalar or per-unit leak in (0, 1], any state in
+# [-1, 1]
+unit_floats = st.floats(-1.0, 1.0)
+leaks = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def reservoir_parts(draw):
+    n = draw(st.integers(1, 8))
+    W = draw(arrays(float, (n, n), elements=st.floats(-1e6, 1e6)))
+    leak = draw(st.one_of(leaks, arrays(float, n, elements=leaks)))
+    return W, leak, draw(arrays(float, n, elements=unit_floats))
+
+
+class TestContracts:
+    @given(reservoir_parts(), st.integers(1, 60))
+    def test_states_stay_in_unit_interval(self, parts, tau):
+        trajectory = Reservoir(*parts).run(tau)
+        assert np.max(np.abs(trajectory.rows)) <= 1.0
+
+    @given(reservoir_parts(), st.integers(1, 30), st.integers(1, 30))
+    def test_consecutive_runs_concatenate_bit_for_bit(self, parts, a, b):
+        split = Reservoir(*parts)
+        first, second = split.run(a), split.run(b)
+        whole = Reservoir(*parts).run(a + b)
+        assert np.concatenate([first.rows, second.rows[1:]]).tobytes() == whole.rows.tobytes()
+
+    @given(st.integers(1, 20).flatmap(
+        lambda n: arrays(float, (n, n % 6 + 1), elements=unit_floats)))
+    def test_csv_round_trip_keeps_every_bit(self, rows):
+        buffer = io.StringIO()
+        StateTrajectory(rows).write_csv(buffer)
+        assert StateTrajectory.read_csv(buffer.getvalue()).rows.tobytes() == rows.tobytes()
