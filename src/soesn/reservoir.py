@@ -163,14 +163,15 @@ class StateTrajectory:
 
     def to_csv(self, path) -> None:
         """Write `t,x0,x1,...` rows with 17-significant-digit floats
-        (lossless round trip)."""
+        (lossless round trip), one row at a time."""
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             self.write_csv(f)
 
     def write_csv(self, f) -> None:
         f.write("t," + ",".join(f"x{i}" for i in range(self.n)) + "\n")
+        line = "%d," + ",".join(["%.17g"] * self.n) + "\n"
         for t, row in enumerate(self.rows):
-            f.write(str(t) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            f.write(line % (t, *row.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "StateTrajectory":
@@ -185,12 +186,18 @@ class StateTrajectory:
         if not header or header[0] != "t" or len(header) < 2:
             raise InputError("not a trajectory CSV: header must be t,x0,x1,...")
         rows = []
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
             if len(parts) != len(header):
-                raise InputError(f"row has {len(parts)} fields, expected {len(header)}")
-            rows.append([float(v) for v in parts[1:]])
+                raise InputError(f"line {lineno}: {len(parts)} fields, expected {len(header)}")
+            if parts[0] != str(len(rows)):
+                raise InputError(f"line {lineno}: t is {parts[0]!r}, expected {len(rows)}")
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+        if not rows:
+            raise InputError("trajectory CSV has a header but no rows")
         return cls(np.array(rows))

@@ -17,10 +17,6 @@ PALETTE = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -42,24 +38,24 @@ class _Canvas:
     def text(self, x, y, s, anchor="start", size=11, fill="#222"):
         escaped = escape(str(s), quote=False)
         self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+            f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{escaped}</text>\n'
         )
 
     def line(self, x1, y1, x2, y2, stroke="#888", width=1.0):
         self.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{stroke}" stroke-width="{width}"/>\n'
         )
 
     def rect(self, x, y, w, h, fill):
         self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{fill}"/>\n'
         )
 
     def polyline(self, points, stroke, width=1.4):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        coords = " ".join("%.2f,%.2f" % p for p in points)
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>\n'
@@ -116,7 +112,8 @@ def line_chart(path, series, title, x_label="", y_label="", timestamp=None):
     )
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        canvas.polyline([to_px(float(x), float(y)) for x, y in zip(xs, ys)], color)
+        px, py = to_px(np.asarray(xs, float), np.asarray(ys, float))
+        canvas.polyline(zip(px.tolist(), py.tolist()), color)
         if label:
             y_legend = MARGIN_TOP + 14 * k
             canvas.line(WIDTH - 150, y_legend, WIDTH - 130, y_legend, stroke=color, width=2)

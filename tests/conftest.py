@@ -3,7 +3,9 @@ paths: the DFT oracle loops over the definition, the RK4 oracle is written
 per-component from the tableau, the ridge oracle uses the explicit inverse
 formula, the weakly coupled builder draws block pair by block pair, and
 the two ratio experiments are re-run trial by trial from the library's
-building blocks."""
+building blocks. The trajectory CSV writer and the line chart are kept
+here as first written, value by value and point by point, as byte
+oracles for the library's faster writers."""
 
 import cmath
 import math
@@ -22,6 +24,7 @@ from soesn import (
     init_state,
     inject_ensemble,
     scale_to_spectral_radius,
+    svgplot,
     two_neuron_ensemble,
 )
 from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
@@ -160,6 +163,42 @@ def reference_injection_rows(populations, trials, tau, rho, leak, base_seed):
         ]
         rows.append((p, sum(w for w, _ in pairs) / trials, sum(i for _, i in pairs) / trials))
     return rows
+
+
+def fstring_write_csv(trajectory, f):
+    """The trajectory CSV writer as first written: one f-string per value."""
+    f.write("t," + ",".join(f"x{i}" for i in range(trajectory.n)) + "\n")
+    for t, row in enumerate(trajectory.rows):
+        f.write(str(t) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def per_point_line_chart(path, series, title, x_label="", y_label="", timestamp=None):
+    """svgplot.line_chart as first written: one Python to_px call and two
+    .2f formats per point."""
+    canvas = svgplot._Canvas(title, timestamp)
+    xs_all = np.concatenate([np.asarray(xs, float) for _, xs, _ in series])
+    ys_all = np.concatenate([np.asarray(ys, float) for _, _, ys in series])
+    pad = 0.05 * (ys_all.max() - ys_all.min() or 1.0)
+    to_px = svgplot._axes(
+        canvas,
+        float(xs_all.min()), float(xs_all.max()),
+        float(ys_all.min()) - pad, float(ys_all.max()) + pad,
+        x_label, y_label,
+    )
+    for k, (label, xs, ys) in enumerate(series):
+        color = svgplot.PALETTE[k % len(svgplot.PALETTE)]
+        points = [to_px(float(x), float(y)) for x, y in zip(xs, ys)]
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        canvas.parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="1.4"/>\n'
+        )
+        if label:
+            y_legend = svgplot.MARGIN_TOP + 14 * k
+            canvas.line(svgplot.WIDTH - 150, y_legend, svgplot.WIDTH - 130, y_legend,
+                        stroke=color, width=2)
+            canvas.text(svgplot.WIDTH - 125, y_legend + 4, label, size=10)
+    canvas.save(path)
 
 
 def classifier_corpus(length=1000):

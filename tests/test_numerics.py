@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from soesn.errors import CannotScaleError, DimensionError, InputError
@@ -56,6 +58,39 @@ class TestSpectralRadius:
         shift[0, n - 1] = 1.0
         with pytest.raises(NumericError, match="last estimate"):
             spectral_radius(shift)
+
+
+# Radius properties over matrices drawn as the library draws them (i.i.d.
+# uniform entries, seeded), at sizes where the Krylov space is the whole
+# space. A defective matrix is left out on purpose: its eigenvalues move by
+# the square root of a rounding error, which no estimator pins to 1e-10.
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _uniform(seed, n, scale=1.0):
+    return scale * np.random.default_rng(seed).uniform(-0.5, 0.5, (n, n))
+
+
+class TestRadiusProperties:
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(seeds, st.permutations(range(n)))))
+    def test_invariant_under_permutation_similarity(self, drawn):
+        seed, perm = drawn
+        W = _uniform(seed, len(perm))
+        permuted = W[np.ix_(perm, perm)]  # P W P^T
+        assert spectral_radius(permuted) == pytest.approx(spectral_radius(W), rel=1e-10)
+
+    @given(st.lists(st.tuples(seeds, st.integers(1, 10), st.floats(0.1, 10.0)),
+                    min_size=1, max_size=4))
+    def test_block_diagonal_is_max_over_blocks(self, blocks):
+        mats = [_uniform(seed, size, scale) for seed, size, scale in blocks]
+        n = sum(len(m) for m in mats)
+        W = np.zeros((n, n))
+        start = 0
+        for m in mats:
+            W[start:start + len(m), start:start + len(m)] = m
+            start += len(m)
+        expected = max(spectral_radius(m) for m in mats)
+        assert spectral_radius(W) == pytest.approx(expected, rel=1e-10)
 
 
 class TestScaleToSpectralRadius:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from soesn import (
 )
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.topology import build_dense
+
+from conftest import fstring_write_csv
 
 
 class FakeRng:
@@ -230,6 +233,62 @@ class TestTrajectoryCsv:
         with pytest.raises(InputError):
             StateTrajectory.read_csv("a,b\n1,2\n")
 
+    def test_non_numeric_field_names_its_line(self):
+        with pytest.raises(InputError, match="line 3: could not convert string to float: 'abc'"):
+            StateTrajectory.read_csv("t,x0,x1\n0,0.1,0.2\n1,0.3,abc\n")
+
+    @pytest.mark.parametrize("body, line", [
+        ("1,0.1\n0,0.2\n", 2),   # shuffled
+        ("0,0.1\n2,0.2\n", 3),   # a row missing
+        ("0,0.1\n0,0.2\n", 3),   # a row repeated
+        ("0,0.1\n1.0,0.2\n", 3), # not an integer count
+    ])
+    def test_t_column_must_count_rows_in_order(self, body, line):
+        with pytest.raises(InputError, match=f"line {line}: t is"):
+            StateTrajectory.read_csv("t,x0\n" + body)
+
+    def test_header_only_file_has_no_rows(self):
+        with pytest.raises(InputError, match="no rows"):
+            StateTrajectory.read_csv("t,x0,x1\n")
+
+    def test_wrong_field_count_names_its_line(self):
+        with pytest.raises(InputError, match="line 2: 2 fields, expected 3"):
+            StateTrajectory.read_csv("t,x0,x1\n0,0.1\n")
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308,
+        # the two sides of %g's switch to exponent form
+        9.9999999999999991e-05, 1e-4, 0.1,
+    ])
+    def test_writer_matches_fstring_oracle_at_edge_values(self, value):
+        trajectory = StateTrajectory([[value, -value, 0.5], [0.25, value, -value]])
+        ours, oracle = io.StringIO(), io.StringIO()
+        trajectory.write_csv(ours)
+        fstring_write_csv(trajectory, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+
+    def test_writer_memory_stays_about_one_row(self):
+        # a 2001 x 200 trajectory is about 8.5 MB of text; writing it row
+        # by row holds one row, while listing every value at once or joining
+        # the whole body holds well over 4 MB
+        trajectory = StateTrajectory(np.random.default_rng(3).uniform(-1, 1, (2001, 200)))
+
+        class CharCounter:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = CharCounter()
+        tracemalloc.start()
+        try:
+            trajectory.write_csv(sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2001 * 200 * 17
+        assert peak < 4 * 2**20
+
     def test_rows_immutable(self):
         trajectory = two_unit_reservoir().run(5)
         with pytest.raises(ValueError):
@@ -270,3 +329,12 @@ class TestContracts:
         buffer = io.StringIO()
         StateTrajectory(rows).write_csv(buffer)
         assert StateTrajectory.read_csv(buffer.getvalue()).rows.tobytes() == rows.tobytes()
+
+    @given(st.tuples(st.integers(1, 30), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(float, shape, elements=unit_floats)))
+    def test_csv_writer_matches_fstring_oracle(self, rows):
+        trajectory = StateTrajectory(rows)
+        ours, oracle = io.StringIO(), io.StringIO()
+        trajectory.write_csv(ours)
+        fstring_write_csv(trajectory, oracle)
+        assert ours.getvalue() == oracle.getvalue()
