@@ -6,7 +6,7 @@ readout for reproducing target waveforms, and a deterministic experiment
 harness plus CLI around it all.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CannotScaleError,
@@ -25,6 +25,7 @@ from .experiments import (
     SweepResult,
     TargetSignal,
     TrialOutcome,
+    TrialPlan,
     distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
@@ -32,19 +33,27 @@ from .experiments import (
     injection_ratio_experiment,
     reproduce_trials,
     reproduce_waveform,
+    run_plans,
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
-from .numerics import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
+from .numerics import (
+    PowerSpectrum,
+    periodogram,
+    scale_to_spectral_radius,
+    spectral_radii,
+    spectral_radius,
+)
 from .oscillation import (
     OscillationReport,
     UnitClassification,
+    classify_states,
     classify_trajectory,
     classify_unit,
     dominant_frequency_hz,
 )
 from .readout import ReadoutModel, nrmse, predict, train_ridge
-from .reservoir import Reservoir, StateTrajectory, init_state
+from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import derive_seed
 from .topology import (
     EnsembleSpec,

@@ -453,7 +453,7 @@ def _reproduce_sweep(args, config, target) -> int:
     metadata = _metadata("reproduce", config)
     with open(os.path.join(args.out, "boxplot.csv"), "w", encoding="utf-8",
               newline="\n") as f:
-        write_boxplot_csv(f, distributions, metadata)
+        write_boxplot_csv(f, per_count, metadata)
     with open(os.path.join(args.out, "trials.jsonl"), "w", encoding="utf-8",
               newline="\n") as f:
         write_outcomes_jsonl(f, per_count, metadata)

@@ -18,17 +18,16 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .numerics import scale_to_spectral_radius
-from .oscillation import DEFAULT_WINDOW, classify_trajectory
+from .numerics import _radius_factors, spectral_radius
+from .oscillation import DEFAULT_WINDOW, classify_states, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
-from .reservoir import Reservoir, StateTrajectory, init_state
+from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
 from .topology import (
     ConfigFields,
     TopologySpec,
     build_dense,
     build_weights,
-    inject_ensemble,
     sample_leak_vector,
     two_neuron_ensemble,
 )
@@ -215,40 +214,77 @@ class ReproduceConfig(ConfigFields):
 
 
 # ---------------------------------------------------------------------------
-# Dense-reservoir oscillation ratios (the sweep and the injection comparison)
+# Trial plans and the batched runner
 # ---------------------------------------------------------------------------
 
+# The most states one matrix product advances. Chunks are cut from a plan
+# list in order, so a state's bits depend on the config alone (a gemm row's
+# bits depend on the batch width and on the row's place in it), never on
+# --jobs. At n=100 and 1000 steps a state costs 13 ms alone, 2.3 ms in a
+# chunk of 32 and 1.7 ms in one of 64 (one BLAS thread); the kept 100-row
+# tail of a full chunk takes 51 KB per unit (5 MB at n=100).
+BATCH_WIDTH = 64
 
-def _dense_trial(task) -> tuple[bool, ...]:
-    """One seeded dense reservoir scaled to rho, run from one drawn state
-    once per arm: the plain matrix (arm None) or the matrix with an
-    ensemble spliced in. One self-oscillatory flag per arm."""
-    cell, t, n, tau, leak, rho, seed, arms = task
+
+@dataclass(frozen=True, eq=False)
+class TrialPlan:
+    """One reservoir run: the matrix `build_weights(spec, rho)` (the spec's
+    seed is the matrix id; `spec.inject_ensemble` splices in the two-neuron
+    ensemble), the leak (a number or one rate per unit) and the initial
+    state `init_state(spec.n, state_seed)`. `label` names the run in
+    errors."""
+
+    spec: TopologySpec
+    rho: float
+    leak: float | np.ndarray
+    state_seed: int
+    label: str = ""
+
+    def reservoir(self) -> Reservoir:
+        """The plan as one Reservoir, ready to run."""
+        return Reservoir(build_weights(self.spec, self.rho), self.leak,
+                         init_state(self.spec.n, self.state_seed))
+
+
+def run_plans(plans, tau: int, classify=None) -> list:
+    """Run dense plans that share one base matrix as batches and classify
+    them: `classify` maps each chunk's kept (window, B, n) states to B
+    results, one per plan, in plan order (by default classify_states, the
+    self-oscillatory verdict).
+
+    The base matrix W0 = build_dense(n, spec.seed) is built, and its radius
+    taken, once; plan j runs under c_j * W0 with c_j = rho_j / radius(W0),
+    which is build_weights(spec, rho_j) factored out of the product, and
+    with the ensemble's weights in its leading block when its spec says so.
+    Plans are run in chunks of at most BATCH_WIDTH states, each keeping only
+    its classifier window. A NumericError names the failing plan's label.
+    """
+    base = replace(plans[0].spec, inject_ensemble=False)
+    if base.kind != "dense" or any(
+        replace(p.spec, inject_ensemble=False) != base for p in plans
+    ):
+        raise InputError("batched plans must share one dense base matrix")
     try:
-        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
-        state = init_state(n, derive_seed(seed, ROLE_STATE))
-        return tuple(
-            bool(classify_trajectory(
-                Reservoir(W if arm is None else inject_ensemble(W, arm), leak, state).run(tau)
-            ).reservoir_is_self_oscillatory)
-            for arm in arms
-        )
+        W0 = build_dense(base.n, base.seed)
+        factors = _radius_factors(spectral_radius(W0), np.array([p.rho for p in plans]))
+        states = {s: init_state(base.n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
     except NumericError as exc:
-        raise NumericError(f"{cell} trial {t} failed: {exc}") from exc
-
-
-def _dense_ratios(cells, trials, tau, base_seed, arms, jobs) -> np.ndarray:
-    """Per cell `(label, index, n, leak, rho)`, the fraction of `trials`
-    dense reservoirs (seeded by the cell index and the trial number) that
-    each arm leaves self-oscillatory, shaped (cells, arms). The mean of 0/1
-    flags is exact, so it equals count / trials bit for bit."""
-    tasks = [
-        (label, t, n, tau, leak, rho, derive_seed(base_seed, *index, t), arms)
-        for label, index, n, leak, rho in cells
-        for t in range(trials)
-    ]
-    flags = np.array(_map_trials(_dense_trial, tasks, jobs), dtype=float)
-    return flags.reshape(len(cells), trials, len(arms)).mean(axis=1)
+        raise NumericError(f"{plans[0].label} failed: {exc}") from exc
+    keep = min(DEFAULT_WINDOW, tau + 1)
+    results = []
+    for start in range(0, len(plans), BATCH_WIDTH):
+        chunk = plans[start : start + BATCH_WIDTH]
+        seeded = np.flatnonzero([p.spec.inject_ensemble for p in chunk])
+        try:
+            tail = run_batch(
+                W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
+                factors[start : start + len(chunk)], tau, keep,
+                lead=(seeded, two_neuron_ensemble().weights) if seeded.size else None,
+            )
+        except NumericError as exc:
+            raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc
+        results.extend((classify or classify_states)(tail))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +318,28 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Monte-Carlo oscillation ratio over the (leak, spectral radius) grid
     of `config.capped()`.
 
-    Each cell builds `trials` dense reservoirs with fresh derived seeds,
-    scales them to the cell's radius, runs them for `tau` steps, and counts
-    the fraction classified self-oscillatory.
+    Common random numbers: trial t draws one dense base matrix and one
+    initial state (from derive_seed(seed, t)), and every cell runs them,
+    scaled to its radius at its leak, for `tau` steps. A cell's ratio is
+    the fraction of its `trials` runs classified self-oscillatory, so cells
+    differ only by their (leak, rho), never by the draw. One task per trial
+    index runs all of its cells as batches (see run_plans).
     """
     config = config.capped()
     leaks, rhos = config.leak_values, config.rho_values
-    cells = [
-        (f"sweep cell (leak={a}, rho={r})", (li, ri), config.n, a, r)
-        for li, a in enumerate(leaks)
-        for ri, r in enumerate(rhos)
-    ]
-    ratios = _dense_ratios(cells, config.trials, config.tau, config.seed, (None,), jobs)
-    return SweepResult(ratios.reshape(len(leaks), len(rhos)), config)
+    tasks = []
+    for t in range(config.trials):
+        seed = derive_seed(config.seed, t)
+        spec = TopologySpec(n=config.n, seed=derive_seed(seed, ROLE_WEIGHTS))
+        tasks.append([
+            TrialPlan(spec, r, a, derive_seed(seed, ROLE_STATE),
+                      f"sweep cell (leak={a}, rho={r}) trial {t}")
+            for a in leaks
+            for r in rhos
+        ])
+    flags = np.array(_map_trials(partial(run_plans, tau=config.tau), tasks, jobs), dtype=float)
+    # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
+    return SweepResult(flags.mean(axis=0).reshape(len(leaks), len(rhos)), config)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +373,23 @@ def injection_ratio_experiment(
     spliced into the reservoir, over `config.populations`.
 
     The arms are paired: each trial uses the same scaled weight matrix and
-    the same initial state, differing only in the injected leading block.
-    The matrix is scaled before injection, so the ensemble keeps its own
-    calibrated weights.
+    the same initial state, differing only in the injected leading block,
+    and both run in one batch. The matrix is scaled before injection, so
+    the ensemble keeps its own calibrated weights.
     """
-    cells = [(f"injection cell (population={p})", (pi,), p, config.leak, config.rho)
-             for pi, p in enumerate(config.populations)]
-    ratios = _dense_ratios(cells, config.trials, config.tau, config.seed,
-                           (None, two_neuron_ensemble()), jobs)
+    tasks = []
+    for pi, p in enumerate(config.populations):
+        for t in range(config.trials):
+            seed = derive_seed(config.seed, pi, t)
+            spec = TopologySpec(n=p, seed=derive_seed(seed, ROLE_WEIGHTS))
+            label = f"injection cell (population={p}) trial {t}"
+            tasks.append([
+                TrialPlan(replace(spec, inject_ensemble=arm), config.rho, config.leak,
+                          derive_seed(seed, ROLE_STATE), label)
+                for arm in (False, True)
+            ])
+    flags = np.array(_map_trials(partial(run_plans, tau=config.tau), tasks, jobs), dtype=float)
+    ratios = flags.reshape(len(config.populations), config.trials, 2).mean(axis=1)
     return [
         PopulationComparison(p, float(without), float(with_))
         for p, (without, with_) in zip(config.populations, ratios)
@@ -484,15 +538,16 @@ class TrialOutcome:
         }
 
 
-def _attempt(config: ReproduceConfig, tau, attempt_seed):
+def _attempt_plan(config: ReproduceConfig, attempt_seed: int) -> TrialPlan:
+    """The reservoir a reproduction attempt runs: the weakly coupled
+    layout's blocks scaled to `rho`, per-unit leak rates and an initial
+    state, each drawn from the attempt seed."""
     spec = config.topology(config.sub_count)
-    W = build_weights(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), config.rho)
     leak = sample_leak_vector(
         spec.n, config.leak_mu, config.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
     )
-    state = init_state(spec.n, derive_seed(attempt_seed, ROLE_STATE))
-    trajectory = Reservoir(W, leak, state).run(tau)
-    return trajectory, classify_trajectory(trajectory)
+    return TrialPlan(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), config.rho,
+                     leak, derive_seed(attempt_seed, ROLE_STATE))
 
 
 def _fit(trajectory, target, config: ReproduceConfig):
@@ -521,8 +576,8 @@ def _search(config: ReproduceConfig, target: TargetSignal):
     for attempt in range(config.max_attempts):
         attempt_seed = derive_seed(config.seed, attempt)
         last_seed = attempt_seed
-        trajectory, report = _attempt(config, tau, attempt_seed)
-        if report.reservoir_is_self_oscillatory:
+        trajectory = _attempt_plan(config, attempt_seed).reservoir().run(tau)
+        if classify_trajectory(trajectory).reservoir_is_self_oscillatory:
             model, mean, sd = _fit(trajectory, target, config)
             outcome = TrialOutcome(
                 attempt_count=attempt + 1,
@@ -576,7 +631,7 @@ def rebuild_trial(
     """Reconstruct a reproduction attempt from its seed (say, one recorded in
     trials.jsonl), returning the trajectory, the trained model that was
     scored, and its full-length prediction in target units."""
-    trajectory, _ = _attempt(config, target.length - 1, attempt_seed)
+    trajectory = _attempt_plan(config, attempt_seed).reservoir().run(target.length - 1)
     model, mean, sd = _fit(trajectory, target, config)
     return trajectory, model, _prediction(trajectory, model, mean, sd, config)
 
@@ -633,19 +688,20 @@ def subreservoir_count_outcomes(
     ]
 
 
-def write_boxplot_csv(f, distributions, metadata: dict | None = None) -> None:
-    """Raw per-trial rows backing the sub-reservoir-count boxplot."""
+def write_boxplot_csv(f, per_count_outcomes, metadata: dict | None = None) -> None:
+    """Raw per-trial rows backing the sub-reservoir-count boxplot, one per
+    (sub_count, outcomes) trial, numbered as trials.jsonl numbers them. The
+    nrmse field is empty where trials.jsonl has no number: a
+    non-oscillatory trial, or an NRMSE left undefined by a constant
+    target."""
     if metadata:
         write_metadata(f, metadata)
     f.write("sub_count,trial,oscillatory,nrmse\n")
-    for dist in distributions:
-        trial = 0
-        for value in dist.nrmse_values:
-            f.write(f"{dist.sub_count},{trial},true,{value!r}\n")
-            trial += 1
-        for _ in range(dist.non_oscillatory_count):
-            f.write(f"{dist.sub_count},{trial},false,\n")
-            trial += 1
+    for sub_count, outcomes in per_count_outcomes:
+        for trial, outcome in enumerate(outcomes):
+            value = outcome.mean_nrmse()
+            nrmse = "" if math.isnan(value) else repr(value)
+            f.write(f"{sub_count},{trial},{str(outcome.oscillatory).lower()},{nrmse}\n")
 
 
 def write_outcomes_jsonl(f, per_count_outcomes, metadata: dict | None = None) -> None:

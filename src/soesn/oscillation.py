@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import _column_periodogram
+from .numerics import _centered_power
 from .reservoir import StateTrajectory
 
 DEFAULT_WINDOW = 100
@@ -85,19 +85,34 @@ def classify_unit(
     return _classify_columns(x[:, None], window, amplitude_floor, peak_share)[0]
 
 
-def _classify_columns(rows, window, amplitude_floor, peak_share):
-    # one classification per column, from its trailing `window` rows
+def _check_window(samples: int, window: int) -> None:
     if window < 16:
         raise InputError(f"analysis window must be at least 16 samples, got {window}")
-    if rows.shape[0] < window:
-        raise InputError(f"series has {rows.shape[0]} samples, needs at least {window}")
-    tail = rows[-window:]
-    stddev = tail.std(axis=0)
-    non_dc = _column_periodogram(tail)[1:]
+    if samples < window:
+        raise InputError(f"series has {samples} samples, needs at least {window}")
+
+
+def _oscillating_columns(tail, amplitude_floor, peak_share):
+    # the classifier's arithmetic, one verdict per column of `tail`, plus
+    # the non-DC periodogram and the standard deviations it rests on. It
+    # centers and squares `tail` in place, so a wide batch allocates only
+    # its spectrum; the steps are np.std's and periodogram's, bit for bit.
+    tail -= tail.mean(axis=0)
+    non_dc = _centered_power(tail)[1:]
+    tail *= tail
+    stddev = np.sqrt(tail.sum(axis=0) / len(tail))
     total = non_dc.sum(axis=0)
     peak = non_dc.max(axis=0)
     share = peak / np.where(total > 0.0, total, 1.0)
     oscillating = (stddev > amplitude_floor) & (total > 0.0) & (share > peak_share)
+    return oscillating, non_dc, stddev
+
+
+def _classify_columns(rows, window, amplitude_floor, peak_share):
+    # one classification per column, from its trailing `window` rows
+    _check_window(rows.shape[0], window)
+    oscillating, non_dc, stddev = _oscillating_columns(
+        np.array(rows[-window:]), amplitude_floor, peak_share)
     dominant = non_dc.argmax(axis=0) + 1
     return tuple(
         UnitClassification(
@@ -105,8 +120,27 @@ def _classify_columns(rows, window, amplitude_floor, peak_share):
             int(dominant[i]) if oscillating[i] else None,
             float(stddev[i]),
         )
-        for i in range(tail.shape[1])
+        for i in range(len(oscillating))
     )
+
+
+def classify_states(tail: np.ndarray) -> np.ndarray:
+    """The reservoir verdict of classify_trajectory, at the default window
+    and thresholds, for each of B states recorded together: from the
+    trailing DEFAULT_WINDOW rows of a float (T, B, n) stack such as
+    run_batch returns, one bool per state, every unit of every state
+    classified through one periodogram.
+
+    The stack is scratch: those rows are overwritten (centered and
+    squared), so that a batch costs no more memory than its spectrum.
+    """
+    if tail.ndim != 3:
+        raise InputError(f"expected a (T, B, n) stack of states, got shape {tail.shape}")
+    _check_window(tail.shape[0], DEFAULT_WINDOW)
+    _, batch, n = tail.shape
+    columns = tail[-DEFAULT_WINDOW:].reshape(DEFAULT_WINDOW, batch * n)
+    oscillating, _, _ = _oscillating_columns(columns, DEFAULT_AMPLITUDE_FLOOR, DEFAULT_PEAK_SHARE)
+    return oscillating.reshape(batch, n).any(axis=1)
 
 
 def classify_trajectory(

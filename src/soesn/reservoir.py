@@ -124,6 +124,72 @@ class Reservoir:
         return StateTrajectory._adopt(rows)
 
 
+def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndarray:
+    """Advance the rows of `states` (B, n) together for `tau` ticks, one
+    matrix product per tick for the whole batch, and return the last `keep`
+    recorded states shaped (keep, B, n) (the initial state counts as
+    recorded).
+
+    Row j follows Reservoir's update with the weights `scale[j] * W`,
+    computed as `scale[j] * (W @ x)`, at leak `leak[j]`:
+
+        x' = (1 - leak_j) * x + leak_j * tanh(scale_j * (W @ x))
+
+    `scale` and `leak` hold one value per row. `lead = (rows, block)`
+    replaces the leading k x k block of the listed rows' weights by `block`,
+    as inject_ensemble does, by correcting those rows' k leading drives.
+
+    Results agree with Reservoir.run to rounding, not bit for bit, and a
+    row's bits depend on the batch width and on its position in the batch.
+    A non-finite state stays non-finite, so finiteness is checked once, on
+    the kept states: a NumericError names the first failing row as
+    `exc.row`.
+    """
+    if tau < 1 or not 1 <= keep <= tau + 1:
+        raise InputError(f"need tau >= 1 and 1 <= keep <= tau + 1, got {tau} and {keep}")
+    W = np.asarray(W, dtype=float)
+    x = np.array(states, dtype=float)
+    batch, n = x.shape
+    if W.shape != (n, n):
+        raise DimensionError(f"weight matrix must be ({n}, {n}), got shape {W.shape}")
+    scale = np.asarray(scale, dtype=float).reshape(batch, 1)
+    leak = np.asarray(leak, dtype=float).reshape(batch, 1)
+    remain = 1.0 - leak
+    if lead is not None:
+        rows, block = lead
+        k = len(block)
+        fix = np.asarray(block, dtype=float) - scale[rows, :, None] * W[:k, :k]
+    Wt = W.T
+    tail = np.empty((keep, batch, n))
+    first = tau + 1 - keep  # the tick whose state is kept first
+    spare = np.empty_like(x)
+    drive = np.empty_like(x)
+    if first == 0:
+        tail[0] = x
+    for t in range(1, tau + 1):
+        new = tail[t - first] if t >= first else spare
+        np.matmul(x, Wt, out=drive)
+        drive *= scale
+        if lead is not None:
+            drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
+        np.tanh(drive, out=drive)
+        drive *= leak
+        np.multiply(remain, x, out=new)
+        new += drive
+        if t < first:
+            x, spare = new, x
+        else:
+            x = new
+    # finite states stay in [-1, 1], so the sum is finite unless one is not
+    if not np.isfinite(tail.sum()):
+        _, row, unit = np.argwhere(~np.isfinite(tail))[0]
+        exc = NumericError(f"non-finite state at unit {unit} of batch row {row} "
+                           f"within {tau} steps")
+        exc.row = int(row)
+        raise exc
+    return tail
+
+
 class StateTrajectory:
     """Time-major, immutable record of unit states; row t is the state after
     t steps (row 0 is the initial state)."""

@@ -67,13 +67,19 @@ class _Canvas:
             f.write("".join(self.parts))
 
 
+def _upper(lo: float, hi: float) -> float:
+    # an empty range [lo, lo] is drawn as [lo, lo + 1], or one part in 1e9
+    # above lo where adding 1 rounds away (|lo| >= 2**53)
+    if hi > lo:
+        return hi
+    return lo + 1.0 if lo + 1.0 > lo else lo + abs(lo) * 1e-9
+
+
 def _axes(canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     px_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     px_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_hi = _upper(x_lo, x_hi)
+    y_hi = _upper(y_lo, y_hi)
 
     def to_px(x, y):
         return (

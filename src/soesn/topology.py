@@ -9,7 +9,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import scale_to_spectral_radius
+from .numerics import _radius_factors, scale_to_spectral_radius, spectral_radii
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
 from .seeding import check_seed
@@ -293,11 +293,17 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
             spec.coupling_density if coupled else 0.0,
             spec.seed,
         )
-        offset = 0
-        for size in block_sizes(spec.n, spec.sub_count):
-            block = slice(offset, offset + size)
-            W[block, block] = scale_to_spectral_radius(W[block, block], rho)
-            offset += size
+        # every diagonal block's radius from one call: the blocks stacked,
+        # each zero-padded to the largest size (padding adds only zero
+        # eigenvalues)
+        sizes = block_sizes(spec.n, spec.sub_count)
+        starts = np.cumsum([0] + sizes[:-1])
+        blocks = np.zeros((spec.sub_count, sizes[0], sizes[0]))
+        for block, start, size in zip(blocks, starts, sizes):
+            block[:size, :size] = W[start : start + size, start : start + size]
+        factors = _radius_factors(spectral_radii(blocks), rho)
+        for factor, start, size in zip(factors, starts, sizes):
+            W[start : start + size, start : start + size] *= factor
 
     if spec.inject_ensemble:
         W = inject_ensemble(W, two_neuron_ensemble())

@@ -3,9 +3,10 @@ paths: the DFT oracle loops over the definition, the RK4 oracle is written
 per-component from the tableau, the ridge oracle uses the explicit inverse
 formula, the weakly coupled builder draws block pair by block pair, and
 the two ratio experiments are re-run trial by trial from the library's
-building blocks. The trajectory CSV writer and the line chart are kept
-here as first written, value by value and point by point, as byte
-oracles for the library's faster writers."""
+building blocks, one state at a time through Reservoir.run (the library
+batches the states). The trajectory CSV writer and the line chart are kept
+here as first written, value by value and point by point, as byte oracles
+for the library's faster writers."""
 
 import cmath
 import math
@@ -125,26 +126,30 @@ def pair_loop_weakly_coupled(n, sub_count, coupling_scale, coupling_density, see
     return W
 
 
-def _reference_dense_trial(n, tau, leak, rho, seed, ensemble=None):
-    """One ratio-experiment trial written out: build the seeded dense
-    matrix, scale it, draw the state, then run and classify the plain arm
-    and, given an ensemble, the arm with it spliced in."""
-    W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, ROLE_WEIGHTS)), rho)
-    state = init_state(n, derive_seed(seed, ROLE_STATE))
-    plain = classify_trajectory(Reservoir(W, leak, state).run(tau))
-    if ensemble is None:
-        return plain.reservoir_is_self_oscillatory
-    seeded = classify_trajectory(Reservoir(inject_ensemble(W, ensemble), leak, state).run(tau))
-    return plain.reservoir_is_self_oscillatory, seeded.reservoir_is_self_oscillatory
+def reference_run(n, matrix_seed, rho, leak, state_seed, tau, ensemble=None):
+    """One state of a dense trial plan, run on its own: the seeded dense
+    matrix scaled as a whole, the ensemble spliced in when given, and the
+    rows Reservoir.run records."""
+    W = scale_to_spectral_radius(build_dense(n, matrix_seed), rho)
+    if ensemble is not None:
+        W = inject_ensemble(W, ensemble)
+    return Reservoir(W, leak, init_state(n, state_seed)).run(tau)
+
+
+def _reference_oscillates(n, tau, leak, rho, seed, ensemble=None):
+    trajectory = reference_run(n, derive_seed(seed, ROLE_WEIGHTS), rho, leak,
+                               derive_seed(seed, ROLE_STATE), tau, ensemble)
+    return classify_trajectory(trajectory).reservoir_is_self_oscillatory
 
 
 def reference_sweep_grid(leak_values, rho_values, trials, n, tau, base_seed):
-    """The sweep's ratio grid, one trial at a time."""
+    """The sweep's ratio grid, one state at a time: trial t's matrix and
+    state, drawn from derive_seed(base_seed, t), run at every cell."""
     grid = np.empty((len(leak_values), len(rho_values)))
     for li, leak in enumerate(leak_values):
         for ri, rho in enumerate(rho_values):
             flags = [
-                _reference_dense_trial(n, tau, leak, rho, derive_seed(base_seed, li, ri, t))
+                _reference_oscillates(n, tau, leak, rho, derive_seed(base_seed, t))
                 for t in range(trials)
             ]
             grid[li, ri] = sum(flags) / trials
@@ -152,16 +157,15 @@ def reference_sweep_grid(leak_values, rho_values, trials, n, tau, base_seed):
 
 
 def reference_injection_rows(populations, trials, tau, rho, leak, base_seed):
-    """(population, ratio_without, ratio_with) per population, one paired
-    trial at a time."""
+    """(population, ratio_without, ratio_with) per population, one arm of
+    one paired trial at a time."""
     rows = []
     for pi, p in enumerate(populations):
-        pairs = [
-            _reference_dense_trial(p, tau, leak, rho, derive_seed(base_seed, pi, t),
-                                   two_neuron_ensemble())
-            for t in range(trials)
-        ]
-        rows.append((p, sum(w for w, _ in pairs) / trials, sum(i for _, i in pairs) / trials))
+        seeds = [derive_seed(base_seed, pi, t) for t in range(trials)]
+        without = sum(_reference_oscillates(p, tau, leak, rho, s) for s in seeds)
+        with_ = sum(_reference_oscillates(p, tau, leak, rho, s, two_neuron_ensemble())
+                    for s in seeds)
+        rows.append((p, without / trials, with_ / trials))
     return rows
 
 

@@ -20,8 +20,10 @@ from soesn import (
     InjectConfig,
     ReproduceConfig,
     Reservoir,
+    StateTrajectory,
     SweepConfig,
-    build_dense,
+    TopologySpec,
+    TrialPlan,
     classify_trajectory,
     derive_seed,
     distribution_from_outcomes,
@@ -32,7 +34,7 @@ from soesn import (
     injection_ratio_experiment,
     periodogram,
     reproduce_trials,
-    scale_to_spectral_radius,
+    run_plans,
     spectral_radius,
     subreservoir_count_outcomes,
     sweep_heatmap,
@@ -66,28 +68,30 @@ def check(cid: str, name: str, ok: bool, detail: str) -> None:
 _SAMPLE_CACHE = {}
 
 
+def _state_reports(tail):
+    return [classify_trajectory(StateTrajectory(tail[:, j])) for j in range(tail.shape[1])]
+
+
 def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
+    """The first `count` attempts (in attempt order, at most 40 * count)
+    whose reservoir oscillates from its first initial state, with the
+    reports of both of its initial states: attempt a builds one matrix from
+    derive_seed(BASE_SEED, a) and runs both states on it in one batch."""
     key = (count, n, rho, leak)
-    if key in _SAMPLE_CACHE:
-        return _SAMPLE_CACHE[key]
-    sampled = []
-    attempt = 0
-    while len(sampled) < count and attempt < 40 * count:
-        seed = derive_seed(BASE_SEED, attempt)
-        attempt += 1
-        W = scale_to_spectral_radius(build_dense(n, derive_seed(seed, 0)), rho)
-        first = classify_trajectory(
-            Reservoir(W, leak, init_state(n, derive_seed(seed, 1))).run(1000)
-        )
-        if not first.reservoir_is_self_oscillatory:
-            continue
-        second = classify_trajectory(
-            Reservoir(W, leak, init_state(n, derive_seed(seed, 2))).run(1000)
-        )
-        sampled.append((first, second))
-    assert len(sampled) == count, "could not sample enough oscillatory reservoirs"
-    _SAMPLE_CACHE[key] = sampled
-    return sampled
+    if key not in _SAMPLE_CACHE:
+        sampled = []
+        for attempt in range(40 * count):
+            seed = derive_seed(BASE_SEED, attempt)
+            spec = TopologySpec(n=n, seed=derive_seed(seed, 0))
+            plans = [TrialPlan(spec, rho, leak, derive_seed(seed, s)) for s in (1, 2)]
+            first, second = run_plans(plans, 1000, classify=_state_reports)
+            if first.reservoir_is_self_oscillatory:
+                sampled.append((first, second))
+                if len(sampled) == count:
+                    break
+        assert len(sampled) == count, "could not sample enough oscillatory reservoirs"
+        _SAMPLE_CACHE[key] = sampled
+    return _SAMPLE_CACHE[key]
 
 
 def test_c01_subcritical_radius_suppresses_oscillation():

@@ -217,6 +217,75 @@ class TestReproduce:
         assert {"sub_count", "trial", "oscillatory", "attempt_count"} <= set(record)
 
 
+    @staticmethod
+    def _box_rows(out):
+        lines = [line for line in read(out / "boxplot.csv").decode().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == "sub_count,trial,oscillatory,nrmse"
+        return [line.split(",") for line in lines[1:]]
+
+    @staticmethod
+    def _trial_records(out):
+        return [json.loads(line) for line in read(out / "trials.jsonl").decode().splitlines()[1:]]
+
+    def test_boxplot_rows_are_the_trials_jsonl_trials(self, tmp_path):
+        out = tmp_path / "box"
+        assert main(["reproduce", "--n", "40", "--sub-counts", "1,4", "--trials", "6",
+                     "--tau", "300", "--max-attempts", "1", "--seed", "5",
+                     "--out", str(out), "--deterministic"]) == EXIT_OK
+        rows = {(int(m), int(t)): (ok, nrmse) for m, t, ok, nrmse in self._box_rows(out)}
+        records = self._trial_records(out)
+        assert len(rows) == len(records) == 12
+        flags = []
+        for record in records:
+            ok, nrmse = rows[record["sub_count"], record["trial"]]
+            assert ok == str(record["oscillatory"]).lower()
+            expected = "" if record["train_nrmse"] is None else repr(
+                float(np.mean(record["train_nrmse"])))
+            assert nrmse == expected
+            flags.append(record["oscillatory"])
+        assert True in flags and False in flags
+
+    def test_undefined_nrmse_is_an_empty_boxplot_field(self, tmp_path):
+        # a constant target leaves an oscillatory trial's NRMSE undefined:
+        # null in trials.jsonl, an empty field in boxplot.csv
+        out = tmp_path / "flat"
+        assert main(["reproduce", "--freq", "0", "--n", "40", "--sub-counts", "1,4",
+                     "--trials", "4", "--tau", "300", "--max-attempts", "1", "--seed", "5",
+                     "--out", str(out), "--deterministic"]) == EXIT_OK
+        rows = self._box_rows(out)
+        assert any(ok == "true" for _, _, ok, _ in rows)
+        assert all(nrmse == "" for _, _, _, nrmse in rows)
+        assert all(r["train_nrmse"] in (None, [None]) for r in self._trial_records(out))
+
+
+class TestJobsAndEchoIdentity:
+    """The batched trial engine chunks a trial's states by the config alone:
+    payloads are byte-identical at --jobs 1 and 2 and on a rerun from the
+    echo, also when a trial spans several chunks."""
+
+    CASES = {
+        "sweep": (["sweep", "--leak-values", "0.2,0.4,0.6,0.8,1.0",
+                   "--rho-values", ",".join(str(0.1 * i) for i in range(3, 17)),
+                   "--trials", "3", "--n", "20", "--tau", "150", "--seed", "4"],
+                  ("sweep.csv", "config.echo.json")),
+        "inject-experiment": (["inject-experiment", "--populations", "2,5,12", "--trials", "4",
+                               "--tau", "150", "--seed", "4"],
+                              ("injection.csv", "config.echo.json")),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_payloads_do_not_depend_on_jobs_or_the_echo(self, command, tmp_path):
+        argv, payloads = self.CASES[command]
+        runs = [tmp_path / name for name in ("j1", "j2", "echo")]
+        assert main(argv + ["--jobs", "1", "--out", str(runs[0]), "--deterministic"]) == EXIT_OK
+        assert main(argv + ["--jobs", "2", "--out", str(runs[1]), "--deterministic"]) == EXIT_OK
+        assert main([command, "--config", str(runs[0] / "config.echo.json"), "--jobs", "2",
+                     "--out", str(runs[2]), "--deterministic"]) == EXIT_OK
+        for name in payloads:
+            assert read(runs[0] / name) == read(runs[1] / name) == read(runs[2] / name)
+
+
 class TestInjectExperiment:
     def test_two_ratio_columns(self, tmp_path):
         out = tmp_path / "inj"

@@ -22,10 +22,16 @@ from soesn import (
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
+from soesn import TopologySpec, TrialPlan, run_plans, two_neuron_ensemble
 from soesn.errors import InputError, NumericError
-from soesn.experiments import _map_trials, write_boxplot_csv, write_injection_csv
+from soesn.experiments import BATCH_WIDTH, _map_trials, write_boxplot_csv, write_injection_csv
 
-from conftest import reference_injection_rows, reference_sweep_grid, rk4_lorenz_oracle_step
+from conftest import (
+    reference_injection_rows,
+    reference_run,
+    reference_sweep_grid,
+    rk4_lorenz_oracle_step,
+)
 
 
 @pytest.mark.parametrize("jobs,tasks,cpus,pool", [
@@ -60,6 +66,55 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert _map_trials(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
     assert made == ([] if pool is None else [pool])
+
+
+def _trajectories(tail):
+    return list(tail.transpose(1, 0, 2))
+
+
+class TestTrialPlans:
+    """The batched runner against one Reservoir.run per state: over 30
+    steps (the whole run is kept) every state agrees to 1e-12."""
+
+    def _check(self, plans, ensemble=None):
+        got = run_plans(plans, 30, classify=_trajectories)
+        for plan, rows in zip(plans, got):
+            spec = plan.spec
+            reference = reference_run(spec.n, spec.seed, plan.rho, plan.leak, plan.state_seed,
+                                      30, ensemble if spec.inject_ensemble else None)
+            assert np.max(np.abs(rows - reference.rows)) <= 1e-12
+
+    def test_sweep_rows(self):
+        spec = TopologySpec(n=100, seed=derive_seed(4, 0))
+        self._check([TrialPlan(spec, r, a, 77) for a in (0.2, 0.5, 0.8)
+                     for r in (0.6, 0.9, 1.2, 1.5)])
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_injection_arms(self, n):
+        spec = TopologySpec(n=n, seed=derive_seed(5, n))
+        self._check([TrialPlan(replace(spec, inject_ensemble=arm), 1.25, 0.5, 78)
+                     for arm in (False, True)], two_neuron_ensemble())
+
+    def test_state_pair(self):
+        spec = TopologySpec(n=100, seed=derive_seed(6, 0))
+        self._check([TrialPlan(spec, 1.25, 0.5, s) for s in (1, 2)])
+
+    def test_chunks_cover_every_plan_in_order(self):
+        spec = TopologySpec(n=12, seed=1)
+        plans = [TrialPlan(spec, 0.5 + 0.01 * j, 0.5, j) for j in range(2 * BATCH_WIDTH + 3)]
+        got = run_plans(plans, 30, classify=_trajectories)
+        assert len(got) == len(plans)
+        for j in (0, BATCH_WIDTH, len(plans) - 1):
+            reference = reference_run(12, 1, plans[j].rho, 0.5, j, 30)
+            assert np.max(np.abs(got[j] - reference.rows)) <= 1e-12
+
+    def test_plans_must_share_one_dense_matrix(self):
+        spec = TopologySpec(n=12, seed=1)
+        with pytest.raises(InputError):
+            run_plans([TrialPlan(spec, 1.0, 0.5, 0),
+                       TrialPlan(replace(spec, seed=2), 1.0, 0.5, 0)], 200)
+        with pytest.raises(InputError):
+            run_plans([TrialPlan(replace(spec, kind="sparse"), 1.0, 0.5, 0)], 200)
 
 
 class TestSeedDerivation:
@@ -180,6 +235,21 @@ class TestSweepHeatmap:
             sweep_heatmap(SweepConfig(leak_values=(0.5,), rho_values=(1.5,), trials=1, n=10,
                                       tau=200))
 
+    def test_failing_run_names_its_cell_and_trial(self, monkeypatch):
+        import soesn.experiments as module
+
+        real = module.run_batch
+
+        def poisoned(W, states, *args, **kwargs):
+            states = np.array(states)
+            states[1, 0] = np.nan
+            return real(W, states, *args, **kwargs)
+
+        monkeypatch.setattr(module, "run_batch", poisoned)
+        config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=1, n=10, tau=200)
+        with pytest.raises(NumericError, match=r"cell \(leak=0.5, rho=1.5\) trial 0 failed"):
+            sweep_heatmap(config)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grid_matches_trial_by_trial_reference(self, jobs):
         leaks, rhos = (0.3, 0.8), (0.8, 1.5, 2.5)
@@ -249,12 +319,12 @@ class TestReproduceWaveform:
         # collinear state matrices, so representability is checked at the
         # least-squares limit.
         from soesn import predict, train_ridge
-        from soesn.experiments import _attempt
+        from soesn.experiments import rebuild_trial
 
         sine = gen_sinusoid(400, dt=1.0)
         probe = reproduce_waveform(replace(CONFIG, max_attempts=5, seed=17), sine)
         assert probe.oscillatory
-        trajectory, _ = _attempt(CONFIG, 400, probe.seed)
+        trajectory, _, _ = rebuild_trial(CONFIG, sine, probe.seed)
         pre_trained = train_ridge(trajectory.rows, sine.values, 1.0, 100)
         realizable = TargetSignal("realizable", 1.0, predict(pre_trained, trajectory.rows))
         with pytest.warns(UserWarning, match="least squares"):
@@ -308,9 +378,9 @@ class TestSubCountSweep:
 
     def test_boxplot_csv_rows(self):
         sine = gen_sinusoid(300, dt=1.0)
-        dists = sub_count_distributions([1, 4], sine, trials=3, base_seed=5)
+        config = ReproduceConfig(n=48, sub_counts=(1, 4), trials=3, seed=5)
         buffer = io.StringIO()
-        write_boxplot_csv(buffer, dists)
+        write_boxplot_csv(buffer, subreservoir_count_outcomes(config, sine))
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "sub_count,trial,oscillatory,nrmse"
         assert len(lines) == 1 + 2 * 3

@@ -24,27 +24,27 @@ CASES = {
         ["generate", "--topology", "weakly_coupled", "--n", "40", "--sub", "4",
          "--inject", "--tau", "300", "--seed", "7"],
         {
-            "config.echo.json": "a852b6d194ca9b75996ed42abafca6f390706396ab01a566d1bbef27140319c6",
-            "oscillation.json": "063571e7b3635380333282f86dbf205f5e1cf3668b5ffe12330b1e7d634af0c5",
+            "config.echo.json": "f5c9c02dc4bc16bd43551c691043c87b1ae9bd40b0568423edd36dc97862aec3",
+            "oscillation.json": "399554209af37cca0dd25da3a195a33009231a1948911097fff6153ac29f0098",
             "traces.svg": "23769d87a1fee1b77b715e76a519322fa175051023fd6c92cb83068a1cd9b5ac",
-            "trajectory.csv": "cb1856a336eba6224e83b60ec4d9c43247ca09458f07274922e76a0aa31768c4",
+            "trajectory.csv": "97e4acce68641d6183b4c4eb835da96e2f0c669053a72d8e92e572d0a6615149",
         },
     ),
     "sweep": (
         ["sweep", "--leak-values", "0.3,0.6", "--rho-values", "0.8,1.5,2.0",
          "--cells", "2", "--trials", "3", "--n", "40", "--tau", "300", "--seed", "9"],
         {
-            "config.echo.json": "055f86a9ec8a31e55ae728d98790eee990c7e86df0e1cba0879bc1fb280049bb",
-            "heatmap.svg": "19b6fc6574c9be5fc45722f5fe4e79d2c2e1c713d84fc4e203c63ff369b50607",
-            "sweep.csv": "5be243685ec830c8d25565c60a2e734d6d2a80ac50d9140c60bf87697999cd76",
+            "config.echo.json": "bb6825cd299f1c56528dd52ca4fa8ce5651aa57d01919954f87c5e99feb2f45f",
+            "heatmap.svg": "6f96d3de9950d58deb89f309679abc64013a95560017b6cfdaea5f0f8fe673df",
+            "sweep.csv": "adac877ace140ab823d71b676f4859a44e35eef90558dafe359862c4d697d66c",
         },
     ),
     "inject-experiment": (
         ["inject-experiment", "--populations", "4,10", "--trials", "5",
          "--tau", "300", "--seed", "3"],
         {
-            "config.echo.json": "3c94ba5adad29fa1f46b12523c7f1cbf6df3fc0fac8d3b26d4ffa62ab09f0aa8",
-            "injection.csv": "57633617f72503dc25e3d17c497d8c82bb49f2a9c25dfdc3c24ae82176c0b544",
+            "config.echo.json": "c517b6c8e0512a925bfa24f52c0d72743cf437d028d00030b6f5a47ebc7a8d30",
+            "injection.csv": "975806d16c62268aa3d6537e279583e8f7e404b33873142248bdf30752227f2c",
             "injection.svg": "70e619472b4cd8a9642a788d1a10e396c9398cbb92ad4e6fc46c2c9637aef50c",
         },
     ),
@@ -52,46 +52,46 @@ CASES = {
         ["reproduce", "--target", "sine", "--n", "60", "--sub", "3",
          "--tau", "300", "--seed", "3"],
         {
-            "config.echo.json": "4431ade8877df1fe79113b5fbff18f516f3333edb63dedeb30ec3b3b796a6153",
-            "nrmse.json": "86cdc5c030c6fb437abca74140c3192a7c8e052484a1db1249e6854fdf7e00be",
-            "overlay.svg": "9bf6ccee1473d8beb4f5c04bfdba036cde6d10734841a29417c52f56bbe4eb74",
+            "config.echo.json": "845b1368b45a3ba119729577ba7f2128869ab103d08b7a321da01fc1d920c14d",
+            "nrmse.json": "d079b06de028769d548476645037f4eb3ab64dfab96dafb90ed09c5990b9d5cc",
+            "overlay.svg": "531ead56187eea27c3ede805a712dc8f0f6523f3038ea87b879eb0a7094caa62",
         },
     ),
     "reproduce-lorenz": (
         ["reproduce", "--target", "lorenz", "--n", "60", "--sub", "3",
          "--tau", "300", "--standardize", "--seed", "3"],
         {
-            "config.echo.json": "80f04a99c2d4f2af63aa16322ad613cc24d13d656f921b9290529d0129c17fa5",
-            "nrmse.json": "795e3e55d5b6233172bdecaa7930cc1e5276f1d4639e7d165c09eb74f99b3b96",
-            "overlay.svg": "9152f3ba37b7399b0b83064033dea73654df5839f6534938b595c244233f6de1",
+            "config.echo.json": "23cd5a8b9232dd5210a1bbf1d0a9c123fb0ee4b1de838d3780a7ba43430a3fa6",
+            "nrmse.json": "1e64af89d8b81782c406fed65e4350c4b9a1b905cc676d2b3059dd0624c0c4de",
+            "overlay.svg": "bf1f8e718b288cf8fb2e014c0ee4db0c477cf3be56f352b8e31b94513853b669",
         },
     ),
     "reproduce-sub-counts": (
         ["reproduce", "--target", "sine", "--n", "48", "--sub-counts", "1,4",
          "--trials", "2", "--tau", "300", "--seed", "5"],
         {
-            "boxplot.csv": "e714e29a6af2e7ce29f715fd422f36d5decf3f412be1b6e842dfa90d42a0bde1",
-            "config.echo.json": "55329cca35927f3d4a4ca150ba24132effe850defc52a8fa6afc86c447e792b2",
-            "summary.json": "f90aecb49b9600dec57a0342c0f0ab4dd7b2973d860cc596a7ecb0c7046c403e",
-            "trials.jsonl": "998d2e79971c7e5e36af1d4c26f293b1a7412fb731265577797f0d654e4b615a",
+            "boxplot.csv": "6ab3b4554cd86ec2c2eecc0eefe3ae5a60d9f870821268d73441d65b8bc5bd14",
+            "config.echo.json": "599731e48c62f2a4fc68f712222961e9a6aab326dae6926bdfe2dff0a4caa38b",
+            "summary.json": "52387583ab032573546a3f4c793e7cee777fba3772f352e30ad889d7d7a93ce1",
+            "trials.jsonl": "968c9e9a907a3d6413182cc40ededc9df958a43db2bec4f111111d087270b19c",
         },
     ),
     "topology-demo": (
         ["topology-demo", "--n", "24", "--tau", "200", "--seed", "2"],
         {
-            "block_diagonal_report.json": "5ba47fb03dcddb57e0c700e4dc140f78a6fadfbb1f6fdc4bf96664f16aebcb5c",
+            "block_diagonal_report.json": "80bc090800dcec1ab6bd75340cb77463182877882fdd09555d4f1383da6235e2",
             "block_diagonal_traces.svg": "6665e8ea0079001c45ce8495d10f17b7a4e4a5648469080e13e9ba62af4ab671",
-            "block_diagonal_trajectory.csv": "f76bc581631ebd7271f62bada67cd613a1cbb2ff1cc9fcb87e9e2f7462bda024",
-            "config.echo.json": "0c67910b9395d3543a10b64b511b17164f2d761ee7531029a59677fd76f8ffd5",
-            "dense_report.json": "782606f0b7d86e74f1e7a3221c917c40b03cdcb2744ced6aa7291c5aeb256bba",
+            "block_diagonal_trajectory.csv": "8579afe104c620b6b627111c57180c5b1ccc2a943ce52344f9282b8ae5e1950e",
+            "config.echo.json": "93fe26652e6529ece617a640c13857ca9e08d79a13b250bf43a5337a8b2f4251",
+            "dense_report.json": "830569bb2847cbba32a4c8a6bc7da79228736ad675c4f72b7cc7e10207afbe25",
             "dense_traces.svg": "4db5cb194759ddd5b1a67c092de6cb56b188dde745a851ce0af76358e48a467f",
-            "dense_trajectory.csv": "bdee6cf1afd8b7280cd733978e449b88e814407d1411f06989a41ad8accd1468",
-            "sparse_report.json": "fae0deca1605fd31cedabd39c33bf95c325a5887daafad300038d07e86575abd",
+            "dense_trajectory.csv": "c017136a5d86a877a9e79956c5319f8e055495052166aa16d28a2378c63a265a",
+            "sparse_report.json": "8d2eb7f5c07366ad5342121eb470da541fee0a58a01af4c5230ecca29f697826",
             "sparse_traces.svg": "b65aada699e8eda76003ff97897519a1897462e0033cc82a621b991988536218",
-            "sparse_trajectory.csv": "e9b3639cd9faf3a9a0dda591e8362f946dcc82e2a84e45a47b87c790106ceaf6",
-            "weakly_coupled_report.json": "d044a6bd924644df63175dc3bbabd7d538da2d3e5ac1b957ec2307e3c1376b6e",
+            "sparse_trajectory.csv": "f9caf12c6bae11ffa24a95f0a1f7281d4c7f3d8f5c7eec14ff04d38ef094b4fc",
+            "weakly_coupled_report.json": "458502638bda8110b8c0e5f5fe41135e0e23faebb370260c6beda47852928da2",
             "weakly_coupled_traces.svg": "1dbf723a958a7f6afb1393386a200474a8b2609f510fbb4c1a134695704e0c11",
-            "weakly_coupled_trajectory.csv": "2305a1362275b15cc7b2163790ef3d2b46db247db85078b1dbd207c0477814ad",
+            "weakly_coupled_trajectory.csv": "e26cd70b7c5c8de78517b187c33fa012f32f20bc89eb1dbb581ae531a3b54b76",
         },
     ),
 }
@@ -124,9 +124,9 @@ def test_rerun_from_committed_echo_matches_golden(case, tmp_path):
 # A hand-written config (not an echo) whose grids hold JSON integers: the
 # echo keeps them as given, sweep.csv writes them as floats.
 INT_GRID_DIGESTS = {
-    "config.echo.json": "f4fe59e90137dd8a68454da5d538fe85bb0b57fd300258a85afc1e87de27451d",
-    "heatmap.svg": "6eb4ca12240bd2cc7562aef6bf5008abd7f8eb5d20838337a2f910ce4ef20d03",
-    "sweep.csv": "8d5be628cd28d89d6f01b45139aa5414fb1d99d431d064c9d50502d95e4330f6",
+    "config.echo.json": "5fa656f1e1aa3881ae14e2d56b16ff3037c2fecedd82a45c47671bde4d3d03ce",
+    "heatmap.svg": "2e9a646f56d97f655bfa2a8d76a3b9c61d581309f6b0949b20c5e02632618eda",
+    "sweep.csv": "b6cf0a0e0471f53cae2115cef4710de575bde6ea33aad948f82792feb3e1c394",
 }
 
 

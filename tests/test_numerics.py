@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
+from soesn import (
+    PowerSpectrum,
+    periodogram,
+    scale_to_spectral_radius,
+    spectral_radii,
+    spectral_radius,
+)
 from soesn.errors import CannotScaleError, DimensionError, InputError
+from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector
 
 from conftest import naive_dft_power
 
@@ -58,6 +65,50 @@ class TestSpectralRadius:
         shift[0, n - 1] = 1.0
         with pytest.raises(NumericError, match="last estimate"):
             spectral_radius(shift)
+
+
+def _eigvals_radii(stack):
+    return np.array([np.max(np.abs(np.linalg.eigvals(W))) for W in stack])
+
+
+class TestSpectralRadii:
+    # both sides of the cutover: LAPACK eigvals up to it, Arnoldi above it
+    @pytest.mark.parametrize("m", [1, 4, 64, EIGVALS_CUTOVER, EIGVALS_CUTOVER + 1, 200])
+    def test_matches_max_abs_eigvals(self, m):
+        stack = np.random.default_rng(m).uniform(-0.5, 0.5, (3, m, m))
+        stack[1] *= 7.0
+        assert spectral_radii(stack) == pytest.approx(_eigvals_radii(stack), rel=1e-8)
+
+    def test_radius_is_its_one_matrix_case(self, rng):
+        for m in (20, EIGVALS_CUTOVER + 20):
+            W = rng.uniform(-0.5, 0.5, (m, m))
+            assert spectral_radius(W) == spectral_radii(W[None])[0]
+
+    def test_zero_matrices(self):
+        for m in (3, EIGVALS_CUTOVER + 1):
+            assert spectral_radii(np.zeros((2, m, m))).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (1, 2, 2, 2)])
+    def test_non_square_stack_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            spectral_radii(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_rejected(self, bad):
+        for m in (4, EIGVALS_CUTOVER + 1):
+            stack = np.ones((2, m, m))
+            stack[1, 0, m - 1] = bad
+            with pytest.raises(InputError):
+                spectral_radii(stack)
+
+
+def test_ritz_vector_survives_an_exactly_singular_shift():
+    # theta = 2 is an exact eigenvalue of this triangular H, so H - theta I
+    # has an exact zero pivot; the nudged shift still finds e1
+    H = np.array([[2.0, 1.0], [0.0, 1.0]])
+    y = _ritz_vector(H, 2.0)
+    assert np.linalg.norm(y) == pytest.approx(1.0)
+    assert abs(y[0]) == pytest.approx(1.0, rel=1e-12)
 
 
 # Radius properties over matrices drawn as the library draws them (i.i.d.

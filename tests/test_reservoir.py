@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 from soesn import (
     Reservoir,
     StateTrajectory,
+    classify_states,
     classify_trajectory,
     init_state,
+    run_batch,
     scale_to_spectral_radius,
 )
 from soesn.errors import DimensionError, InputError, NumericError
@@ -210,6 +212,66 @@ class TestRun:
         for u1, u2 in zip(reports[0].per_unit, reports[1].per_unit):
             if u1.is_oscillating and u2.is_oscillating:
                 assert abs(u1.dominant_bin - u2.dominant_bin) <= 1
+
+
+class TestRunBatch:
+    def _rows(self, n=40, batch=5):
+        W = build_dense(n, seed=3)
+        states = np.array([init_state(n, seed=s) for s in range(batch)])
+        scale = np.linspace(0.05, 0.3, batch)
+        leak = np.linspace(0.2, 1.0, batch)
+        return W, states, leak, scale
+
+    def test_rows_match_reservoir_runs(self):
+        W, states, leak, scale = self._rows()
+        tail = run_batch(W, states, leak, scale, 30, 31)
+        for j in range(len(states)):
+            alone = Reservoir(scale[j] * W, leak[j], states[j]).run(30).rows
+            assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
+
+    def test_keeps_the_last_states(self):
+        W, states, leak, scale = self._rows()
+        whole = run_batch(W, states, leak, scale, 150, 151)
+        for keep in (1, 2, 100):
+            assert np.array_equal(run_batch(W, states, leak, scale, 150, keep),
+                                  whole[-keep:])
+
+    def test_lead_replaces_the_leading_block(self):
+        W, states, leak, scale = self._rows()
+        block = np.array([[0.9, 0.9], [-0.9, 0.9]])
+        tail = run_batch(W, states, leak, scale, 30, 31, lead=(np.array([1, 3]), block))
+        for j in range(len(states)):
+            weights = scale[j] * W
+            if j in (1, 3):
+                weights[:2, :2] = block
+            alone = Reservoir(weights, leak[j], states[j]).run(30).rows
+            assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
+
+    def test_non_finite_state_names_its_row(self):
+        W, states, leak, scale = self._rows()
+        states[2, 7] = np.nan
+        with pytest.raises(NumericError, match="batch row 2") as caught:
+            run_batch(W, states, leak, scale, 200, 100)
+        assert caught.value.row == 2
+
+    def test_bad_arguments_rejected(self):
+        W, states, leak, scale = self._rows()
+        with pytest.raises(InputError):
+            run_batch(W, states, leak, scale, 10, 12)
+        with pytest.raises(InputError):
+            run_batch(W, states, leak, scale, 0, 1)
+        with pytest.raises(DimensionError):
+            run_batch(W[:-1, :-1], states, leak, scale, 10, 5)
+
+    def test_stacked_verdicts_match_per_trajectory_reports(self):
+        W, states, leak, scale = self._rows(batch=8)
+        scale = np.linspace(0.2, 1.2, 8)  # radius 0.37 to 2.2: damped and oscillating rows
+        tail = run_batch(W, states, leak, scale, 400, 100)
+        verdicts = classify_states(tail.copy())  # the classifier overwrites its stack
+        reports = [classify_trajectory(StateTrajectory(tail[:, j])).reservoir_is_self_oscillatory
+                   for j in range(8)]
+        assert verdicts.tolist() == reports
+        assert 0 < sum(reports) < 8
 
 
 class TestTrajectoryCsv:

@@ -30,3 +30,14 @@ def test_line_chart_matches_per_point_writer(chart, timestamp, tmp_path):
     svgplot.line_chart(ours, *args, timestamp=timestamp)
     per_point_line_chart(oracle, *args, timestamp=timestamp)
     assert ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("value", [1e16, -1e17, 1e300])
+def test_constant_series_beyond_unit_spacing_still_draws(value, tmp_path):
+    # at |y| >= 2**53 the pad and a unit step both round away, leaving an
+    # empty axis range; it used to divide by zero
+    path = tmp_path / "flat.svg"
+    svgplot.line_chart(path, [("point", [3.0], [value])], "t")
+    svg = path.read_text()
+    assert svg.count("<polyline") == 1
+    assert "nan" not in svg and "inf" not in svg
