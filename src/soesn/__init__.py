@@ -25,7 +25,6 @@ from .experiments import (
     SweepResult,
     TargetSignal,
     TrialOutcome,
-    TrialPlan,
     distribution_from_outcomes,
     gen_lorenz,
     gen_sinusoid,
@@ -33,21 +32,13 @@ from .experiments import (
     injection_ratio_experiment,
     reproduce_trials,
     reproduce_waveform,
-    run_plans,
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
-from .numerics import (
-    PowerSpectrum,
-    periodogram,
-    scale_to_spectral_radius,
-    spectral_radii,
-    spectral_radius,
-)
+from .numerics import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from .oscillation import (
     OscillationReport,
     UnitClassification,
-    classify_states,
     classify_trajectory,
     classify_unit,
     dominant_frequency_hz,

@@ -226,38 +226,32 @@ class ReproduceConfig(ConfigFields):
 BATCH_WIDTH = 64
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrialPlan:
-    """One reservoir run: the matrix `build_weights(spec, rho)` (the spec's
-    seed is the matrix id; `spec.inject_ensemble` splices in the two-neuron
-    ensemble), the leak (a number or one rate per unit) and the initial
-    state `init_state(spec.n, state_seed)`. `label` names the run in
-    errors."""
+    """One dense reservoir run for run_plans: the matrix
+    `build_weights(spec, rho)` (the spec's seed is the matrix id;
+    `spec.inject_ensemble` splices in the two-neuron ensemble), the constant
+    `leak` and the initial state `init_state(spec.n, state_seed)`. `label`
+    names the run in errors."""
 
     spec: TopologySpec
     rho: float
-    leak: float | np.ndarray
+    leak: float
     state_seed: int
     label: str = ""
 
-    def reservoir(self) -> Reservoir:
-        """The plan as one Reservoir, ready to run."""
-        return Reservoir(build_weights(self.spec, self.rho), self.leak,
-                         init_state(self.spec.n, self.state_seed))
 
-
-def run_plans(plans, tau: int, classify=None) -> list:
-    """Run dense plans that share one base matrix as batches and classify
-    them: `classify` maps each chunk's kept (window, B, n) states to B
-    results, one per plan, in plan order (by default classify_states, the
-    self-oscillatory verdict).
+def run_plans(plans, tau: int):
+    """Run dense plans that share one base matrix as batches, yielding each
+    chunk's kept states: a (min(DEFAULT_WINDOW, tau + 1), B, n) stack, the
+    classifier window of B plans in plan order.
 
     The base matrix W0 = build_dense(n, spec.seed) is built, and its radius
     taken, once; plan j runs under c_j * W0 with c_j = rho_j / radius(W0),
     which is build_weights(spec, rho_j) factored out of the product, and
     with the ensemble's weights in its leading block when its spec says so.
-    Plans are run in chunks of at most BATCH_WIDTH states, each keeping only
-    its classifier window. A NumericError names the failing plan's label.
+    Chunks hold at most BATCH_WIDTH plans. A NumericError names the failing
+    plan's label.
     """
     base = replace(plans[0].spec, inject_ensemble=False)
     if base.kind != "dense" or any(
@@ -271,20 +265,22 @@ def run_plans(plans, tau: int, classify=None) -> list:
     except NumericError as exc:
         raise NumericError(f"{plans[0].label} failed: {exc}") from exc
     keep = min(DEFAULT_WINDOW, tau + 1)
-    results = []
     for start in range(0, len(plans), BATCH_WIDTH):
         chunk = plans[start : start + BATCH_WIDTH]
         seeded = np.flatnonzero([p.spec.inject_ensemble for p in chunk])
         try:
-            tail = run_batch(
+            yield run_batch(
                 W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
                 factors[start : start + len(chunk)], tau, keep,
                 lead=(seeded, two_neuron_ensemble().weights) if seeded.size else None,
             )
         except NumericError as exc:
             raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc
-        results.extend((classify or classify_states)(tail))
-    return results
+
+
+def _self_oscillatory(plans, tau: int) -> list[bool]:
+    """Each plan's self-oscillatory verdict, in plan order."""
+    return [bool(v) for tail in run_plans(plans, tau) for v in classify_states(tail)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,8 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
             for a in leaks
             for r in rhos
         ])
-    flags = np.array(_map_trials(partial(run_plans, tau=config.tau), tasks, jobs), dtype=float)
+    verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
+    flags = np.array(verdicts, dtype=float)
     # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
     return SweepResult(flags.mean(axis=0).reshape(len(leaks), len(rhos)), config)
 
@@ -388,7 +385,8 @@ def injection_ratio_experiment(
                           derive_seed(seed, ROLE_STATE), label)
                 for arm in (False, True)
             ])
-    flags = np.array(_map_trials(partial(run_plans, tau=config.tau), tasks, jobs), dtype=float)
+    verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
+    flags = np.array(verdicts, dtype=float)
     ratios = flags.reshape(len(config.populations), config.trials, 2).mean(axis=1)
     return [
         PopulationComparison(p, float(without), float(with_))
@@ -538,16 +536,16 @@ class TrialOutcome:
         }
 
 
-def _attempt_plan(config: ReproduceConfig, attempt_seed: int) -> TrialPlan:
+def _attempt_reservoir(config: ReproduceConfig, attempt_seed: int) -> Reservoir:
     """The reservoir a reproduction attempt runs: the weakly coupled
     layout's blocks scaled to `rho`, per-unit leak rates and an initial
     state, each drawn from the attempt seed."""
     spec = config.topology(config.sub_count)
+    W = build_weights(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), config.rho)
     leak = sample_leak_vector(
         spec.n, config.leak_mu, config.leak_sigma, derive_seed(attempt_seed, ROLE_LEAK)
     )
-    return TrialPlan(replace(spec, seed=derive_seed(attempt_seed, ROLE_WEIGHTS)), config.rho,
-                     leak, derive_seed(attempt_seed, ROLE_STATE))
+    return Reservoir(W, leak, init_state(spec.n, derive_seed(attempt_seed, ROLE_STATE)))
 
 
 def _fit(trajectory, target, config: ReproduceConfig):
@@ -576,7 +574,7 @@ def _search(config: ReproduceConfig, target: TargetSignal):
     for attempt in range(config.max_attempts):
         attempt_seed = derive_seed(config.seed, attempt)
         last_seed = attempt_seed
-        trajectory = _attempt_plan(config, attempt_seed).reservoir().run(tau)
+        trajectory = _attempt_reservoir(config, attempt_seed).run(tau)
         if classify_trajectory(trajectory).reservoir_is_self_oscillatory:
             model, mean, sd = _fit(trajectory, target, config)
             outcome = TrialOutcome(
@@ -631,7 +629,7 @@ def rebuild_trial(
     """Reconstruct a reproduction attempt from its seed (say, one recorded in
     trials.jsonl), returning the trajectory, the trained model that was
     scored, and its full-length prediction in target units."""
-    trajectory = _attempt_plan(config, attempt_seed).reservoir().run(target.length - 1)
+    trajectory = _attempt_reservoir(config, attempt_seed).run(target.length - 1)
     model, mean, sd = _fit(trajectory, target, config)
     return trajectory, model, _prediction(trajectory, model, mean, sd, config)
 

@@ -95,8 +95,9 @@ def _check_window(samples: int, window: int) -> None:
 def _oscillating_columns(tail, amplitude_floor, peak_share):
     # the classifier's arithmetic, one verdict per column of `tail`, plus
     # the non-DC periodogram and the standard deviations it rests on. It
-    # centers and squares `tail` in place, so a wide batch allocates only
-    # its spectrum; the steps are np.std's and periodogram's, bit for bit.
+    # centers and squares `tail` in place (callers pass a copy), so only the
+    # spectrum is allocated; the steps are np.std's and periodogram's, bit
+    # for bit.
     tail -= tail.mean(axis=0)
     non_dc = _centered_power(tail)[1:]
     tail *= tail
@@ -127,20 +128,22 @@ def _classify_columns(rows, window, amplitude_floor, peak_share):
 def classify_states(tail: np.ndarray) -> np.ndarray:
     """The reservoir verdict of classify_trajectory, at the default window
     and thresholds, for each of B states recorded together: from the
-    trailing DEFAULT_WINDOW rows of a float (T, B, n) stack such as
-    run_batch returns, one bool per state, every unit of every state
-    classified through one periodogram.
+    trailing DEFAULT_WINDOW rows of a (T, B, n) stack such as run_batch
+    returns, one bool per state.
 
-    The stack is scratch: those rows are overwritten (centered and
-    squared), so that a batch costs no more memory than its spectrum.
+    Each state is classified from a copy of its own window, with the same
+    arithmetic as classify_trajectory, so the stack is left as it is and a
+    wide batch never holds more than one state's spectrum.
     """
     if tail.ndim != 3:
         raise InputError(f"expected a (T, B, n) stack of states, got shape {tail.shape}")
     _check_window(tail.shape[0], DEFAULT_WINDOW)
-    _, batch, n = tail.shape
-    columns = tail[-DEFAULT_WINDOW:].reshape(DEFAULT_WINDOW, batch * n)
-    oscillating, _, _ = _oscillating_columns(columns, DEFAULT_AMPLITUDE_FLOOR, DEFAULT_PEAK_SHARE)
-    return oscillating.reshape(batch, n).any(axis=1)
+    window = tail[-DEFAULT_WINDOW:]
+    return np.array([
+        _oscillating_columns(np.array(window[:, j], dtype=float), DEFAULT_AMPLITUDE_FLOOR,
+                             DEFAULT_PEAK_SHARE)[0].any()
+        for j in range(tail.shape[1])
+    ], dtype=bool)
 
 
 def classify_trajectory(

@@ -135,25 +135,36 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
 
         x' = (1 - leak_j) * x + leak_j * tanh(scale_j * (W @ x))
 
-    `scale` and `leak` hold one value per row. `lead = (rows, block)`
+    `scale` and `leak` hold one value per row, each leak in (0, 1], and the
+    states lie within [-1, 1], as Reservoir requires. `lead = (rows, block)`
     replaces the leading k x k block of the listed rows' weights by `block`,
     as inject_ensemble does, by correcting those rows' k leading drives.
 
     Results agree with Reservoir.run to rounding, not bit for bit, and a
     row's bits depend on the batch width and on its position in the batch.
-    A non-finite state stays non-finite, so finiteness is checked once, on
-    the kept states: a NumericError names the first failing row as
-    `exc.row`.
+    A non-finite state stays non-finite, so finiteness (non-finite weights
+    included) is checked once, on the kept states: a NumericError names the
+    first failing row as `exc.row`.
     """
     if tau < 1 or not 1 <= keep <= tau + 1:
         raise InputError(f"need tau >= 1 and 1 <= keep <= tau + 1, got {tau} and {keep}")
     W = np.asarray(W, dtype=float)
     x = np.array(states, dtype=float)
+    if x.ndim != 2 or x.size == 0:
+        raise DimensionError(f"states must be a non-empty (B, n) array, got shape {x.shape}")
     batch, n = x.shape
     if W.shape != (n, n):
         raise DimensionError(f"weight matrix must be ({n}, {n}), got shape {W.shape}")
-    scale = np.asarray(scale, dtype=float).reshape(batch, 1)
-    leak = np.asarray(leak, dtype=float).reshape(batch, 1)
+    scale = np.asarray(scale, dtype=float)
+    leak = np.asarray(leak, dtype=float)
+    if scale.shape != (batch,) or leak.shape != (batch,):
+        raise DimensionError(f"need one scale and one leak per row, shape ({batch},), "
+                             f"got {scale.shape} and {leak.shape}")
+    if not np.all((leak > 0.0) & (leak <= 1.0)):
+        raise InputError("every leak value must lie in (0, 1]")
+    if not np.all(np.abs(x) <= 1.0):
+        raise InputError("state values must be finite and within [-1, 1]")
+    scale, leak = scale[:, None], leak[:, None]
     remain = 1.0 - leak
     if lead is not None:
         rows, block = lead

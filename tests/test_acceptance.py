@@ -23,7 +23,6 @@ from soesn import (
     StateTrajectory,
     SweepConfig,
     TopologySpec,
-    TrialPlan,
     classify_trajectory,
     derive_seed,
     distribution_from_outcomes,
@@ -34,7 +33,6 @@ from soesn import (
     injection_ratio_experiment,
     periodogram,
     reproduce_trials,
-    run_plans,
     spectral_radius,
     subreservoir_count_outcomes,
     sweep_heatmap,
@@ -42,6 +40,7 @@ from soesn import (
     two_neuron_ensemble,
 )
 from soesn.cli import main as cli_main
+from soesn.experiments import TrialPlan, run_plans
 
 from conftest import classifier_corpus, naive_dft_power, ridge_oracle, rk4_lorenz_oracle_step
 
@@ -68,10 +67,6 @@ def check(cid: str, name: str, ok: bool, detail: str) -> None:
 _SAMPLE_CACHE = {}
 
 
-def _state_reports(tail):
-    return [classify_trajectory(StateTrajectory(tail[:, j])) for j in range(tail.shape[1])]
-
-
 def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
     """The first `count` attempts (in attempt order, at most 40 * count)
     whose reservoir oscillates from its first initial state, with the
@@ -84,7 +79,9 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
             seed = derive_seed(BASE_SEED, attempt)
             spec = TopologySpec(n=n, seed=derive_seed(seed, 0))
             plans = [TrialPlan(spec, rho, leak, derive_seed(seed, s)) for s in (1, 2)]
-            first, second = run_plans(plans, 1000, classify=_state_reports)
+            (tail,) = run_plans(plans, 1000)
+            first, second = (classify_trajectory(StateTrajectory(rows))
+                             for rows in tail.transpose(1, 0, 2))
             if first.reservoir_is_self_oscillatory:
                 sampled.append((first, second))
                 if len(sampled) == count:

@@ -22,9 +22,16 @@ from soesn import (
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
-from soesn import TopologySpec, TrialPlan, run_plans, two_neuron_ensemble
-from soesn.errors import InputError, NumericError
-from soesn.experiments import BATCH_WIDTH, _map_trials, write_boxplot_csv, write_injection_csv
+from soesn import TopologySpec, two_neuron_ensemble
+from soesn.errors import DimensionError, InputError, NumericError
+from soesn.experiments import (
+    BATCH_WIDTH,
+    TrialPlan,
+    _map_trials,
+    run_plans,
+    write_boxplot_csv,
+    write_injection_csv,
+)
 
 from conftest import (
     reference_injection_rows,
@@ -68,8 +75,8 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
     assert made == ([] if pool is None else [pool])
 
 
-def _trajectories(tail):
-    return list(tail.transpose(1, 0, 2))
+def _trajectories(plans, tau):
+    return [rows for tail in run_plans(plans, tau) for rows in tail.transpose(1, 0, 2)]
 
 
 class TestTrialPlans:
@@ -77,7 +84,7 @@ class TestTrialPlans:
     steps (the whole run is kept) every state agrees to 1e-12."""
 
     def _check(self, plans, ensemble=None):
-        got = run_plans(plans, 30, classify=_trajectories)
+        got = _trajectories(plans, 30)
         for plan, rows in zip(plans, got):
             spec = plan.spec
             reference = reference_run(spec.n, spec.seed, plan.rho, plan.leak, plan.state_seed,
@@ -102,7 +109,7 @@ class TestTrialPlans:
     def test_chunks_cover_every_plan_in_order(self):
         spec = TopologySpec(n=12, seed=1)
         plans = [TrialPlan(spec, 0.5 + 0.01 * j, 0.5, j) for j in range(2 * BATCH_WIDTH + 3)]
-        got = run_plans(plans, 30, classify=_trajectories)
+        got = _trajectories(plans, 30)
         assert len(got) == len(plans)
         for j in (0, BATCH_WIDTH, len(plans) - 1):
             reference = reference_run(12, 1, plans[j].rho, 0.5, j, 30)
@@ -111,10 +118,15 @@ class TestTrialPlans:
     def test_plans_must_share_one_dense_matrix(self):
         spec = TopologySpec(n=12, seed=1)
         with pytest.raises(InputError):
-            run_plans([TrialPlan(spec, 1.0, 0.5, 0),
-                       TrialPlan(replace(spec, seed=2), 1.0, 0.5, 0)], 200)
+            next(run_plans([TrialPlan(spec, 1.0, 0.5, 0),
+                            TrialPlan(replace(spec, seed=2), 1.0, 0.5, 0)], 200))
         with pytest.raises(InputError):
-            run_plans([TrialPlan(replace(spec, kind="sparse"), 1.0, 0.5, 0)], 200)
+            next(run_plans([TrialPlan(replace(spec, kind="sparse"), 1.0, 0.5, 0)], 200))
+
+    def test_per_unit_leak_rejected(self):
+        spec = TopologySpec(n=12, seed=1)
+        with pytest.raises(DimensionError):
+            next(run_plans([TrialPlan(spec, 1.0, np.full(12, 0.5), 0)], 200))
 
 
 class TestSeedDerivation:
@@ -240,10 +252,9 @@ class TestSweepHeatmap:
 
         real = module.run_batch
 
-        def poisoned(W, states, *args, **kwargs):
-            states = np.array(states)
-            states[1, 0] = np.nan
-            return real(W, states, *args, **kwargs)
+        def poisoned(W, states, leak, scale, tau, keep, lead=None):
+            # a NaN weight in the leading block of batch row 1 alone
+            return real(W, states, leak, scale, tau, keep, lead=([1], [[np.nan]]))
 
         monkeypatch.setattr(module, "run_batch", poisoned)
         config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=1, n=10, tau=200)

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soesn import (
-    PowerSpectrum,
-    periodogram,
-    scale_to_spectral_radius,
-    spectral_radii,
-    spectral_radius,
-)
+from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from soesn.errors import CannotScaleError, DimensionError, InputError
-from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector
+from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector, spectral_radii
 
 from conftest import naive_dft_power
 

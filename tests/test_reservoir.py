@@ -11,13 +11,13 @@ from hypothesis.extra.numpy import arrays
 from soesn import (
     Reservoir,
     StateTrajectory,
-    classify_states,
     classify_trajectory,
     init_state,
     run_batch,
     scale_to_spectral_radius,
 )
 from soesn.errors import DimensionError, InputError, NumericError
+from soesn.oscillation import classify_states
 from soesn.topology import build_dense
 
 from conftest import fstring_write_csv
@@ -249,9 +249,9 @@ class TestRunBatch:
 
     def test_non_finite_state_names_its_row(self):
         W, states, leak, scale = self._rows()
-        states[2, 7] = np.nan
+        block = np.array([[np.nan]])  # rows 2 and 4 run a NaN weight
         with pytest.raises(NumericError, match="batch row 2") as caught:
-            run_batch(W, states, leak, scale, 200, 100)
+            run_batch(W, states, leak, scale, 200, 100, lead=(np.array([2, 4]), block))
         assert caught.value.row == 2
 
     def test_bad_arguments_rejected(self):
@@ -262,15 +262,31 @@ class TestRunBatch:
             run_batch(W, states, leak, scale, 0, 1)
         with pytest.raises(DimensionError):
             run_batch(W[:-1, :-1], states, leak, scale, 10, 5)
+        with pytest.raises(DimensionError):
+            run_batch(W, states[0], leak[:1], scale[:1], 10, 5)
+        with pytest.raises(DimensionError):  # one leak per unit, not per row
+            run_batch(W, states, np.full(len(W), 0.5), scale, 10, 5)
+        with pytest.raises(DimensionError):
+            run_batch(W, states, leak, scale[:-1], 10, 5)
+        for bad in (0.0, 1.5, np.nan):
+            with pytest.raises(InputError, match="leak"):
+                run_batch(W, states, np.where(leak == leak[2], bad, leak), scale, 10, 5)
+        for bad in (1.5, np.nan):
+            outside = states.copy()
+            outside[3, 1] = bad
+            with pytest.raises(InputError, match="state"):
+                run_batch(W, outside, leak, scale, 10, 5)
 
     def test_stacked_verdicts_match_per_trajectory_reports(self):
         W, states, leak, scale = self._rows(batch=8)
         scale = np.linspace(0.2, 1.2, 8)  # radius 0.37 to 2.2: damped and oscillating rows
         tail = run_batch(W, states, leak, scale, 400, 100)
-        verdicts = classify_states(tail.copy())  # the classifier overwrites its stack
+        kept = tail.copy()
+        verdicts = classify_states(tail)
         reports = [classify_trajectory(StateTrajectory(tail[:, j])).reservoir_is_self_oscillatory
                    for j in range(8)]
         assert verdicts.tolist() == reports
+        assert np.array_equal(tail, kept)  # the stack is left as it was
         assert 0 < sum(reports) < 8
 
 
