@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -39,9 +39,6 @@ from .experiments import (
     reproduce_with_prediction,
     subreservoir_count_outcomes,
     sweep_heatmap,
-    write_boxplot_csv,
-    write_injection_csv,
-    write_outcomes_jsonl,
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
@@ -294,6 +291,13 @@ def _prepare_out(out_dir: str, filenames: list[str], force: bool) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# payload writers: every JSON, JSONL and experiment CSV file is written here
+# (a trajectory CSV keeps its own format, next to its reader). JSON keys are
+# sorted; a NaN is null in JSON and an empty field in CSV.
+# ---------------------------------------------------------------------------
+
+
 def _write_echo(out_dir: str, command: str, config: ConfigFields) -> None:
     payload = {"artifact_version": __version__, "command": command, "params": config.to_dict()}
     _write_json(os.path.join(out_dir, "config.echo.json"), payload)
@@ -307,12 +311,6 @@ def _metadata(command: str, config: ConfigFields) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _json_safe(value):
     if isinstance(value, float) and math.isnan(value):
         return None
@@ -321,6 +319,36 @@ def _json_safe(value):
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     return value
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(_json_safe(payload), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _write_jsonl(path: str, records) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for record in records:
+            f.write(json.dumps(_json_safe(record), sort_keys=True) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
+
+
+def _write_csv(out_dir: str, name: str, metadata: dict, header, rows) -> None:
+    """`# key=value` metadata lines, the header, then one line per row."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
+        for key, value in metadata.items():
+            f.write(f"# {key}={value}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +393,12 @@ def cmd_sweep(args) -> int:
     result = sweep_heatmap(requested, jobs=args.jobs)
     config = result.config  # the capped grid that was swept
 
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as f:
-        result.write_csv(f, _metadata("sweep", config))
+    # a JSON config may give the grid as integers; the rows are floats
+    _write_csv(args.out, "sweep.csv", _metadata("sweep", config),
+               ("leak", "rho", "ratio", "trials"),
+               ((float(leak), float(rho), result.ratio(li, ri), config.trials)
+                for li, leak in enumerate(config.leak_values)
+                for ri, rho in enumerate(config.rho_values)))
     svgplot.heatmap(
         os.path.join(args.out, "heatmap.svg"), result.grid,
         list(config.rho_values), list(config.leak_values),
@@ -383,9 +415,9 @@ def cmd_inject(args) -> int:
     _prepare_out(args.out, ["config.echo.json", "injection.csv", "injection.svg"], args.force)
     rows = injection_ratio_experiment(config, jobs=args.jobs)
 
-    with open(os.path.join(args.out, "injection.csv"), "w", encoding="utf-8",
-              newline="\n") as f:
-        write_injection_csv(f, rows, _metadata("inject-experiment", config))
+    _write_csv(args.out, "injection.csv", _metadata("inject-experiment", config),
+               ("population", "ratio_without", "ratio_with"),
+               ((r.population, r.ratio_without, r.ratio_with) for r in rows))
     populations = [r.population for r in rows]
     svgplot.line_chart(
         os.path.join(args.out, "injection.svg"),
@@ -414,10 +446,7 @@ def _reproduce_single(args, config, target) -> int:
     _prepare_out(args.out, files, args.force)
     outcome, prediction = reproduce_with_prediction(config, target)
 
-    payload = {
-        "metadata": _metadata("reproduce", config),
-        "target": target.name,
-    } | _json_safe(outcome.to_json_dict())
+    payload = {"metadata": _metadata("reproduce", config), "target": target.name} | asdict(outcome)
     _write_json(os.path.join(args.out, "nrmse.json"), payload)
 
     if outcome.oscillatory:
@@ -451,12 +480,14 @@ def _reproduce_sweep(args, config, target) -> int:
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 
     metadata = _metadata("reproduce", config)
-    with open(os.path.join(args.out, "boxplot.csv"), "w", encoding="utf-8",
-              newline="\n") as f:
-        write_boxplot_csv(f, per_count, metadata)
-    with open(os.path.join(args.out, "trials.jsonl"), "w", encoding="utf-8",
-              newline="\n") as f:
-        write_outcomes_jsonl(f, per_count, metadata)
+    # one row and one record per trial, numbered alike; a trial without a
+    # defined NRMSE (non-oscillatory, or a constant target) has none
+    trials = [(m, t, outcome) for m, outcomes in per_count for t, outcome in enumerate(outcomes)]
+    _write_csv(args.out, "boxplot.csv", metadata, ("sub_count", "trial", "oscillatory", "nrmse"),
+               ((m, t, o.oscillatory, o.mean_nrmse()) for m, t, o in trials))
+    _write_jsonl(os.path.join(args.out, "trials.jsonl"), [{"metadata": metadata}] + [
+        {"sub_count": m, "trial": t} | asdict(o) for m, t, o in trials
+    ])
     summary = {
         "metadata": metadata,
         "target": target.name,
@@ -465,7 +496,7 @@ def _reproduce_sweep(args, config, target) -> int:
                 "sub_count": d.sub_count,
                 "oscillatory_trials": len(d.nrmse_values),
                 "non_oscillatory_trials": d.non_oscillatory_count,
-                "quartiles": _json_safe(list(d.quartiles())),
+                "quartiles": d.quartiles(),
             }
             for d in distributions
         ],
@@ -480,14 +511,13 @@ def cmd_topology_demo(args) -> int:
     config = _resolve(TopologyDemoConfig, args)
     n, rho, tau, seed = config.n, config.rho, config.tau, config.seed
 
-    kinds = ("dense", "sparse", "block_diagonal", "weakly_coupled")
     files = ["config.echo.json"]
-    for kind in kinds:
+    for kind in VALID_KINDS:
         files += [f"{kind}_trajectory.csv", f"{kind}_report.json", f"{kind}_traces.svg"]
     _prepare_out(args.out, files, args.force)
 
     sub_count = max(1, min(4, n // 4))
-    for kind_index, kind in enumerate(kinds):
+    for kind_index, kind in enumerate(VALID_KINDS):
         spec = TopologySpec(kind=kind, n=n, sub_count=sub_count,
                             seed=derive_seed(seed, kind_index))
         W = build_weights(spec, rho)
@@ -514,7 +544,7 @@ def cmd_topology_demo(args) -> int:
             f"{kind}: unit traces", "step", "state", timestamp=_timestamp(args),
         )
     _write_echo(args.out, "topology-demo", config)
-    print(f"topology-demo: {len(kinds)} topologies written to {args.out}")
+    print(f"topology-demo: {len(VALID_KINDS)} topologies written to {args.out}")
     return EXIT_OK
 
 

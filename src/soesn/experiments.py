@@ -9,7 +9,6 @@ scheduling: with jobs > 1 the trials are farmed out to a process pool but
 aggregated by trial index, giving bit-identical output at any parallelism.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -44,12 +43,6 @@ def _map_trials(worker, tasks, jobs):
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
-
-
-def write_metadata(f, metadata: dict) -> None:
-    """Prefix an output file with `# key=value` lines."""
-    for key, value in metadata.items():
-        f.write(f"# {key}={value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +292,6 @@ class SweepResult:
     def ratio(self, leak_index: int, rho_index: int) -> float:
         return float(self.grid[leak_index, rho_index])
 
-    def write_csv(self, f, metadata: dict | None = None) -> None:
-        if metadata:
-            write_metadata(f, metadata)
-        f.write("leak,rho,ratio,trials\n")
-        # a JSON config may give the grid as integers; the rows are floats
-        for li, leak in enumerate(self.config.leak_values):
-            for ri, rho in enumerate(self.config.rho_values):
-                ratio = repr(float(self.grid[li, ri]))
-                f.write(f"{float(leak)!r},{float(rho)!r},{ratio},{self.config.trials}\n")
-
 
 def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Monte-Carlo oscillation ratio over the (leak, spectral radius) grid
@@ -355,14 +338,6 @@ class PopulationComparison:
         return self.ratio_with - self.ratio_without
 
 
-def write_injection_csv(f, rows, metadata: dict | None = None) -> None:
-    if metadata:
-        write_metadata(f, metadata)
-    f.write("population,ratio_without,ratio_with\n")
-    for row in rows:
-        f.write(f"{row.population},{row.ratio_without!r},{row.ratio_with!r}\n")
-
-
 def injection_ratio_experiment(
     config: InjectConfig, jobs: int = 1
 ) -> list[PopulationComparison]:
@@ -401,7 +376,8 @@ def injection_ratio_experiment(
 
 @dataclass(frozen=True)
 class TargetSignal:
-    """A named waveform sampled on a fixed grid; values are (T, L)."""
+    """A named waveform sampled on a fixed grid; values are (T, L), finite,
+    and small enough that each dimension's standard deviation is finite."""
 
     name: str
     dt: float
@@ -415,6 +391,12 @@ class TargetSignal:
             raise InputError("target needs a (T, L) array with T >= 2")
         if not np.all(np.isfinite(values)):
             raise InputError("target values must be finite")
+        # finite values can still be too large to square: then the spread,
+        # and with it every NRMSE, overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = values.std(axis=0)
+        if not np.all(np.isfinite(spread)):
+            raise InputError("target values are too large: their standard deviation overflows")
         object.__setattr__(self, "values", values)
 
     @property
@@ -434,19 +416,21 @@ def gen_sinusoid(
     `pure_sine` is sin(2*pi*freq*t). `literal_ode` integrates
     x' = 2*(1 + cos t) exactly, giving the ramp-plus-sine x = 2t + 2 sin t
     with x(0) = 0; it is monotone and unbounded, kept for fidelity rather
-    than as a practical target for a bounded readout.
+    than as a practical target for a bounded readout. An extreme `dt` or
+    `freq` that overflows is rejected by TargetSignal.
     """
     if tau < 2:
         raise InputError("tau must be at least 2")
-    t = np.arange(tau + 1) * dt
-    if mode == "literal_ode":
-        values = 2.0 * t + 2.0 * np.sin(t)
-        name = "sinusoid_ode"
-    elif mode == "pure_sine":
-        values = np.sin(2.0 * np.pi * freq * t)
-        name = "sine"
-    else:
-        raise InputError(f"unknown sinusoid mode {mode!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(tau + 1) * dt
+        if mode == "literal_ode":
+            values = 2.0 * t + 2.0 * np.sin(t)
+            name = "sinusoid_ode"
+        elif mode == "pure_sine":
+            values = np.sin(2.0 * np.pi * freq * t)
+            name = "sine"
+        else:
+            raise InputError(f"unknown sinusoid mode {mode!r}")
     return TargetSignal(name=name, dt=dt, values=values)
 
 
@@ -459,10 +443,11 @@ def gen_square(tau: int, dt: float = 0.01) -> TargetSignal:
     """
     if tau < 2:
         raise InputError("tau must be at least 2")
-    t = np.arange(tau + 1) * dt
-    s = np.sin(10.0 * np.pi * t)
-    values = np.sign(s)
-    values[np.abs(s) < 1e-9] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(tau + 1) * dt
+        s = np.sin(10.0 * np.pi * t)
+        values = np.sign(s)
+        values[np.abs(s) < 1e-9] = 0.0
     return TargetSignal(name="square", dt=dt, values=values)
 
 
@@ -523,17 +508,6 @@ class TrialOutcome:
         if self.train_nrmse is None:
             return math.nan
         return float(np.mean(self.train_nrmse))
-
-    def to_json_dict(self) -> dict:
-        nrmse_values = None
-        if self.train_nrmse is not None:
-            nrmse_values = [None if math.isnan(v) else v for v in self.train_nrmse]
-        return {
-            "attempt_count": self.attempt_count,
-            "oscillatory": self.oscillatory,
-            "train_nrmse": nrmse_values,
-            "seed": self.seed,
-        }
 
 
 def _attempt_reservoir(config: ReproduceConfig, attempt_seed: int) -> Reservoir:
@@ -684,29 +658,3 @@ def subreservoir_count_outcomes(
                              target, jobs))
         for mi, m in enumerate(config.sub_counts)
     ]
-
-
-def write_boxplot_csv(f, per_count_outcomes, metadata: dict | None = None) -> None:
-    """Raw per-trial rows backing the sub-reservoir-count boxplot, one per
-    (sub_count, outcomes) trial, numbered as trials.jsonl numbers them. The
-    nrmse field is empty where trials.jsonl has no number: a
-    non-oscillatory trial, or an NRMSE left undefined by a constant
-    target."""
-    if metadata:
-        write_metadata(f, metadata)
-    f.write("sub_count,trial,oscillatory,nrmse\n")
-    for sub_count, outcomes in per_count_outcomes:
-        for trial, outcome in enumerate(outcomes):
-            value = outcome.mean_nrmse()
-            nrmse = "" if math.isnan(value) else repr(value)
-            f.write(f"{sub_count},{trial},{str(outcome.oscillatory).lower()},{nrmse}\n")
-
-
-def write_outcomes_jsonl(f, per_count_outcomes, metadata: dict | None = None) -> None:
-    """One JSON object per trial outcome, preceded by a metadata line."""
-    if metadata is not None:
-        f.write(json.dumps({"metadata": metadata}, sort_keys=True) + "\n")
-    for sub_count, outcomes in per_count_outcomes:
-        for trial, outcome in enumerate(outcomes):
-            record = {"sub_count": sub_count, "trial": trial} | outcome.to_json_dict()
-            f.write(json.dumps(record, sort_keys=True) + "\n")

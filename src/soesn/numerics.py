@@ -16,6 +16,12 @@ _START_SEED = 0x5EED
 # numpy 2.4.6 / OpenBLAS 0.3.31).
 EIGVALS_CUTOVER = 100
 
+# Arnoldi stops when the dominant Ritz pair's residual is below ARNOLDI_TOL
+# relative to the estimate, and gives up after ARNOLDI_MAX_ITER
+# matrix-vector products across restarts.
+ARNOLDI_TOL = 1e-8
+ARNOLDI_MAX_ITER = 10_000
+
 
 def _krylov_dim(n: int) -> int:
     # The top eigenvalue moduli of an i.i.d. random matrix cluster within
@@ -33,20 +39,20 @@ def _as_square(W) -> np.ndarray:
     return W
 
 
-def spectral_radius(W, tol: float = 1e-8, max_iter: int = 10_000) -> float:
+def spectral_radius(W) -> float:
     """Largest eigenvalue modulus of a square matrix: the one-matrix case of
     spectral_radii."""
     W = _as_square(W)
-    return float(spectral_radii(W[None], tol, max_iter)[0])
+    return float(spectral_radii(W[None])[0])
 
 
-def spectral_radii(stack, tol: float = 1e-8, max_iter: int = 10_000) -> np.ndarray:
+def spectral_radii(stack) -> np.ndarray:
     """Largest eigenvalue modulus of each matrix of a (k, m, m) stack.
 
     Up to EIGVALS_CUTOVER rows the whole stack goes through one LAPACK
     `eigvals` call (exact to rounding); above it each matrix gets its own
-    restarted Arnoldi estimate, which is cheaper there (see _arnoldi_radius
-    for `tol` and `max_iter`). Raises DimensionError for a stack of
+    restarted Arnoldi estimate, which is cheaper there (to ARNOLDI_TOL,
+    within ARNOLDI_MAX_ITER products). Raises DimensionError for a stack of
     non-square matrices and InputError for a non-finite entry.
     """
     stack = np.asarray(stack, dtype=float)
@@ -57,7 +63,7 @@ def spectral_radii(stack, tol: float = 1e-8, max_iter: int = 10_000) -> np.ndarr
         raise InputError("matrix entries must be finite")
     if stack.shape[1] <= EIGVALS_CUTOVER:
         return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
-    return np.array([_arnoldi_radius(W, tol, max_iter) for W in stack])
+    return np.array([_arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER) for W in stack])
 
 
 def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
@@ -186,11 +192,9 @@ class PowerSpectrum:
     def bin_count(self) -> int:
         return len(self.bin_power)
 
-    def dominant_bin(self, skip_dc: bool = True) -> int:
-        """Index of the strongest bin (by default ignoring DC)."""
-        if skip_dc:
-            return int(np.argmax(self.bin_power[1:])) + 1
-        return int(np.argmax(self.bin_power))
+    def dominant_bin(self) -> int:
+        """Index of the strongest non-DC bin."""
+        return int(np.argmax(self.bin_power[1:])) + 1
 
 
 def periodogram(signal) -> PowerSpectrum:

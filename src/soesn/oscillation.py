@@ -9,7 +9,6 @@ chaotic but sustained activity, whose power is broad but far from flat.
 Both thresholds are parameters and are recorded in every report.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,6 @@ class OscillationReport:
                 "peak_share": self.peak_share,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
 def classify_unit(

@@ -5,8 +5,6 @@ nonlinearity): targets with a nonzero mean have to be carried by DC content
 in the states themselves.
 """
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,18 +24,6 @@ class ReadoutModel:
     W_out: np.ndarray
     ridge_lambda: float
     train_nrmse: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "W_out": self.W_out.tolist(),
-            "lambda": self.ridge_lambda,
-            "train_nrmse": [
-                None if math.isnan(v) else v for v in self.train_nrmse.tolist()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def nrmse(y_true, y_pred) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,60 @@ class TestReproduce:
         assert any(ok == "true" for _, _, ok, _ in rows)
         assert all(nrmse == "" for _, _, _, nrmse in rows)
         assert all(r["train_nrmse"] in (None, [None]) for r in self._trial_records(out))
+
+    @pytest.mark.parametrize("dt", ["1e300", "1e306"])
+    def test_overflowing_target_is_config_error(self, dt, tmp_path):
+        # at 1e300 the ramp is finite but its spread overflows; at 1e306 the
+        # ramp itself does. Either way: rejected, and no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["reproduce", "--n", "20", "--sub", "2", "--tau", "200",
+                         "--mode", "literal_ode", "--dt", dt, "--out", str(tmp_path / "ode"),
+                         "--deterministic"])
+        assert code == EXIT_CONFIG
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestUndefinedNumbersAreNull:
+    """A constant target (--freq 0) leaves the NRMSE undefined; every JSON
+    payload then holds null, never NaN, and parses as strict JSON."""
+
+    FLAT = ["reproduce", "--freq", "0", "--n", "40", "--tau", "300", "--seed", "5",
+            "--deterministic"]
+
+    @staticmethod
+    def _payloads(out):
+        names = sorted(name for name in os.listdir(out) if name.endswith((".json", ".jsonl")))
+        return {name: [_strict_json(line) for line in read(out / name).decode().splitlines()]
+                if name.endswith(".jsonl") else _strict_json(read(out / name))
+                for name in names}
+
+    def test_single_run(self, tmp_path):
+        assert main(self.FLAT + ["--sub", "2", "--out", str(tmp_path)]) == EXIT_OK
+        payloads = self._payloads(tmp_path)
+        assert sorted(payloads) == ["config.echo.json", "nrmse.json"]
+        assert payloads["nrmse.json"]["oscillatory"] is True
+        assert payloads["nrmse.json"]["train_nrmse"] == [None]
+
+    def test_sub_count_sweep(self, tmp_path):
+        # one attempt per trial: some trials oscillate, the rest do not
+        assert main(self.FLAT + ["--sub-counts", "1,4", "--trials", "4", "--max-attempts", "1",
+                                 "--out", str(tmp_path)]) == EXIT_OK
+        payloads = self._payloads(tmp_path)
+        assert sorted(payloads) == ["config.echo.json", "summary.json", "trials.jsonl"]
+        for entry in payloads["summary.json"]["per_sub_count"]:
+            assert entry["quartiles"] == [None, None, None]
+        records = payloads["trials.jsonl"][1:]
+        assert len(records) == 2 * 4
+        assert {r["oscillatory"] for r in records} == {True, False}
+        for record in records:
+            assert record["train_nrmse"] == ([None] if record["oscillatory"] else None)
 
 
 class TestJobsAndEchoIdentity:

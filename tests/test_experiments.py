@@ -1,7 +1,6 @@
-import io
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,9 +28,8 @@ from soesn.experiments import (
     TrialPlan,
     _map_trials,
     run_plans,
-    write_boxplot_csv,
-    write_injection_csv,
 )
+from soesn.cli import EXIT_OK, main
 
 from conftest import (
     reference_injection_rows,
@@ -161,6 +159,11 @@ class TestSinusoid:
         with pytest.raises(InputError):
             gen_sinusoid(10, 0.1, mode="triangle")
 
+    def test_target_spread_must_be_finite(self):
+        # finite samples too large to square
+        with pytest.raises(InputError, match="standard deviation"):
+            TargetSignal("wide", 1.0, np.array([-1e300, 1e300]))
+
 
 class TestSquare:
     def test_sample_values(self):
@@ -218,12 +221,11 @@ class TestSweepHeatmap:
         parallel = sweep_heatmap(config, jobs=2)
         assert np.array_equal(serial.grid, parallel.grid)
 
-    def test_csv_shape(self):
-        result = sweep_heatmap(SweepConfig(leak_values=(0.3, 0.7), rho_values=(0.8, 1.5, 2.0),
-                                           trials=2, n=30, tau=200, seed=1))
-        buffer = io.StringIO()
-        result.write_csv(buffer, {"artifact_version": "test"})
-        lines = buffer.getvalue().splitlines()
+    def test_csv_shape(self, tmp_path):
+        assert main(["sweep", "--leak-values", "0.3,0.7", "--rho-values", "0.8,1.5,2.0",
+                     "--trials", "2", "--n", "30", "--tau", "200", "--seed", "1",
+                     "--out", str(tmp_path), "--deterministic"]) == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
         data = [line for line in lines if not line.startswith("#")]
         assert data[0] == "leak,rho,ratio,trials"
         assert len(data) - 1 == 2 * 3
@@ -309,14 +311,13 @@ class TestInjectionExperiment:
         with pytest.raises(InputError):
             InjectConfig(populations=(1,), trials=2, tau=200)
 
-    def test_csv_schema(self):
-        rows = injection_ratio_experiment(InjectConfig(populations=(4,), trials=2, tau=200,
-                                                       seed=1))
-        buffer = io.StringIO()
-        write_injection_csv(buffer, rows)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "population,ratio_without,ratio_with"
-        assert len(lines) == 2
+    def test_csv_schema(self, tmp_path):
+        assert main(["inject-experiment", "--populations", "4", "--trials", "2", "--tau", "200",
+                     "--seed", "1", "--out", str(tmp_path), "--deterministic"]) == EXIT_OK
+        lines = (tmp_path / "injection.csv").read_text().splitlines()
+        data = [line for line in lines if not line.startswith("#")]
+        assert data[0] == "population,ratio_without,ratio_with"
+        assert len(data) == 2
 
 
 CONFIG = ReproduceConfig(n=60, sub_count=3)
@@ -360,7 +361,7 @@ class TestReproduceWaveform:
     def test_outcome_json_shape(self):
         sine = gen_sinusoid(300, dt=1.0)
         outcome = reproduce_waveform(replace(CONFIG, max_attempts=5, seed=2), sine)
-        payload = outcome.to_json_dict()
+        payload = asdict(outcome)
         assert set(payload) == {"attempt_count", "oscillatory", "train_nrmse", "seed"}
 
     def test_trials_are_deterministic_and_job_independent(self):
@@ -387,14 +388,14 @@ class TestSubCountSweep:
         assert [d.sub_count for d in a] == [1, 4]
         assert a == b
 
-    def test_boxplot_csv_rows(self):
-        sine = gen_sinusoid(300, dt=1.0)
-        config = ReproduceConfig(n=48, sub_counts=(1, 4), trials=3, seed=5)
-        buffer = io.StringIO()
-        write_boxplot_csv(buffer, subreservoir_count_outcomes(config, sine))
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "sub_count,trial,oscillatory,nrmse"
-        assert len(lines) == 1 + 2 * 3
+    def test_boxplot_csv_rows(self, tmp_path):
+        assert main(["reproduce", "--n", "48", "--sub-counts", "1,4", "--trials", "3",
+                     "--tau", "300", "--seed", "5", "--out", str(tmp_path),
+                     "--deterministic"]) == EXIT_OK
+        lines = (tmp_path / "boxplot.csv").read_text().splitlines()
+        data = [line for line in lines if not line.startswith("#")]
+        assert data[0] == "sub_count,trial,oscillatory,nrmse"
+        assert len(data) == 1 + 2 * 3
 
     def test_quartiles_of_empty_distribution_are_nan(self):
         from soesn.experiments import SubCountDistribution

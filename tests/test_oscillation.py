@@ -196,7 +196,7 @@ class TestReportJson:
         rows[:, 0] = 0.5 * np.sin(2 * np.pi * 9 * t / 100.0)
         rows[:, 1] = 0.5 * np.sin(2 * np.pi * 9 * t / 100.0 + 0.3)
         report = classify_trajectory(StateTrajectory(rows))
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_json_dict()))
         assert set(payload) == {
             "per_unit", "reservoir_is_self_oscillatory", "phase_locked",
             "window", "thresholds",

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -150,12 +148,3 @@ class TestPredict:
         with pytest.raises(DimensionError):
             predict(model, rng.normal(0, 1, (10, 4)))
 
-
-class TestModelJson:
-    def test_exact_field_names_and_nan_mapping(self):
-        model = ReadoutModel(np.array([[1.0], [2.0]]), 1e-8, np.array([np.nan]))
-        payload = json.loads(model.to_json())
-        assert set(payload) == {"W_out", "lambda", "train_nrmse"}
-        assert payload["W_out"] == [[1.0], [2.0]]
-        assert payload["lambda"] == 1e-8
-        assert payload["train_nrmse"] == [None]
