@@ -80,7 +80,8 @@ def train_ridge(X, Y, ridge_lambda: float = 1e-8, washout: int = 100) -> Readout
         )
         W_out, *_ = np.linalg.lstsq(Xw, Yw, rcond=None)
     else:
-        A = Xw.T @ Xw + ridge_lambda * np.eye(X.shape[1])
+        A = Xw.T @ Xw
+        A.flat[:: A.shape[0] + 1] += ridge_lambda  # the diagonal, in place
         B = Xw.T @ Yw
         W_out = np.linalg.solve(A, B)
         W_out += np.linalg.solve(A, B - A @ W_out)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Every threshold is pinned
-here, not tuned at runtime. All sampling is seeded (base seed 0), so each
-verdict is deterministic.
+Run with `pytest tests/test_acceptance.py -v -s`. Every test here carries
+the `acceptance` marker, so `pytest -m "not acceptance"` runs the rest of
+the suite without it. Every threshold is pinned here, not tuned at
+runtime. All sampling is seeded (base seed 0), so each verdict is
+deterministic.
 
 Criterion 5 is expected to fail; the test prints the measured count and the
 analysis. The operationalized statistic (per-unit dominant bin, stable
@@ -15,6 +17,7 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from soesn import (
     InjectConfig,
@@ -43,6 +46,8 @@ from soesn.cli import main as cli_main
 from soesn.experiments import TrialPlan, run_plans
 
 from conftest import classifier_corpus, naive_dft_power, ridge_oracle, rk4_lorenz_oracle_step
+
+pytestmark = pytest.mark.acceptance
 
 BASE_SEED = 0
 JOBS = 2

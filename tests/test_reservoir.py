@@ -1,5 +1,6 @@
 import io
 import math
+from decimal import Decimal
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from soesn import (
 )
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.oscillation import classify_states
+from soesn.reservoir import _fast_lines
 from soesn.topology import build_dense
 
 from conftest import fstring_write_csv
@@ -371,6 +373,98 @@ class TestTrajectoryCsv:
         trajectory = two_unit_reservoir().run(5)
         with pytest.raises(ValueError):
             trajectory.rows[0, 0] = 9.9
+
+
+def ulps_around(value, count=8):
+    """`value` and its `count` nearest doubles on each side."""
+    return (np.float64(value).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+def assert_written_as_17g(values, width=7):
+    """The fast kernel writes each value of `values` (and its negation)
+    with 1e-5 <= |x| <= 1 as '%.17g' does, and the whole writer, which
+    sends every other row to the row template, matches the f-string oracle."""
+    values = np.concatenate([values, np.negative(values)])
+    for part in (values[(np.abs(values) >= 1e-5) & (np.abs(values) <= 1.0)], values):
+        rows = np.resize(part, (-(-len(part) // width), width))
+        if part is not values:
+            expected = "".join(f"{t}," + ",".join("%.17g" % v for v in row) + "\n"
+                               for t, row in enumerate(rows.tolist()))
+            assert _fast_lines(rows, 0) == expected
+    trajectory = StateTrajectory(rows)
+    ours, oracle = io.StringIO(), io.StringIO()
+    trajectory.write_csv(ours)
+    fstring_write_csv(trajectory, oracle)
+    assert ours.getvalue() == oracle.getvalue()
+
+
+class TestFastCsvKernel:
+    """The vectorized '%.17g' path of the trajectory writer, value by value
+    against Python's own formatting, where exact digits are hardest."""
+
+    @pytest.mark.parametrize("j", range(8))
+    def test_neighbours_of_powers_of_ten(self, j):
+        # the two spellings can be different doubles; a value just below a
+        # power of ten may round up to it, moving the exponent
+        assert_written_as_17g(np.concatenate([ulps_around(10.0 ** -j),
+                                              ulps_around(float(f"1e-{j}"))]))
+
+    def test_dyadic_ties(self):
+        # m / 2**s is exact in binary, and for s near 24 its decimal
+        # expansion ends 18 significant digits in with a 5: a true tie,
+        # which '%.17g' rounds half to even
+        rng = np.random.default_rng(11)
+        s = np.repeat(np.arange(1, 61), 40)
+        m = rng.integers(1, 2.0 ** np.minimum(s, 53), dtype=np.int64) | 1
+        values = m / 2.0 ** s
+        assert any(len(str(Decimal(v).normalize()).lstrip("0.").replace(".", "")) == 18
+                   for v in values.tolist())
+        assert_written_as_17g(values)
+
+    @pytest.mark.parametrize("length", [17, 18])
+    def test_decimals_ending_in_five(self, length):
+        # an 18-digit one is a tie at 17 digits before it becomes a double
+        rng = np.random.default_rng(length)
+        values = [float(f"{digits}5e{exponent}")
+                  for exponent in range(-length - 5, -length + 1)
+                  for digits in rng.integers(10 ** (length - 2), 10 ** (length - 1), 200).tolist()]
+        assert_written_as_17g(np.array(values))
+
+    def test_just_below_one(self):
+        below = np.float64(1.0).view(np.int64) - np.arange(1, 65)
+        assert_written_as_17g(np.append(below.view(np.float64), 1.0))
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e-5, 1e-6])
+    def test_edges_of_the_fast_range(self, edge):
+        assert_written_as_17g(ulps_around(edge, 64))
+
+    def test_one_digit_mantissas_in_exponent_form(self):
+        # the doubles nearest d e-05 print with up to 16 more digits, and
+        # those nearest 1.1e-05 with one
+        assert_written_as_17g(np.concatenate([ulps_around(d * 1e-5, 16) for d in range(1, 10)]
+                                             + [ulps_around(1.1e-5)]))
+
+    def test_just_above_one_takes_the_row_template(self):
+        above = np.float64(1.0).view(np.int64) + np.arange(1, 9)
+        assert_written_as_17g(np.append(above.view(np.float64), [1 + 1e-13, 1 + 1e-12]))
+
+    def test_interleaved_fast_and_template_rows_keep_row_order(self):
+        # 64 units write 128 rows per kernel call; single template rows,
+        # runs of them and runs of fast rows fall on and across those edges
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(-1, 1, (1200, 64))
+        rows[np.abs(rows) < 1e-5] = 0.5
+        slow = np.flatnonzero(rng.random(len(rows)) < 0.2)
+        slow = np.concatenate([slow, np.arange(120, 140), [127, 128, 255, 256, 999, 1199]])
+        odd = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.9999999999999991e-06, 1e-9,
+               1 + 1e-12]
+        rows[slow, rng.integers(0, 64, len(slow))] = rng.choice(odd, len(slow))
+        trajectory = StateTrajectory(rows)
+        ours, oracle = io.StringIO(), io.StringIO()
+        trajectory.write_csv(ours)
+        fstring_write_csv(trajectory, oracle)
+        assert ours.getvalue() == oracle.getvalue()
+
 
 
 # Reservoir contracts over generated inputs: any finite weights (entries up
