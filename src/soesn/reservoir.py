@@ -236,8 +236,9 @@ def _csv_tables():
     stripped[np.cumprod(stripped[:, ::-1] == ord("0"), axis=1)[:, ::-1] == 1] = 0
     # groups[g + 10000 * last] is group g's 4 bytes as one uint32
     groups = np.concatenate([digits, stripped]).view(np.uint32).ravel()
-    powers = 10.0 ** np.arange(16, 23)  # exact: 10**(16 + j) for j in 0..6
-    # what precedes the leading digit in fixed notation: "0." and j - 1 zeros
+    powers = np.array([float(10**k) for k in range(16, 23)])  # 10**(16 + j), j in 0..6, exact
+    # what precedes the leading digit in fixed notation: "0." and j - 1
+    # zeros, or nothing for j = 0 (only +-1, which prints as "1")
     prefixes = np.zeros((6, 5), np.uint8)
     for j in range(1, 5):
         prefixes[j, :j + 1] = np.frombuffer(b"0." + b"0" * (j - 1), np.uint8)
