@@ -19,7 +19,7 @@ from soesn import (
 )
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.oscillation import classify_states
-from soesn.reservoir import _fast_lines
+from soesn._csv17g import fast_lines
 from soesn.topology import build_dense
 
 from conftest import fstring_write_csv
@@ -390,7 +390,7 @@ def assert_written_as_17g(values, width=7):
         if part is not values:
             expected = "".join(f"{t}," + ",".join("%.17g" % v for v in row) + "\n"
                                for t, row in enumerate(rows.tolist()))
-            assert _fast_lines(rows, 0) == expected
+            assert fast_lines(rows, 0) == expected
     trajectory = StateTrajectory(rows)
     ours, oracle = io.StringIO(), io.StringIO()
     trajectory.write_csv(ours)
