@@ -1,7 +1,7 @@
 import io
 import math
-from decimal import Decimal
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -381,17 +381,17 @@ def ulps_around(value, count=8):
 
 
 def assert_written_as_17g(values, width=7):
-    """The fast kernel writes each value of `values` (and its negation)
-    with 1e-5 <= |x| <= 1 as '%.17g' does, and the whole writer, which
-    sends every other row to the row template, matches the f-string oracle."""
+    """The fast kernel writes each of `values` and its negation with
+    1e-5 <= |x| <= 1 as '%.17g' does, and the whole writer, which sends
+    every other row to the row template, matches the f-string oracle."""
     values = np.concatenate([values, np.negative(values)])
-    for part in (values[(np.abs(values) >= 1e-5) & (np.abs(values) <= 1.0)], values):
-        rows = np.resize(part, (-(-len(part) // width), width))
-        if part is not values:
-            expected = "".join(f"{t}," + ",".join("%.17g" % v for v in row) + "\n"
-                               for t, row in enumerate(rows.tolist()))
-            assert fast_lines(rows, 0) == expected
-    trajectory = StateTrajectory(rows)
+    in_range = values[(np.abs(values) >= 1e-5) & (np.abs(values) <= 1.0)]
+    if in_range.size:
+        rows = np.resize(in_range, (-(-in_range.size // width), width))
+        expected = "".join(f"{t}," + ",".join("%.17g" % v for v in row) + "\n"
+                           for t, row in enumerate(rows.tolist()))
+        assert fast_lines(rows, 0) == expected
+    trajectory = StateTrajectory(np.resize(values, (-(-values.size // width), width)))
     ours, oracle = io.StringIO(), io.StringIO()
     trajectory.write_csv(ours)
     fstring_write_csv(trajectory, oracle)
@@ -449,8 +449,9 @@ class TestFastCsvKernel:
         assert_written_as_17g(np.append(above.view(np.float64), [1 + 1e-13, 1 + 1e-12]))
 
     def test_interleaved_fast_and_template_rows_keep_row_order(self):
-        # 64 units write 128 rows per kernel call; single template rows,
-        # runs of them and runs of fast rows fall on and across those edges
+        # 64 units write up to 64 rows per kernel call; single template
+        # rows, runs of them and runs of fast rows fall on and across those
+        # block edges
         rng = np.random.default_rng(13)
         rows = rng.uniform(-1, 1, (1200, 64))
         rows[np.abs(rows) < 1e-5] = 0.5
@@ -464,7 +465,6 @@ class TestFastCsvKernel:
         trajectory.write_csv(ours)
         fstring_write_csv(trajectory, oracle)
         assert ours.getvalue() == oracle.getvalue()
-
 
 
 # Reservoir contracts over generated inputs: any finite weights (entries up
