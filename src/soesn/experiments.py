@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
 from .numerics import _radius_factors, spectral_radius
-from .oscillation import DEFAULT_WINDOW, classify_states, classify_trajectory
+from .oscillation import WINDOW, classify_states, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
@@ -58,8 +58,8 @@ def _require(ok: bool, message: str) -> None:
 def _require_window(tau: int) -> None:
     """A run of `tau` steps records tau + 1 rows, and the classifier needs
     one full window of them."""
-    _require(tau + 1 >= DEFAULT_WINDOW,
-             f"tau must be at least {DEFAULT_WINDOW - 1} (tau + 1 samples fill the "
+    _require(tau + 1 >= WINDOW,
+             f"tau must be at least {WINDOW - 1} (tau + 1 samples fill the "
              f"classifier window), got {tau}")
 
 
@@ -221,46 +221,41 @@ BATCH_WIDTH = 64
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """One dense reservoir run for run_plans: the matrix
-    `build_weights(spec, rho)` (the spec's seed is the matrix id;
-    `spec.inject_ensemble` splices in the two-neuron ensemble), the constant
-    `leak` and the initial state `init_state(spec.n, state_seed)`. `label`
-    names the run in errors."""
+    """One state that run_plans advances on its shared dense matrix, scaled
+    to radius `rho` (with the two-neuron ensemble spliced in when
+    `injected`), at the constant `leak`, from `init_state(n, state_seed)`.
+    `label` names the run in errors."""
 
-    spec: TopologySpec
     rho: float
     leak: float
     state_seed: int
+    injected: bool = False
     label: str = ""
 
 
-def run_plans(plans, tau: int):
-    """Run dense plans that share one base matrix as batches, yielding each
-    chunk's kept states: a (min(DEFAULT_WINDOW, tau + 1), B, n) stack, the
-    classifier window of B plans in plan order.
+def run_plans(n: int, matrix_seed: int, plans, tau: int):
+    """Run plans on the dense matrix of `n` units drawn from `matrix_seed`
+    as batches, yielding each chunk's kept states: a
+    (min(WINDOW, tau + 1), B, n) stack, the classifier window of B plans in
+    plan order.
 
-    The base matrix W0 = build_dense(n, spec.seed) is built, and its radius
-    taken, once; plan j runs under c_j * W0 with c_j = rho_j / radius(W0),
-    which is build_weights(spec, rho_j) factored out of the product, and
-    with the ensemble's weights in its leading block when its spec says so.
-    Chunks hold at most BATCH_WIDTH plans. A NumericError names the failing
-    plan's label.
+    The base matrix W0 = build_dense(n, matrix_seed) is built, and its
+    radius taken, once; plan j runs under c_j * W0 with
+    c_j = rho_j / radius(W0), which is build_weights of the dense spec at
+    rho_j factored out of the product, and with the ensemble's weights in
+    its leading block when it is injected. Chunks hold at most BATCH_WIDTH
+    plans. A NumericError names the failing plan's label.
     """
-    base = replace(plans[0].spec, inject_ensemble=False)
-    if base.kind != "dense" or any(
-        replace(p.spec, inject_ensemble=False) != base for p in plans
-    ):
-        raise InputError("batched plans must share one dense base matrix")
     try:
-        W0 = build_dense(base.n, base.seed)
+        W0 = build_dense(n, matrix_seed)
         factors = _radius_factors(spectral_radius(W0), np.array([p.rho for p in plans]))
-        states = {s: init_state(base.n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
+        states = {s: init_state(n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
     except NumericError as exc:
         raise NumericError(f"{plans[0].label} failed: {exc}") from exc
-    keep = min(DEFAULT_WINDOW, tau + 1)
+    keep = min(WINDOW, tau + 1)
     for start in range(0, len(plans), BATCH_WIDTH):
         chunk = plans[start : start + BATCH_WIDTH]
-        seeded = np.flatnonzero([p.spec.inject_ensemble for p in chunk])
+        seeded = np.flatnonzero([p.injected for p in chunk])
         try:
             yield run_batch(
                 W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
@@ -271,9 +266,10 @@ def run_plans(plans, tau: int):
             raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc
 
 
-def _self_oscillatory(plans, tau: int) -> list[bool]:
-    """Each plan's self-oscillatory verdict, in plan order."""
-    return [bool(v) for tail in run_plans(plans, tau) for v in classify_states(tail)]
+def _self_oscillatory(task, tau: int) -> list[bool]:
+    """Each plan's self-oscillatory verdict, in plan order, for a task
+    `(n, matrix_seed, plans)` of run_plans."""
+    return [bool(v) for tail in run_plans(*task, tau) for v in classify_states(tail)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +305,12 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     tasks = []
     for t in range(config.trials):
         seed = derive_seed(config.seed, t)
-        spec = TopologySpec(n=config.n, seed=derive_seed(seed, ROLE_WEIGHTS))
-        tasks.append([
-            TrialPlan(spec, r, a, derive_seed(seed, ROLE_STATE),
-                      f"sweep cell (leak={a}, rho={r}) trial {t}")
+        tasks.append((config.n, derive_seed(seed, ROLE_WEIGHTS), [
+            TrialPlan(r, a, derive_seed(seed, ROLE_STATE),
+                      label=f"sweep cell (leak={a}, rho={r}) trial {t}")
             for a in leaks
             for r in rhos
-        ])
+        ]))
     verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
     flags = np.array(verdicts, dtype=float)
     # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
@@ -353,13 +348,11 @@ def injection_ratio_experiment(
     for pi, p in enumerate(config.populations):
         for t in range(config.trials):
             seed = derive_seed(config.seed, pi, t)
-            spec = TopologySpec(n=p, seed=derive_seed(seed, ROLE_WEIGHTS))
             label = f"injection cell (population={p}) trial {t}"
-            tasks.append([
-                TrialPlan(replace(spec, inject_ensemble=arm), config.rho, config.leak,
-                          derive_seed(seed, ROLE_STATE), label)
+            tasks.append((p, derive_seed(seed, ROLE_WEIGHTS), [
+                TrialPlan(config.rho, config.leak, derive_seed(seed, ROLE_STATE), arm, label)
                 for arm in (False, True)
-            ])
+            ]))
     verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
     flags = np.array(verdicts, dtype=float)
     ratios = flags.reshape(len(config.populations), config.trials, 2).mean(axis=1)

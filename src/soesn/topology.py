@@ -108,6 +108,8 @@ class TopologySpec(ConfigFields):
             raise InputError("coupling_scale must be non-negative")
         if not 0.0 <= self.coupling_density <= 1.0:
             raise InputError(f"coupling_density must lie in [0, 1], got {self.coupling_density}")
+        if self.inject_ensemble and self.n < 2:
+            raise InputError(f"the two-unit ensemble needs n >= 2, got n={self.n}")
         check_seed(self.seed)
 
 

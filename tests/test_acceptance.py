@@ -25,7 +25,6 @@ from soesn import (
     Reservoir,
     StateTrajectory,
     SweepConfig,
-    TopologySpec,
     classify_trajectory,
     derive_seed,
     distribution_from_outcomes,
@@ -82,9 +81,8 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
         sampled = []
         for attempt in range(40 * count):
             seed = derive_seed(BASE_SEED, attempt)
-            spec = TopologySpec(n=n, seed=derive_seed(seed, 0))
-            plans = [TrialPlan(spec, rho, leak, derive_seed(seed, s)) for s in (1, 2)]
-            (tail,) = run_plans(plans, 1000)
+            plans = [TrialPlan(rho, leak, derive_seed(seed, s)) for s in (1, 2)]
+            (tail,) = run_plans(n, derive_seed(seed, 0), plans, 1000)
             first, second = (classify_trajectory(StateTrajectory(rows))
                              for rows in tail.transpose(1, 0, 2))
             if first.reservoir_is_self_oscillatory:

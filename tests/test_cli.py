@@ -1,13 +1,27 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from soesn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from soesn.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    GenerateConfig,
+    InjectConfig,
+    ReproduceConfig,
+    SweepConfig,
+    TopologyDemoConfig,
+    build_parser,
+    main,
+)
 
 
 def read(path):
@@ -94,7 +108,31 @@ class TestSweep:
         assert min(rhos) == 0.1 and max(rhos) == 3.0 and len(rhos) == 30
 
 
+def _field_paths(cls, prefix=""):
+    """Every config field of `cls` by path, nested ones as "topology.n"."""
+    paths = set()
+    for f in fields(cls):
+        if hasattr(f.type, "from_dict"):
+            paths |= _field_paths(f.type, f"{prefix}{f.name}.")
+        else:
+            paths.add(prefix + f.name)
+    return paths
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("command,cls", [
+        ("generate", GenerateConfig), ("sweep", SweepConfig),
+        ("inject-experiment", InjectConfig), ("reproduce", ReproduceConfig),
+        ("topology-demo", TopologyDemoConfig),
+    ])
+    def test_flags_are_the_config_fields(self, command, cls):
+        # the hand-written parser offers one flag per config field, no more
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        shared = {"config", "out", "force", "deterministic", "jobs", "help"}
+        assert dests - shared == _field_paths(cls)
+
     def test_rerun_from_echo_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(["sweep", "--leak-values", "0.5", "--rho-values", "0.8,1.5",
@@ -406,6 +444,7 @@ BAD_FLAGS = [
     ("generate", ["--leak", "1.5"]),
     ("generate", ["--sub", "30"]),
     ("generate", ["--seed", "-1"]),
+    ("generate", ["--n", "1", "--inject"]),  # the ensemble needs two units
     ("sweep", ["--tau", "50"]),
     ("sweep", ["--n", "0"]),
     ("sweep", ["--rho-values", "0.5,-1"]),
@@ -439,6 +478,7 @@ BAD_PARAMS = [
     ("generate", {"svg": "yes"}),
     ("generate", {"rho": float("nan")}),
     ("generate", {"rho": {}}),
+    ("generate", {"topology": {"n": 1, "inject_ensemble": True}}),
     ("sweep", {"trials": 1.5}),
     ("sweep", {"tau": "x"}),
     ("sweep", {"leak_values": "0.5"}),

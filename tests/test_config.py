@@ -37,8 +37,9 @@ def topology_specs(draw):
         kind=draw(st.sampled_from(VALID_KINDS)), n=n,
         density=draw(_finite(min_value=0.0, max_value=1.0, exclude_min=True)),
         sub_count=draw(st.integers(1, n)), coupling_scale=draw(non_negatives),
-        coupling_density=draw(fractions), inject_ensemble=draw(st.booleans()),
-        seed=draw(seeds),
+        coupling_density=draw(fractions),
+        # the two-unit ensemble needs room: n = 1 cannot take it
+        inject_ensemble=n >= 2 and draw(st.booleans()), seed=draw(seeds),
     )
 
 

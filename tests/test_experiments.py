@@ -21,7 +21,7 @@ from soesn import (
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
-from soesn import TopologySpec, two_neuron_ensemble
+from soesn import two_neuron_ensemble
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.experiments import (
     BATCH_WIDTH,
@@ -73,58 +73,45 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
     assert made == ([] if pool is None else [pool])
 
 
-def _trajectories(plans, tau):
-    return [rows for tail in run_plans(plans, tau) for rows in tail.transpose(1, 0, 2)]
+def _trajectories(n, matrix_seed, plans, tau):
+    return [rows for tail in run_plans(n, matrix_seed, plans, tau)
+            for rows in tail.transpose(1, 0, 2)]
 
 
 class TestTrialPlans:
     """The batched runner against one Reservoir.run per state: over 30
     steps (the whole run is kept) every state agrees to 1e-12."""
 
-    def _check(self, plans, ensemble=None):
-        got = _trajectories(plans, 30)
+    def _check(self, n, matrix_seed, plans):
+        got = _trajectories(n, matrix_seed, plans, 30)
         for plan, rows in zip(plans, got):
-            spec = plan.spec
-            reference = reference_run(spec.n, spec.seed, plan.rho, plan.leak, plan.state_seed,
-                                      30, ensemble if spec.inject_ensemble else None)
+            reference = reference_run(n, matrix_seed, plan.rho, plan.leak, plan.state_seed, 30,
+                                      two_neuron_ensemble() if plan.injected else None)
             assert np.max(np.abs(rows - reference.rows)) <= 1e-12
 
     def test_sweep_rows(self):
-        spec = TopologySpec(n=100, seed=derive_seed(4, 0))
-        self._check([TrialPlan(spec, r, a, 77) for a in (0.2, 0.5, 0.8)
-                     for r in (0.6, 0.9, 1.2, 1.5)])
+        self._check(100, derive_seed(4, 0), [TrialPlan(r, a, 77) for a in (0.2, 0.5, 0.8)
+                                             for r in (0.6, 0.9, 1.2, 1.5)])
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_injection_arms(self, n):
-        spec = TopologySpec(n=n, seed=derive_seed(5, n))
-        self._check([TrialPlan(replace(spec, inject_ensemble=arm), 1.25, 0.5, 78)
-                     for arm in (False, True)], two_neuron_ensemble())
+        self._check(n, derive_seed(5, n), [TrialPlan(1.25, 0.5, 78, arm)
+                                           for arm in (False, True)])
 
     def test_state_pair(self):
-        spec = TopologySpec(n=100, seed=derive_seed(6, 0))
-        self._check([TrialPlan(spec, 1.25, 0.5, s) for s in (1, 2)])
+        self._check(100, derive_seed(6, 0), [TrialPlan(1.25, 0.5, s) for s in (1, 2)])
 
     def test_chunks_cover_every_plan_in_order(self):
-        spec = TopologySpec(n=12, seed=1)
-        plans = [TrialPlan(spec, 0.5 + 0.01 * j, 0.5, j) for j in range(2 * BATCH_WIDTH + 3)]
-        got = _trajectories(plans, 30)
+        plans = [TrialPlan(0.5 + 0.01 * j, 0.5, j) for j in range(2 * BATCH_WIDTH + 3)]
+        got = _trajectories(12, 1, plans, 30)
         assert len(got) == len(plans)
         for j in (0, BATCH_WIDTH, len(plans) - 1):
             reference = reference_run(12, 1, plans[j].rho, 0.5, j, 30)
             assert np.max(np.abs(got[j] - reference.rows)) <= 1e-12
 
-    def test_plans_must_share_one_dense_matrix(self):
-        spec = TopologySpec(n=12, seed=1)
-        with pytest.raises(InputError):
-            next(run_plans([TrialPlan(spec, 1.0, 0.5, 0),
-                            TrialPlan(replace(spec, seed=2), 1.0, 0.5, 0)], 200))
-        with pytest.raises(InputError):
-            next(run_plans([TrialPlan(replace(spec, kind="sparse"), 1.0, 0.5, 0)], 200))
-
     def test_per_unit_leak_rejected(self):
-        spec = TopologySpec(n=12, seed=1)
         with pytest.raises(DimensionError):
-            next(run_plans([TrialPlan(spec, 1.0, np.full(12, 0.5), 0)], 200))
+            next(run_plans(12, 1, [TrialPlan(1.0, np.full(12, 0.5), 0)], 200))
 
 
 class TestSeedDerivation:

@@ -42,11 +42,7 @@ class TestClassifyUnit:
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(InputError):
-            classify_unit(np.ones(50), window=100)
-
-    def test_window_too_small_rejected(self):
-        with pytest.raises(InputError):
-            classify_unit(np.ones(50), window=8)
+            classify_unit(np.ones(50))
 
     def test_amplitude_scale_invariance(self):
         t = np.arange(500)
@@ -114,7 +110,7 @@ class TestClassifyTrajectory:
     def test_short_trajectory_rejected(self):
         rows = np.zeros((50, 2))
         with pytest.raises(InputError):
-            classify_trajectory(StateTrajectory(rows), window=100)
+            classify_trajectory(StateTrajectory(rows))
 
 
 def _oracle_unit(tail, amplitude_floor=1e-3, peak_share=0.05):
@@ -160,21 +156,21 @@ class TestPhaseLock:
 
 class TestDominantFrequency:
     def test_simple_conversion(self):
-        assert dominant_frequency_hz(10, 100, 1.0) == pytest.approx(0.1)
+        assert dominant_frequency_hz(10, 1.0) == pytest.approx(0.1)
 
     def test_dt_scaling(self):
-        assert dominant_frequency_hz(1, 100, 0.01) == pytest.approx(1.0)
+        assert dominant_frequency_hz(1, 0.01) == pytest.approx(1.0)
 
     def test_nyquist_boundary(self):
-        assert dominant_frequency_hz(50, 100, 1.0) == pytest.approx(0.5)
+        assert dominant_frequency_hz(50, 1.0) == pytest.approx(0.5)
 
     def test_dc_rejected(self):
         with pytest.raises(InputError):
-            dominant_frequency_hz(0, 100, 1.0)
+            dominant_frequency_hz(0, 1.0)
 
     def test_beyond_nyquist_rejected(self):
         with pytest.raises(InputError):
-            dominant_frequency_hz(51, 100, 1.0)
+            dominant_frequency_hz(51, 1.0)
 
 
 class TestLeakFrequencyRelation:

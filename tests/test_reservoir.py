@@ -300,6 +300,15 @@ class TestTrajectoryCsv:
         restored = StateTrajectory.read_csv(buffer.getvalue())
         assert np.array_equal(restored.rows, trajectory.rows)
 
+    def test_file_round_trip_keeps_every_bit(self, rng, tmp_path):
+        # oscillating rows take the vectorized writer, the rest the row template
+        rows = np.vstack([rng.uniform(-1.0, 1.0, (20, 3)),
+                          rng.uniform(-1.0, 1.0, (20, 3)) * 1e-9,
+                          [[0.0, -0.0, 1.0], [-1.0, 5e-324, 1e-5]]])
+        path = tmp_path / "trajectory.csv"
+        StateTrajectory(rows).to_csv(path)
+        assert StateTrajectory.from_csv(path).rows.tobytes() == rows.tobytes()
+
     def test_header_format(self):
         trajectory = two_unit_reservoir().run(3)
         buffer = io.StringIO()
