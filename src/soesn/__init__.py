@@ -47,7 +47,7 @@ from .readout import ReadoutModel, nrmse, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import derive_seed
 from .topology import (
-    EnsembleSpec,
+    TWO_NEURON_ENSEMBLE,
     TopologySpec,
     build_dense,
     build_sparse,
@@ -55,5 +55,4 @@ from .topology import (
     build_weights,
     inject_ensemble,
     sample_leak_vector,
-    two_neuron_ensemble,
 )

@@ -53,7 +53,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 class GenerateConfig(ConfigFields):
     """`soesn generate`: one reservoir built from `topology`, scaled to
     radius `rho`, run `tau` steps at a constant `leak`; the trace SVG (if
-    `svg`) draws the first `plot_units` units."""
+    `svg`) draws the first `plot_units` units, at least one."""
 
     topology: TopologySpec = field(default_factory=TopologySpec)
     rho: float = 1.25
@@ -66,6 +66,7 @@ class GenerateConfig(ConfigFields):
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
         _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
         _require_window(self.tau)
+        _require(self.plot_units >= 1, f"plot_units must be at least 1, got {self.plot_units}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,8 @@ def _load_config_params(path: str, command: str) -> dict:
             data = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     if "command" in data:
@@ -373,7 +376,7 @@ def cmd_generate(args) -> int:
     payload = {"metadata": _metadata("generate", config)} | report.to_json_dict()
     _write_json(os.path.join(args.out, "oscillation.json"), payload)
     if config.svg:
-        count = max(1, min(config.plot_units, trajectory.n))
+        count = min(config.plot_units, trajectory.n)
         t = np.arange(trajectory.steps)
         series = [(f"x{i}", t, trajectory.unit(i)) for i in range(count)]
         svgplot.line_chart(

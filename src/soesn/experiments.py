@@ -23,12 +23,12 @@ from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
 from .topology import (
+    TWO_NEURON_ENSEMBLE,
     ConfigFields,
     TopologySpec,
     build_dense,
     build_weights,
     sample_leak_vector,
-    two_neuron_ensemble,
 )
 
 
@@ -260,7 +260,7 @@ def run_plans(n: int, matrix_seed: int, plans, tau: int):
             yield run_batch(
                 W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
                 factors[start : start + len(chunk)], tau, keep,
-                lead=(seeded, two_neuron_ensemble().weights) if seeded.size else None,
+                lead=(seeded, TWO_NEURON_ENSEMBLE) if seeded.size else None,
             )
         except NumericError as exc:
             raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc

@@ -170,7 +170,7 @@ def _radius_factors(radii, rho_target):
     """The factors `rho_target / radii` that take matrices of spectral radii
     `radii` to the radii `rho_target` (each a number or an array). Raises
     InputError for a non-positive target and CannotScaleError for a radius
-    too close to zero to rescale."""
+    too close to zero to rescale or a factor too large for a float."""
     if np.min(rho_target) <= 0:
         raise InputError(f"target spectral radius must be positive, got {np.min(rho_target)}")
     smallest = float(np.min(radii))
@@ -178,7 +178,13 @@ def _radius_factors(radii, rho_target):
         raise CannotScaleError(
             f"spectral radius {smallest!r} is too close to zero to rescale"
         )
-    return rho_target / radii
+    with np.errstate(over="ignore"):
+        factors = rho_target / radii
+    if not np.all(np.isfinite(factors)):
+        raise CannotScaleError(
+            f"the scale factor to radius {float(np.max(rho_target))!r} overflows"
+        )
+    return factors
 
 
 @dataclass(frozen=True)

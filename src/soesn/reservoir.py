@@ -78,7 +78,8 @@ class Reservoir:
     def step(self) -> "Reservoir":
         """Advance the state one tick."""
         x = self.state
-        new = (1.0 - self.leak) * x + self.leak * np.tanh(self.W @ x)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in run()
+            new = (1.0 - self.leak) * x + self.leak * np.tanh(self.W @ x)
         if not np.all(np.isfinite(new)):
             unit = int(np.flatnonzero(~np.isfinite(new))[0])
             raise NumericError(
@@ -104,13 +105,15 @@ class Reservoir:
         rows = np.empty((tau + 1, self.n))
         rows[0] = self.state
         drive = np.empty(self.n)
-        for t in range(tau):
-            x, new = rows[t], rows[t + 1]
-            np.matmul(W, x, out=drive)
-            np.tanh(drive, out=drive)
-            drive *= leak
-            np.multiply(keep, x, out=new)
-            new += drive
+        # tanh saturates an overflowing drive, and a NaN is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(tau):
+                x, new = rows[t], rows[t + 1]
+                np.matmul(W, x, out=drive)
+                np.tanh(drive, out=drive)
+                drive *= leak
+                np.multiply(keep, x, out=new)
+                new += drive
         # finite states stay in [-1, 1], so the sum is finite unless one is not
         if not np.isfinite(rows.sum()):
             step, unit = np.argwhere(~np.isfinite(rows[1:]))[0]
@@ -166,10 +169,6 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
         raise InputError("state values must be finite and within [-1, 1]")
     scale, leak = scale[:, None], leak[:, None]
     remain = 1.0 - leak
-    if lead is not None:
-        rows, block = lead
-        k = len(block)
-        fix = np.asarray(block, dtype=float) - scale[rows, :, None] * W[:k, :k]
     Wt = W.T
     tail = np.empty((keep, batch, n))
     first = tau + 1 - keep  # the tick whose state is kept first
@@ -177,20 +176,26 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
     drive = np.empty_like(x)
     if first == 0:
         tail[0] = x
-    for t in range(1, tau + 1):
-        new = tail[t - first] if t >= first else spare
-        np.matmul(x, Wt, out=drive)
-        drive *= scale
+    # tanh saturates an overflowing drive, and a NaN is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
         if lead is not None:
-            drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
-        np.tanh(drive, out=drive)
-        drive *= leak
-        np.multiply(remain, x, out=new)
-        new += drive
-        if t < first:
-            x, spare = new, x
-        else:
-            x = new
+            rows, block = lead
+            k = len(block)
+            fix = np.asarray(block, dtype=float) - scale[rows, :, None] * W[:k, :k]
+        for t in range(1, tau + 1):
+            new = tail[t - first] if t >= first else spare
+            np.matmul(x, Wt, out=drive)
+            drive *= scale
+            if lead is not None:
+                drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
+            np.tanh(drive, out=drive)
+            drive *= leak
+            np.multiply(remain, x, out=new)
+            new += drive
+            if t < first:
+                x, spare = new, x
+            else:
+                x = new
     # finite states stay in [-1, 1], so the sum is finite unless one is not
     if not np.isfinite(tail.sum()):
         _, row, unit = np.argwhere(~np.isfinite(tail))[0]

@@ -3,21 +3,23 @@
 calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
-from dataclasses import asdict, dataclass, field, fields
-from functools import cache
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .numerics import _radius_factors, scale_to_spectral_radius, spectral_radii
-from .oscillation import classify_trajectory
-from .reservoir import Reservoir, init_state
 from .seeding import check_seed
 
 VALID_KINDS = ("dense", "sparse", "block_diagonal", "weakly_coupled")
 
-# Internal seed for the standalone oscillation check of candidate ensembles.
-_ENSEMBLE_CHECK_SEED = 1912
+# The canonical reciprocal pair: each unit excites itself, one excites the
+# other and is inhibited back. [[1, 1], [-1, 1]] has eigenvalues 1 +/- i, so
+# the linearization rotates instead of settling; dividing by their modulus
+# sqrt(2) sets the radius to 1.25, the working point used everywhere else,
+# with the very bits scale_to_spectral_radius gives. Read-only.
+TWO_NEURON_ENSEMBLE = np.array([[1.0, 1.0], [-1.0, 1.0]]) * (1.25 / np.sqrt(2.0))
+TWO_NEURON_ENSEMBLE.setflags(write=False)
 
 
 def _conforms(value, kind) -> bool:
@@ -197,64 +199,16 @@ def build_weakly_coupled(
     return W
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A small sub-network verified at construction to oscillate on its own
-    (1000 steps at leak 0.5). The 2x2 case must carry three excitatory and
-    one inhibitory synapse. The weights are a read-only copy."""
-
-    size: int
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        weights.setflags(write=False)
-        if weights.shape != (self.size, self.size):
-            raise InputError(
-                f"ensemble weights must be {self.size}x{self.size}, got {weights.shape}"
-            )
-        object.__setattr__(self, "weights", weights)
-        if self.size == 2:
-            positive = int(np.sum(weights > 0))
-            negative = int(np.sum(weights < 0))
-            if (positive, negative) != (3, 1):
-                raise InputError(
-                    "a 2x2 ensemble needs exactly 3 positive and 1 negative entry, "
-                    f"got {positive} positive / {negative} negative"
-                )
-        reservoir = Reservoir(
-            weights, leak=0.5, state=init_state(self.size, _ENSEMBLE_CHECK_SEED)
-        )
-        report = classify_trajectory(reservoir.run(1000))
-        if not report.reservoir_is_self_oscillatory:
-            raise InputError("candidate ensemble does not oscillate standalone")
-
-
-@cache
-def two_neuron_ensemble() -> EnsembleSpec:
-    """The canonical reciprocal pair: each unit excites itself, one excites
-    the other and is inhibited back. The unscaled matrix has eigenvalues
-    1 +/- i, so the linearization rotates instead of settling; scaling to
-    radius 1.25 matches the working point used everywhere else.
-
-    Built, and its standalone oscillation verified, on the first call; later
-    calls return that same immutable spec."""
-    base = np.array([[1.0, 1.0], [-1.0, 1.0]])
-    return EnsembleSpec(size=2, weights=scale_to_spectral_radius(base, 1.25))
-
-
-def inject_ensemble(W: np.ndarray, ensemble: EnsembleSpec) -> np.ndarray:
-    """Replace the leading block of W with the ensemble's weights; rows and
-    columns coupling the ensemble to the rest are preserved."""
+def inject_ensemble(W: np.ndarray) -> np.ndarray:
+    """Replace the leading 2x2 block of W with TWO_NEURON_ENSEMBLE; rows and
+    columns coupling the pair to the rest are preserved."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise InputError(f"expected a square matrix, got shape {W.shape}")
-    if W.shape[0] < ensemble.size:
-        raise InputError(
-            f"matrix side {W.shape[0]} is smaller than the ensemble ({ensemble.size})"
-        )
+    if W.shape[0] < 2:
+        raise InputError(f"matrix side {W.shape[0]} is smaller than the ensemble (2)")
     out = W.copy()
-    out[: ensemble.size, : ensemble.size] = ensemble.weights
+    out[:2, :2] = TWO_NEURON_ENSEMBLE
     return out
 
 
@@ -308,5 +262,5 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
             W[start : start + size, start : start + size] *= factor
 
     if spec.inject_ensemble:
-        W = inject_ensemble(W, two_neuron_ensemble())
+        W = inject_ensemble(W)
     return W

@@ -26,7 +26,6 @@ from soesn import (
     inject_ensemble,
     scale_to_spectral_radius,
     svgplot,
-    two_neuron_ensemble,
 )
 from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
 
@@ -126,19 +125,19 @@ def pair_loop_weakly_coupled(n, sub_count, coupling_scale, coupling_density, see
     return W
 
 
-def reference_run(n, matrix_seed, rho, leak, state_seed, tau, ensemble=None):
+def reference_run(n, matrix_seed, rho, leak, state_seed, tau, injected=False):
     """One state of a dense trial plan, run on its own: the seeded dense
-    matrix scaled as a whole, the ensemble spliced in when given, and the
-    rows Reservoir.run records."""
+    matrix scaled as a whole, the ensemble spliced in when `injected`, and
+    the rows Reservoir.run records."""
     W = scale_to_spectral_radius(build_dense(n, matrix_seed), rho)
-    if ensemble is not None:
-        W = inject_ensemble(W, ensemble)
+    if injected:
+        W = inject_ensemble(W)
     return Reservoir(W, leak, init_state(n, state_seed)).run(tau)
 
 
-def _reference_oscillates(n, tau, leak, rho, seed, ensemble=None):
+def _reference_oscillates(n, tau, leak, rho, seed, injected=False):
     trajectory = reference_run(n, derive_seed(seed, ROLE_WEIGHTS), rho, leak,
-                               derive_seed(seed, ROLE_STATE), tau, ensemble)
+                               derive_seed(seed, ROLE_STATE), tau, injected)
     return classify_trajectory(trajectory).reservoir_is_self_oscillatory
 
 
@@ -163,8 +162,7 @@ def reference_injection_rows(populations, trials, tau, rho, leak, base_seed):
     for pi, p in enumerate(populations):
         seeds = [derive_seed(base_seed, pi, t) for t in range(trials)]
         without = sum(_reference_oscillates(p, tau, leak, rho, s) for s in seeds)
-        with_ = sum(_reference_oscillates(p, tau, leak, rho, s, two_neuron_ensemble())
-                    for s in seeds)
+        with_ = sum(_reference_oscillates(p, tau, leak, rho, s, injected=True) for s in seeds)
         rows.append((p, without / trials, with_ / trials))
     return rows
 

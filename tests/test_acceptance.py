@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from soesn import (
+    TWO_NEURON_ENSEMBLE,
     InjectConfig,
     ReproduceConfig,
     Reservoir,
@@ -39,7 +40,6 @@ from soesn import (
     subreservoir_count_outcomes,
     sweep_heatmap,
     train_ridge,
-    two_neuron_ensemble,
 )
 from soesn.cli import main as cli_main
 from soesn.experiments import TrialPlan, run_plans
@@ -107,10 +107,9 @@ def test_c01_subcritical_radius_suppresses_oscillation():
 
 
 def test_c02_leak_controls_frequency():
-    ensemble = two_neuron_ensemble()
     bins = {}
     for leak in (0.2, 0.8):
-        trajectory = Reservoir(ensemble.weights, leak, init_state(2, seed=7)).run(1000)
+        trajectory = Reservoir(TWO_NEURON_ENSEMBLE, leak, init_state(2, seed=7)).run(1000)
         bins[leak] = periodogram(trajectory.unit(0)[-100:]).dominant_bin()
     check(
         "C2", "leak-controls-frequency",

@@ -71,7 +71,7 @@ CONFIGS = {
     "TopologySpec": topology_specs(),
     "GenerateConfig": st.builds(
         GenerateConfig, topology=topology_specs(), rho=positives, leak=leaks, tau=taus,
-        plot_units=st.integers(-5, 50), svg=st.booleans(),
+        plot_units=st.integers(1, 50), svg=st.booleans(),
     ),
     "SweepConfig": st.builds(
         SweepConfig, leak_values=st.lists(leaks, min_size=1, max_size=5).map(tuple),

@@ -21,7 +21,6 @@ from soesn import (
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
-from soesn import two_neuron_ensemble
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.experiments import (
     BATCH_WIDTH,
@@ -86,7 +85,7 @@ class TestTrialPlans:
         got = _trajectories(n, matrix_seed, plans, 30)
         for plan, rows in zip(plans, got):
             reference = reference_run(n, matrix_seed, plan.rho, plan.leak, plan.state_seed, 30,
-                                      two_neuron_ensemble() if plan.injected else None)
+                                      plan.injected)
             assert np.max(np.abs(rows - reference.rows)) <= 1e-12
 
     def test_sweep_rows(self):

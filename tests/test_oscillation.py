@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soesn import (
+    TWO_NEURON_ENSEMBLE,
     Reservoir,
     StateTrajectory,
     UnitClassification,
@@ -14,7 +15,6 @@ from soesn import (
     init_state,
     periodogram,
     scale_to_spectral_radius,
-    two_neuron_ensemble,
 )
 from soesn.errors import InputError
 
@@ -84,8 +84,7 @@ class TestClassifyTrajectory:
         assert report.phase_locked is None  # fewer than two oscillating units
 
     def test_canonical_ensemble_is_phase_locked(self):
-        ensemble = two_neuron_ensemble()
-        trajectory = Reservoir(ensemble.weights, 0.5, init_state(2, seed=3)).run(1000)
+        trajectory = Reservoir(TWO_NEURON_ENSEMBLE, 0.5, init_state(2, seed=3)).run(1000)
         report = classify_trajectory(trajectory)
         assert report.reservoir_is_self_oscillatory
         assert report.phase_locked is True
@@ -177,10 +176,9 @@ class TestLeakFrequencyRelation:
     def test_higher_leak_oscillates_faster(self):
         # periodogram peak of the trailing window; at leak 0.2 the pair's
         # activity decays, but the decaying spiral still shows its rotation
-        ensemble = two_neuron_ensemble()
         bins = {}
         for leak in (0.2, 0.8):
-            trajectory = Reservoir(ensemble.weights, leak, init_state(2, seed=7)).run(1000)
+            trajectory = Reservoir(TWO_NEURON_ENSEMBLE, leak, init_state(2, seed=7)).run(1000)
             bins[leak] = periodogram(trajectory.unit(0)[-100:]).dominant_bin()
         assert bins[0.2] < bins[0.8]
 

@@ -163,6 +163,14 @@ class TestRun:
         with pytest.raises(NumericError, match="step 1"):
             r.run(5)
 
+    def test_overflowing_drive_saturates(self):
+        # W @ x overflows to inf on every step; tanh takes it to 1, quietly
+        W, state = np.full((2, 2), 1e308), [0.9, 0.95]
+        rows = Reservoir(W, 0.5, state).run(5).rows
+        assert np.allclose(rows[-1], 1.0 - 0.5**5 * (1.0 - rows[0]), rtol=0, atol=1e-15)
+        stepped = Reservoir(W, 0.5, state)
+        assert np.array_equal([stepped.step().state for _ in range(5)], rows[1:])
+
     def test_failed_run_stops_at_last_finite_state(self):
         # unit 1's drive becomes inf - inf once the two states differ in sign,
         # which first happens on step 3
@@ -248,6 +256,11 @@ class TestRunBatch:
                 weights[:2, :2] = block
             alone = Reservoir(weights, leak[j], states[j]).run(30).rows
             assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
+
+    def test_overflowing_drive_saturates(self):
+        tail = run_batch(np.ones((2, 2)), [[0.9, 0.95]], [0.5], [1e308], 5, 6)
+        alone = Reservoir(np.full((2, 2), 1e308), 0.5, [0.9, 0.95]).run(5).rows
+        assert np.array_equal(tail[:, 0], alone)
 
     def test_non_finite_state_names_its_row(self):
         W, states, leak, scale = self._rows()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soesn import (
-    EnsembleSpec,
+    TWO_NEURON_ENSEMBLE,
     Reservoir,
     TopologySpec,
     build_dense,
@@ -16,7 +16,6 @@ from soesn import (
     inject_ensemble,
     sample_leak_vector,
     scale_to_spectral_radius,
-    two_neuron_ensemble,
 )
 from soesn.errors import CannotScaleError, ConfigError, InputError
 from soesn.topology import block_sizes
@@ -140,11 +139,10 @@ class TestWeaklyCoupled:
     def test_oscillation_spreads_through_coupling(self):
         # block 0 is the calibrated oscillator pair, block 1 a damped random
         # block; weak links let the oscillation recruit the damped side
-        ensemble = two_neuron_ensemble()
         damped = scale_to_spectral_radius(build_dense(30, seed=21), 0.5)
         n = 32
         W = np.zeros((n, n))
-        W[:2, :2] = ensemble.weights
+        W[:2, :2] = TWO_NEURON_ENSEMBLE
         W[2:, 2:] = damped
         links = np.random.default_rng(3)
         W[2:, :2] = links.uniform(-0.25, 0.25, (30, 2))
@@ -156,67 +154,58 @@ class TestWeaklyCoupled:
 
 class TestEnsemble:
     def test_sign_pattern(self):
-        ensemble = two_neuron_ensemble()
-        assert int(np.sum(ensemble.weights > 0)) == 3
-        assert int(np.sum(ensemble.weights < 0)) == 1
+        assert int(np.sum(TWO_NEURON_ENSEMBLE > 0)) == 3
+        assert int(np.sum(TWO_NEURON_ENSEMBLE < 0)) == 1
 
     def test_eigenvalues_form_complex_pair(self):
         eigenvalues = np.linalg.eigvals(np.array([[1.0, 1.0], [-1.0, 1.0]]))
         assert sorted(np.round(ev, 12) for ev in eigenvalues) == [1 - 1j, 1 + 1j]
 
     def test_standalone_sustained_oscillation(self):
-        ensemble = two_neuron_ensemble()
-        trajectory = Reservoir(ensemble.weights, 0.5, init_state(2, seed=4)).run(1000)
+        trajectory = Reservoir(TWO_NEURON_ENSEMBLE, 0.5, init_state(2, seed=4)).run(1000)
         report = classify_trajectory(trajectory)
         assert report.reservoir_is_self_oscillatory
         bins = report.oscillating_bins()
         assert len(bins) == 2 and abs(bins[0] - bins[1]) <= 1
         assert all(u.tail_stddev > 0.01 for u in report.per_unit)
         assert report.phase_locked
+        # a second start, at seed 1912, oscillates too
+        trajectory = Reservoir(TWO_NEURON_ENSEMBLE, 0.5, init_state(2, seed=1912)).run(1000)
+        assert classify_trajectory(trajectory).reservoir_is_self_oscillatory
 
     def test_canonical_pair_is_built_once_and_read_only(self):
-        ensemble = two_neuron_ensemble()
-        assert two_neuron_ensemble() is ensemble
         with pytest.raises(ValueError):
-            ensemble.weights[0, 0] = 0.0
-        weights = ensemble.weights.copy()
-        EnsembleSpec(size=2, weights=weights)
-        assert weights.flags.writeable
+            TWO_NEURON_ENSEMBLE[0, 0] = 0.0
 
-    def test_rejects_wrong_sign_pattern(self):
-        with pytest.raises(InputError, match="positive"):
-            EnsembleSpec(size=2, weights=np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_rejects_non_oscillatory_weights(self):
-        # right signs, but far too weak to sustain anything
-        with pytest.raises(InputError, match="oscillate"):
-            EnsembleSpec(size=2, weights=np.array([[0.1, 0.1], [-0.1, 0.1]]))
+    def test_closed_form_has_the_scaled_bits(self):
+        # the generate --inject and inject-experiment golden digests rest on
+        # these bits
+        base = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        assert TWO_NEURON_ENSEMBLE.dtype == np.float64
+        assert TWO_NEURON_ENSEMBLE.tobytes() == scale_to_spectral_radius(base, 1.25).tobytes()
 
 
 class TestInjectEnsemble:
     def test_full_replacement_at_matching_size(self):
-        ensemble = two_neuron_ensemble()
         W = build_dense(2, seed=1)
-        assert np.array_equal(inject_ensemble(W, ensemble), ensemble.weights)
+        assert np.array_equal(inject_ensemble(W), TWO_NEURON_ENSEMBLE)
 
     def test_edit_is_local(self):
-        ensemble = two_neuron_ensemble()
         W = build_dense(100, seed=2)
-        out = inject_ensemble(W, ensemble)
+        out = inject_ensemble(W)
         differs = out != W
         assert differs[:2, :2].all()
         assert np.count_nonzero(differs) == 4
 
     def test_idempotent(self):
-        ensemble = two_neuron_ensemble()
         W = build_dense(10, seed=3)
-        once = inject_ensemble(W, ensemble)
-        twice = inject_ensemble(once, ensemble)
+        once = inject_ensemble(W)
+        twice = inject_ensemble(once)
         assert np.array_equal(once, twice)
 
     def test_too_small_matrix_rejected(self):
         with pytest.raises(InputError):
-            inject_ensemble(np.zeros((1, 1)), two_neuron_ensemble())
+            inject_ensemble(np.zeros((1, 1)))
 
 
 class TestSampleLeakVector:
@@ -266,7 +255,7 @@ class TestBuildWeights:
     def test_injection_flag(self):
         spec = TopologySpec(kind="dense", n=50, inject_ensemble=True, seed=31)
         W = build_weights(spec, 1.25)
-        assert np.array_equal(W[:2, :2], two_neuron_ensemble().weights)
+        assert np.array_equal(W[:2, :2], TWO_NEURON_ENSEMBLE)
 
     def test_uneven_population_accepted(self):
         spec = TopologySpec(kind="weakly_coupled", n=500, sub_count=8, seed=1)
