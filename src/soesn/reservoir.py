@@ -46,8 +46,8 @@ class Reservoir:
 
     def __init__(self, W, leak, state):
         W = np.asarray(W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise DimensionError(f"weight matrix must be square, got shape {W.shape}")
+        if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
+            raise DimensionError(f"weight matrix must be square and non-empty, got shape {W.shape}")
         if not np.all(np.isfinite(W)):
             raise InputError("weight matrix entries must be finite")
         n = W.shape[0]
@@ -76,52 +76,29 @@ class Reservoir:
         return self.W.shape[0]
 
     def step(self) -> "Reservoir":
-        """Advance the state one tick."""
-        x = self.state
-        with np.errstate(over="ignore", invalid="ignore"):  # as in run()
-            new = (1.0 - self.leak) * x + self.leak * np.tanh(self.W @ x)
-        if not np.all(np.isfinite(new)):
-            unit = int(np.flatnonzero(~np.isfinite(new))[0])
-            raise NumericError(
-                f"non-finite state at unit {unit} on step {self.step_count + 1}"
-            )
-        self.state = new
-        self.step_count += 1
+        """Advance the state one tick: run(1), keeping only the new state."""
+        self.run(1)
         return self
 
     def run(self, tau: int) -> "StateTrajectory":
         """Advance `tau` ticks, recording every state including the initial one.
 
+        The width-1 case of run_batch's loop, on the weights as they are.
         The reservoir is left at the final state, so consecutive runs
         concatenate: run(a) then run(b) visits the same states as run(a+b),
-        and both give the same bits as `tau` calls of step(). Finiteness is
-        checked once, after the last tick: a non-finite state raises the
-        NumericError step() would raise, naming the first failing step and
-        unit, and leaves the reservoir at the last finite state.
+        and both give the same bits as `tau` calls of step(). A non-finite
+        state raises a NumericError naming the first failing step and unit,
+        and leaves the reservoir at the last finite state.
         """
         if tau < 1:
             raise InputError("tau must be at least 1")
-        W, leak, keep = self.W, self.leak, 1.0 - self.leak
-        rows = np.empty((tau + 1, self.n))
-        rows[0] = self.state
-        drive = np.empty(self.n)
-        # tanh saturates an overflowing drive, and a NaN is caught below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(tau):
-                x, new = rows[t], rows[t + 1]
-                np.matmul(W, x, out=drive)
-                np.tanh(drive, out=drive)
-                drive *= leak
-                np.multiply(keep, x, out=new)
-                new += drive
+        rows = _advance(self.W, self.state[None], self.leak[None], None, tau, tau + 1)[:, 0]
         # finite states stay in [-1, 1], so the sum is finite unless one is not
         if not np.isfinite(rows.sum()):
             step, unit = np.argwhere(~np.isfinite(rows[1:]))[0]
             self.state = rows[step].copy()
             self.step_count += int(step)
-            raise NumericError(
-                f"non-finite state at unit {unit} on step {self.step_count + 1}"
-            )
+            raise NumericError(f"non-finite state at unit {unit} on step {self.step_count + 1}")
         self.state = rows[-1].copy()
         self.step_count += tau
         return StateTrajectory._adopt(rows)
@@ -140,19 +117,21 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
 
     `scale` and `leak` hold one value per row, each leak in (0, 1], and the
     states lie within [-1, 1], as Reservoir requires. `lead = (rows, block)`
-    replaces the leading k x k block of the listed rows' weights by `block`,
-    as inject_ensemble does, by correcting those rows' k leading drives.
+    replaces the leading k x k block of the listed rows' weights by the
+    square `block`, as inject_ensemble does, by correcting those rows' k
+    leading drives; `rows` are integer indices into the batch.
 
-    Results agree with Reservoir.run to rounding, not bit for bit, and a
-    row's bits depend on the batch width and on its position in the batch.
-    A non-finite state stays non-finite, so finiteness (non-finite weights
+    Reservoir.run is the width-1 case of the same loop. A row's bits differ
+    from that run's only through factoring the scale out of the product
+    and through the batch width and the row's position in the batch. A
+    non-finite state stays non-finite, so finiteness (non-finite weights
     included) is checked once, on the kept states: a NumericError names the
     first failing row as `exc.row`.
     """
     if tau < 1 or not 1 <= keep <= tau + 1:
         raise InputError(f"need tau >= 1 and 1 <= keep <= tau + 1, got {tau} and {keep}")
     W = np.asarray(W, dtype=float)
-    x = np.array(states, dtype=float)
+    x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise DimensionError(f"states must be a non-empty (B, n) array, got shape {x.shape}")
     batch, n = x.shape
@@ -167,35 +146,14 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
         raise InputError("every leak value must lie in (0, 1]")
     if not np.all(np.abs(x) <= 1.0):
         raise InputError("state values must be finite and within [-1, 1]")
-    scale, leak = scale[:, None], leak[:, None]
-    remain = 1.0 - leak
-    Wt = W.T
-    tail = np.empty((keep, batch, n))
-    first = tau + 1 - keep  # the tick whose state is kept first
-    spare = np.empty_like(x)
-    drive = np.empty_like(x)
-    if first == 0:
-        tail[0] = x
-    # tanh saturates an overflowing drive, and a NaN is caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if lead is not None:
-            rows, block = lead
-            k = len(block)
-            fix = np.asarray(block, dtype=float) - scale[rows, :, None] * W[:k, :k]
-        for t in range(1, tau + 1):
-            new = tail[t - first] if t >= first else spare
-            np.matmul(x, Wt, out=drive)
-            drive *= scale
-            if lead is not None:
-                drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
-            np.tanh(drive, out=drive)
-            drive *= leak
-            np.multiply(remain, x, out=new)
-            new += drive
-            if t < first:
-                x, spare = new, x
-            else:
-                x = new
+    if lead is not None:
+        rows, block = np.asarray(lead[0]), np.asarray(lead[1], dtype=float)
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= batch))
+                or block.ndim != 2 or not 1 <= len(block) == block.shape[1] <= n):
+            raise DimensionError(f"lead needs batch rows in [0, {batch}) and a square block of "
+                                 f"at most {n} units, got {rows} and shape {block.shape}")
+        lead = rows, block
+    tail = _advance(W, x, leak[:, None], scale[:, None], tau, keep, lead)
     # finite states stay in [-1, 1], so the sum is finite unless one is not
     if not np.isfinite(tail.sum()):
         _, row, unit = np.argwhere(~np.isfinite(tail))[0]
@@ -203,6 +161,42 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
                            f"within {tau} steps")
         exc.row = int(row)
         raise exc
+    return tail
+
+
+def _advance(W, x, leak, scale, tau: int, keep: int, lead=None) -> np.ndarray:
+    """The one state-update loop. Advance the states `x` (B, n) for `tau`
+    ticks, without writing `x`, and return the last `keep` recorded states,
+    shaped (keep, B, n). `leak` broadcasts against `x`; `scale` is a (B, 1)
+    factor on each row's drive, or None when the weights are already
+    scaled; `lead` is run_batch's, validated. Nothing is checked: a
+    non-finite state is returned as it is.
+    """
+    remain, Wt = 1.0 - leak, W.T
+    tail = np.empty((keep,) + x.shape)
+    first = tau + 1 - keep  # the tick whose state is kept first
+    spare = np.empty((2,) + x.shape)  # the states of ticks before `first`
+    drive = np.empty_like(x)
+    if first == 0:
+        tail[0] = x
+    # tanh saturates an overflowing drive, and a NaN is left for the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lead is not None:
+            rows, block = lead
+            k = len(block)
+            fix = block - scale[rows, :, None] * W[:k, :k]
+        for t in range(1, tau + 1):
+            new = tail[t - first] if t >= first else spare[t % 2]
+            np.matmul(x, Wt, out=drive)
+            if scale is not None:
+                drive *= scale
+            if lead is not None:
+                drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
+            np.tanh(drive, out=drive)
+            drive *= leak
+            np.multiply(remain, x, out=new)
+            new += drive
+            x = new
     return tail
 
 

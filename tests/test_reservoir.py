@@ -113,6 +113,10 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             Reservoir(np.ones((2, 3)), 0.5, np.zeros(2))
 
+    def test_rejects_zero_units(self):
+        with pytest.raises(DimensionError):
+            Reservoir(np.zeros((0, 0)), 0.5, np.zeros(0))
+
     def test_rejects_out_of_range_leak(self):
         with pytest.raises(InputError):
             Reservoir(np.zeros((2, 2)), 1.5, np.zeros(2))
@@ -239,6 +243,13 @@ class TestRunBatch:
             alone = Reservoir(scale[j] * W, leak[j], states[j]).run(30).rows
             assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 100, 512])
+    def test_width_one_row_is_reservoir_run_bit_for_bit(self, n):
+        W = scale_to_spectral_radius(build_dense(n, seed=n), 1.3)
+        state = init_state(n, seed=n)
+        tail = run_batch(W, state[None], [0.4], [1.0], 300, 301)
+        assert tail[:, 0].tobytes() == Reservoir(W, 0.4, state).run(300).rows.tobytes()
+
     def test_keeps_the_last_states(self):
         W, states, leak, scale = self._rows()
         whole = run_batch(W, states, leak, scale, 150, 151)
@@ -283,6 +294,12 @@ class TestRunBatch:
             run_batch(W, states, np.full(len(W), 0.5), scale, 10, 5)
         with pytest.raises(DimensionError):
             run_batch(W, states, leak, scale[:-1], 10, 5)
+        square = np.eye(2)
+        for rows, block in (([1], np.ones((2, 1))),  # would broadcast against W[:2, :2]
+                            ([len(states)], square), ([-1], square), ([0.0], square),
+                            ([1], np.eye(len(W) + 1)), ([1], np.ones((0, 0)))):
+            with pytest.raises(DimensionError, match="lead"):
+                run_batch(W, states, leak, scale, 10, 5, lead=(np.array(rows), block))
         for bad in (0.0, 1.5, np.nan):
             with pytest.raises(InputError, match="leak"):
                 run_batch(W, states, np.where(leak == leak[2], bad, leak), scale, 10, 5)
