@@ -23,7 +23,6 @@ from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
 from .topology import (
-    TWO_NEURON_ENSEMBLE,
     ConfigFields,
     TopologySpec,
     build_dense,
@@ -255,12 +254,10 @@ def run_plans(n: int, matrix_seed: int, plans, tau: int):
     keep = min(WINDOW, tau + 1)
     for start in range(0, len(plans), BATCH_WIDTH):
         chunk = plans[start : start + BATCH_WIDTH]
-        seeded = np.flatnonzero([p.injected for p in chunk])
         try:
             yield run_batch(
                 W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
-                factors[start : start + len(chunk)], tau, keep,
-                lead=(seeded, TWO_NEURON_ENSEMBLE) if seeded.size else None,
+                factors[start : start + len(chunk)], tau, keep, [p.injected for p in chunk],
             )
         except NumericError as exc:
             raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc

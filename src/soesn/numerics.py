@@ -30,20 +30,10 @@ def _krylov_dim(n: int) -> int:
     return min(n, max(40, min(250, n // 4 + 20)))
 
 
-def _as_square(W) -> np.ndarray:
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {W.shape}")
-    if not np.all(np.isfinite(W)):
-        raise InputError("matrix entries must be finite")
-    return W
-
-
 def spectral_radius(W) -> float:
     """Largest eigenvalue modulus of a square matrix: the one-matrix case of
-    spectral_radii."""
-    W = _as_square(W)
-    return float(spectral_radii(W[None])[0])
+    spectral_radii, which checks W and raises its errors."""
+    return float(spectral_radii(np.asarray(W, dtype=float)[None])[0])
 
 
 def spectral_radii(stack) -> np.ndarray:
@@ -52,13 +42,15 @@ def spectral_radii(stack) -> np.ndarray:
     Up to EIGVALS_CUTOVER rows the whole stack goes through one LAPACK
     `eigvals` call (exact to rounding); above it each matrix gets its own
     restarted Arnoldi estimate, which is cheaper there (to ARNOLDI_TOL,
-    within ARNOLDI_MAX_ITER products). Raises DimensionError for a stack of
-    non-square matrices and InputError for a non-finite entry.
+    within ARNOLDI_MAX_ITER products). The radius API's one input check:
+    raises DimensionError unless the stack holds square matrices of at
+    least one row (an empty stack, k = 0, gives an empty array) and
+    InputError for a non-finite entry.
     """
     stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise DimensionError(
-            f"expected a (k, m, m) stack of square matrices, got shape {stack.shape}")
+            f"expected a (k, m, m) stack of square matrices, m >= 1, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise InputError("matrix entries must be finite")
     if stack.shape[1] <= EIGVALS_CUTOVER:
@@ -162,7 +154,7 @@ def scale_to_spectral_radius(W, rho_target: float) -> np.ndarray:
     factor suffices. A matrix with (numerically) zero radius cannot be
     scaled and raises CannotScaleError.
     """
-    W = _as_square(W)
+    W = np.asarray(W, dtype=float)
     return W * _radius_factors(spectral_radius(W), rho_target)
 
 
@@ -171,7 +163,7 @@ def _radius_factors(radii, rho_target):
     `radii` to the radii `rho_target` (each a number or an array). Raises
     InputError for a non-positive target and CannotScaleError for a radius
     too close to zero to rescale or a factor too large for a float."""
-    if np.min(rho_target) <= 0:
+    if not np.all(rho_target > 0):  # NaN is not positive either
         raise InputError(f"target spectral radius must be positive, got {np.min(rho_target)}")
     smallest = float(np.min(radii))
     if smallest < 1e-12:

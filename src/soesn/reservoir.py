@@ -17,6 +17,7 @@ import io
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericError
+from .topology import TWO_NEURON_ENSEMBLE
 
 _REDRAW_CAP = 64
 
@@ -104,7 +105,7 @@ class Reservoir:
         return StateTrajectory._adopt(rows)
 
 
-def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndarray:
+def run_batch(W, states, leak, scale, tau: int, keep: int, injected=None) -> np.ndarray:
     """Advance the rows of `states` (B, n) together for `tau` ticks, one
     matrix product per tick for the whole batch, and return the last `keep`
     recorded states shaped (keep, B, n) (the initial state counts as
@@ -116,10 +117,10 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
         x' = (1 - leak_j) * x + leak_j * tanh(scale_j * (W @ x))
 
     `scale` and `leak` hold one value per row, each leak in (0, 1], and the
-    states lie within [-1, 1], as Reservoir requires. `lead = (rows, block)`
-    replaces the leading k x k block of the listed rows' weights by the
-    square `block`, as inject_ensemble does, by correcting those rows' k
-    leading drives; `rows` are integer indices into the batch.
+    states lie within [-1, 1], as Reservoir requires. `injected`, one bool
+    per row (None: none), puts TWO_NEURON_ENSEMBLE in the leading 2 x 2
+    block of those rows' weights, as inject_ensemble does, by correcting
+    their two leading drives; it needs n >= 2.
 
     Reservoir.run is the width-1 case of the same loop. A row's bits differ
     from that run's only through factoring the scale out of the product
@@ -139,21 +140,18 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
         raise DimensionError(f"weight matrix must be ({n}, {n}), got shape {W.shape}")
     scale = np.asarray(scale, dtype=float)
     leak = np.asarray(leak, dtype=float)
-    if scale.shape != (batch,) or leak.shape != (batch,):
-        raise DimensionError(f"need one scale and one leak per row, shape ({batch},), "
-                             f"got {scale.shape} and {leak.shape}")
+    injected = np.zeros(batch, bool) if injected is None else np.asarray(injected)
+    if scale.shape != (batch,) or leak.shape != (batch,) or injected.shape != (batch,):
+        raise DimensionError(f"need one scale, leak and injected flag per row, shape ({batch},), "
+                             f"got {scale.shape}, {leak.shape} and {injected.shape}")
+    if injected.dtype != bool or (n < 2 and injected.any()):
+        raise DimensionError(f"injected needs bools, and rows of 2 units or more if one is "
+                             f"set, got {injected.dtype} flags on {n} units")
     if not np.all((leak > 0.0) & (leak <= 1.0)):
         raise InputError("every leak value must lie in (0, 1]")
     if not np.all(np.abs(x) <= 1.0):
         raise InputError("state values must be finite and within [-1, 1]")
-    if lead is not None:
-        rows, block = np.asarray(lead[0]), np.asarray(lead[1], dtype=float)
-        if (rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= batch))
-                or block.ndim != 2 or not 1 <= len(block) == block.shape[1] <= n):
-            raise DimensionError(f"lead needs batch rows in [0, {batch}) and a square block of "
-                                 f"at most {n} units, got {rows} and shape {block.shape}")
-        lead = rows, block
-    tail = _advance(W, x, leak[:, None], scale[:, None], tau, keep, lead)
+    tail = _advance(W, x, leak[:, None], scale[:, None], tau, keep, np.flatnonzero(injected))
     # finite states stay in [-1, 1], so the sum is finite unless one is not
     if not np.isfinite(tail.sum()):
         _, row, unit = np.argwhere(~np.isfinite(tail))[0]
@@ -164,13 +162,15 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, lead=None) -> np.ndar
     return tail
 
 
-def _advance(W, x, leak, scale, tau: int, keep: int, lead=None) -> np.ndarray:
+def _advance(W, x, leak, scale, tau: int, keep: int, injected=()) -> np.ndarray:
     """The one state-update loop. Advance the states `x` (B, n) for `tau`
     ticks, without writing `x`, and return the last `keep` recorded states,
     shaped (keep, B, n). `leak` broadcasts against `x`; `scale` is a (B, 1)
     factor on each row's drive, or None when the weights are already
-    scaled; `lead` is run_batch's, validated. Nothing is checked: a
-    non-finite state is returned as it is.
+    scaled; `injected` holds the indices of the rows whose leading 2 x 2
+    block of `scale * W` is replaced by TWO_NEURON_ENSEMBLE (through a
+    correction of their two leading drives, so `scale` must be given).
+    Nothing is checked: a non-finite state is returned as it is.
     """
     remain, Wt = 1.0 - leak, W.T
     tail = np.empty((keep,) + x.shape)
@@ -181,17 +181,15 @@ def _advance(W, x, leak, scale, tau: int, keep: int, lead=None) -> np.ndarray:
         tail[0] = x
     # tanh saturates an overflowing drive, and a NaN is left for the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        if lead is not None:
-            rows, block = lead
-            k = len(block)
-            fix = block - scale[rows, :, None] * W[:k, :k]
+        if len(injected):
+            fix = TWO_NEURON_ENSEMBLE - scale[injected, :, None] * W[:2, :2]
         for t in range(1, tau + 1):
             new = tail[t - first] if t >= first else spare[t % 2]
             np.matmul(x, Wt, out=drive)
             if scale is not None:
                 drive *= scale
-            if lead is not None:
-                drive[rows, :k] += np.matmul(fix, x[rows, :k, None])[..., 0]
+            if len(injected):
+                drive[injected, :2] += np.matmul(fix, x[injected, :2, None])[..., 0]
             np.tanh(drive, out=drive)
             drive *= leak
             np.multiply(remain, x, out=new)

@@ -3,6 +3,7 @@
 calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,8 +31,11 @@ def _conforms(value, kind) -> bool:
         return any(_conforms(value, k) for k in kind.__args__)
     if isinstance(value, bool):
         return kind is bool
-    if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and bool(np.isfinite(value)))
+    if kind is float:  # an int counts if a double can hold it
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:
+            return False
     return isinstance(value, kind)
 
 
@@ -40,11 +44,12 @@ class ConfigFields:
 
     `to_dict` is the payload a run echoes. `from_dict` fills omitted fields
     from the defaults and raises ConfigError for an unknown field, a value
-    of the wrong type (a bool is not an int, an int is a float, a float must
-    be finite, a list is a tuple, and a field typed as another config class
-    takes a nested object) or a value the class's own checks reject. A list
-    is stored as a tuple, its numbers as given, so the built config equals
-    and hashes like one built in code and echoes the same bytes.
+    of the wrong type (a bool is not an int, an int is a float if a double
+    can hold it, a float must be finite, a list is a tuple, and a field
+    typed as another config class takes a nested object) or a value the
+    class's own checks reject. A list is stored as a tuple, its numbers as
+    given, so the built config equals and hashes like one built in code and
+    echoes the same bytes.
     """
 
     def to_dict(self) -> dict:

@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soesn
 from soesn.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -471,6 +473,7 @@ BAD_FLAGS = [
     (command, ["--seed", "-1"]) for command in COMMANDS if command != "generate"
 ] + [(command, ["--seed", str(2**64)]) for command in COMMANDS]
 
+HUGE = 10**400
 BAD_PARAMS = [
     ("generate", {"topology": {"n": "abc"}}),
     ("generate", {"topology": 5}),
@@ -496,7 +499,11 @@ BAD_PARAMS = [
     ("reproduce", {"sub_counts": []}),
     ("topology-demo", {"n": True}),
     ("topology-demo", {"tau": 98}),
-] + [(command, {"bogus": 1}) for command in COMMANDS]
+] + [(command, {"bogus": 1}) for command in COMMANDS] + [
+    # a JSON integer no double can hold, in a float field
+    (command, {"rho": HUGE})
+    for command in ("generate", "inject-experiment", "reproduce", "topology-demo")
+] + [("sweep", {"rho_values": [HUGE]}), ("reproduce", {"freq": HUGE}), ("reproduce", {"dt": HUGE})]
 
 
 def _config_file(tmp_path, content):
@@ -521,7 +528,8 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,bad", BAD_PARAMS,
-                             ids=[f"{c} {json.dumps(b)}" for c, b in BAD_PARAMS])
+                             ids=[f"{c} {json.dumps(b)}".replace(str(HUGE), "10**400")
+                                  for c, b in BAD_PARAMS])
     def test_bad_config_value_is_config_error(self, command, bad, tmp_path):
         config = _config_file(
             tmp_path, {"command": command, "params": SMALL_PARAMS[command] | bad}
@@ -655,3 +663,13 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     loaded = set(result.stdout.split())
     assert "soesn.cli" in loaded
     assert sorted(loaded.intersection(heavy)) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    "soesn" if path.stem == "__init__" else f"soesn.{path.stem}"
+    for path in Path(soesn.__file__).parent.glob("*.py")))
+def test_module_imports_alone(module):
+    # a fresh interpreter per module, so an import cycle fails whichever
+    # module enters it first, not only the order the package happens to use
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soesn.__file__)))
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True, timeout=60)

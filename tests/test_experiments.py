@@ -112,6 +112,9 @@ class TestTrialPlans:
         with pytest.raises(DimensionError):
             next(run_plans(12, 1, [TrialPlan(1.0, np.full(12, 0.5), 0)], 200))
 
+    def test_no_plans_give_no_batches(self):
+        assert list(run_plans(4, 0, [], 100)) == []
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
@@ -240,9 +243,11 @@ class TestSweepHeatmap:
 
         real = module.run_batch
 
-        def poisoned(W, states, leak, scale, tau, keep, lead=None):
-            # a NaN weight in the leading block of batch row 1 alone
-            return real(W, states, leak, scale, tau, keep, lead=([1], [[np.nan]]))
+        def poisoned(W, states, leak, scale, tau, keep, injected=None):
+            # NaN weights in batch row 1 alone
+            scale = np.array(scale)
+            scale[1] = np.nan
+            return real(W, states, leak, scale, tau, keep, injected)
 
         monkeypatch.setattr(module, "run_batch", poisoned)
         config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=1, n=10, tau=200)

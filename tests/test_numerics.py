@@ -87,6 +87,17 @@ class TestSpectralRadii:
         with pytest.raises(DimensionError):
             spectral_radii(np.ones(shape))
 
+    def test_empty_stack_has_no_radii(self):
+        assert spectral_radii(np.zeros((0, 5, 5))).shape == (0,)
+
+    @pytest.mark.parametrize("radius", [
+        spectral_radius, lambda W: spectral_radii(W[None]),
+        lambda W: scale_to_spectral_radius(W, 1.0),
+    ], ids=["spectral_radius", "spectral_radii", "scale_to_spectral_radius"])
+    def test_zero_rows_rejected(self, radius):
+        with pytest.raises(DimensionError):
+            radius(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stack_rejected(self, bad):
         for m in (4, EIGVALS_CUTOVER + 1):
@@ -162,6 +173,10 @@ class TestScaleToSpectralRadius:
     def test_bad_target_rejected(self):
         with pytest.raises(InputError):
             scale_to_spectral_radius(np.eye(2), 0.0)
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(InputError, match="must be positive"):
+            scale_to_spectral_radius(np.eye(2), float("nan"))
 
 
 class TestPeriodogram:

@@ -20,7 +20,7 @@ from soesn import (
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.oscillation import classify_states
 from soesn._csv17g import fast_lines
-from soesn.topology import build_dense
+from soesn.topology import build_dense, inject_ensemble
 
 from conftest import fstring_write_csv
 
@@ -257,14 +257,12 @@ class TestRunBatch:
             assert np.array_equal(run_batch(W, states, leak, scale, 150, keep),
                                   whole[-keep:])
 
-    def test_lead_replaces_the_leading_block(self):
+    def test_injected_rows_run_the_ensemble(self):
         W, states, leak, scale = self._rows()
-        block = np.array([[0.9, 0.9], [-0.9, 0.9]])
-        tail = run_batch(W, states, leak, scale, 30, 31, lead=(np.array([1, 3]), block))
+        injected = np.isin(np.arange(len(states)), [1, 3])
+        tail = run_batch(W, states, leak, scale, 30, 31, injected)
         for j in range(len(states)):
-            weights = scale[j] * W
-            if j in (1, 3):
-                weights[:2, :2] = block
+            weights = inject_ensemble(scale[j] * W) if injected[j] else scale[j] * W
             alone = Reservoir(weights, leak[j], states[j]).run(30).rows
             assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
 
@@ -275,9 +273,9 @@ class TestRunBatch:
 
     def test_non_finite_state_names_its_row(self):
         W, states, leak, scale = self._rows()
-        block = np.array([[np.nan]])  # rows 2 and 4 run a NaN weight
+        scale[[2, 4]] = np.nan  # rows 2 and 4 run NaN weights
         with pytest.raises(NumericError, match="batch row 2") as caught:
-            run_batch(W, states, leak, scale, 200, 100, lead=(np.array([2, 4]), block))
+            run_batch(W, states, leak, scale, 200, 100)
         assert caught.value.row == 2
 
     def test_bad_arguments_rejected(self):
@@ -294,12 +292,12 @@ class TestRunBatch:
             run_batch(W, states, np.full(len(W), 0.5), scale, 10, 5)
         with pytest.raises(DimensionError):
             run_batch(W, states, leak, scale[:-1], 10, 5)
-        square = np.eye(2)
-        for rows, block in (([1], np.ones((2, 1))),  # would broadcast against W[:2, :2]
-                            ([len(states)], square), ([-1], square), ([0.0], square),
-                            ([1], np.eye(len(W) + 1)), ([1], np.ones((0, 0)))):
-            with pytest.raises(DimensionError, match="lead"):
-                run_batch(W, states, leak, scale, 10, 5, lead=(np.array(rows), block))
+        flags = [False, True, False, False, False]
+        for bad in (flags[:-1], [0, 1, 0, 0, 0]):  # one per row, and bools
+            with pytest.raises(DimensionError, match="injected"):
+                run_batch(W, states, leak, scale, 10, 5, bad)
+        with pytest.raises(DimensionError, match="injected"):  # no 2 x 2 block at n = 1
+            run_batch(np.eye(1), states[:, :1], leak, scale, 10, 5, flags)
         for bad in (0.0, 1.5, np.nan):
             with pytest.raises(InputError, match="leak"):
                 run_batch(W, states, np.where(leak == leak[2], bad, leak), scale, 10, 5)
