@@ -91,18 +91,15 @@ class TopologyDemoConfig(ConfigFields):
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+def _list_of(kind):
+    """The argparse type of a comma-separated list of `kind` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}") from exc
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -164,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = command("sweep", "leak x spectral-radius oscillation-ratio heatmap", "soesn-sweep")
-    p.add_argument("--leak-values", type=_float_list, help="comma-separated leak grid")
-    p.add_argument("--rho-values", type=_float_list, help="comma-separated rho grid")
+    p.add_argument("--leak-values", type=_list_of(float), help="comma-separated leak grid")
+    p.add_argument("--rho-values", type=_list_of(float), help="comma-separated rho grid")
     p.add_argument("--trials", type=int, help="reservoirs per cell")
     p.add_argument("--n", type=int)
     p.add_argument("--tau", type=int)
@@ -174,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("inject-experiment", "oscillation ratio with vs without an injected ensemble",
                 "soesn-inject")
-    p.add_argument("--populations", type=_int_list, help="comma-separated population sizes")
+    p.add_argument("--populations", type=_list_of(int), help="comma-separated population sizes")
     p.add_argument("--trials", type=int)
     p.add_argument("--tau", type=int)
     p.add_argument("--rho", type=float)
@@ -191,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--sub", dest="sub_count", metavar="SUB", type=int,
                    help="sub-reservoir count (single run)")
-    p.add_argument("--sub-counts", type=_int_list,
+    p.add_argument("--sub-counts", type=_list_of(int),
                    help="comma-separated counts: run the boxplot sweep instead")
     p.add_argument("--trials", type=int, help="trials per count in sweep mode")
     p.add_argument("--coupling-scale", type=float)
@@ -225,10 +222,10 @@ def _load_config_params(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     if "command" in data:
@@ -285,13 +282,17 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _prepare_out(out_dir: str, filenames: list[str], force: bool) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    existing = [name for name in filenames if os.path.exists(os.path.join(out_dir, name))]
-    if existing and not force:
+def _prepare_out(args, *names: str) -> list[str]:
+    """The paths of the command's output files `names` in --out, which is
+    made if missing; refuses to overwrite any of them without --force."""
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, name) for name in names]
+    existing = [name for name, path in zip(names, paths) if os.path.exists(path)]
+    if existing and not args.force:
         raise FileExistsError(
-            f"refusing to overwrite {existing} in {out_dir}; pass --force to allow"
+            f"refusing to overwrite {existing} in {args.out}; pass --force to allow"
         )
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +302,16 @@ def _prepare_out(out_dir: str, filenames: list[str], force: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_echo(out_dir: str, command: str, config: ConfigFields) -> None:
-    payload = {"artifact_version": __version__, "command": command, "params": config.to_dict()}
-    _write_json(os.path.join(out_dir, "config.echo.json"), payload)
+def _write_echo(path: str, args, config: ConfigFields) -> None:
+    payload = {"artifact_version": __version__, "command": args.command,
+               "params": config.to_dict()}
+    _write_json(path, payload)
 
 
-def _metadata(command: str, config: ConfigFields) -> dict:
+def _metadata(args, config: ConfigFields) -> dict:
     return {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "params": json.dumps(config.to_dict(), sort_keys=True),
     }
 
@@ -344,9 +346,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(out_dir: str, name: str, metadata: dict, header, rows) -> None:
+def _write_csv(path: str, metadata: dict, header, rows) -> None:
     """`# key=value` metadata lines, the header, then one line per row."""
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         for key, value in metadata.items():
             f.write(f"# {key}={value}\n")
         f.write(",".join(header) + "\n")
@@ -359,32 +361,37 @@ def _write_csv(out_dir: str, name: str, metadata: dict, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _run_and_write(args, config, spec: TopologySpec, leak, paths, head: dict,
+                   plot_units: int, title: str):
+    """Build `spec`'s weights at config.rho, run them config.tau steps at
+    `leak` from the state seeded by spec.seed, and classify the run. Writes
+    `paths`: the trajectory CSV, the report JSON (`head` after its
+    metadata) and, if a third path is given, the first `plot_units` traces
+    as an SVG. Returns the report."""
+    csv_path, report_path, *svg_path = paths
+    W = build_weights(spec, config.rho)
+    state = init_state(spec.n, derive_seed(spec.seed, ROLE_STATE))
+    trajectory = Reservoir(W, leak, state).run(config.tau)
+    report = classify_trajectory(trajectory)
+
+    trajectory.to_csv(csv_path)
+    _write_json(report_path, {"metadata": _metadata(args, config)} | head | report.to_json_dict())
+    if svg_path:
+        t = np.arange(trajectory.steps)
+        series = [(f"x{i}", t, trajectory.unit(i)) for i in range(min(plot_units, trajectory.n))]
+        svgplot.line_chart(svg_path[0], series, title, "step", "state",
+                           timestamp=_timestamp(args))
+    return report
+
+
 def cmd_generate(args) -> int:
     config = _resolve(GenerateConfig, args, seed_path="topology.seed")
     spec = config.topology
-    files = ["config.echo.json", "trajectory.csv", "oscillation.json"]
-    if config.svg:
-        files.append("traces.svg")
-    _prepare_out(args.out, files, args.force)
-
-    W = build_weights(spec, config.rho)
-    state = init_state(spec.n, derive_seed(spec.seed, ROLE_STATE))
-    trajectory = Reservoir(W, config.leak, state).run(config.tau)
-    report = classify_trajectory(trajectory)
-
-    trajectory.to_csv(os.path.join(args.out, "trajectory.csv"))
-    payload = {"metadata": _metadata("generate", config)} | report.to_json_dict()
-    _write_json(os.path.join(args.out, "oscillation.json"), payload)
-    if config.svg:
-        count = min(config.plot_units, trajectory.n)
-        t = np.arange(trajectory.steps)
-        series = [(f"x{i}", t, trajectory.unit(i)) for i in range(count)]
-        svgplot.line_chart(
-            os.path.join(args.out, "traces.svg"), series,
-            f"unit traces (n={spec.n}, rho={config.rho}, leak={config.leak})",
-            "step", "state", timestamp=_timestamp(args),
-        )
-    _write_echo(args.out, "generate", config)
+    echo, *paths = _prepare_out(args, "config.echo.json", "trajectory.csv", "oscillation.json",
+                                *(["traces.svg"] if config.svg else []))
+    report = _run_and_write(args, config, spec, config.leak, paths, {}, config.plot_units,
+                            f"unit traces (n={spec.n}, rho={config.rho}, leak={config.leak})")
+    _write_echo(echo, args, config)
     verdict = "self-oscillatory" if report.reservoir_is_self_oscillatory else "damped"
     print(f"generate: {verdict}; outputs in {args.out}")
     return EXIT_OK
@@ -392,38 +399,39 @@ def cmd_generate(args) -> int:
 
 def cmd_sweep(args) -> int:
     requested = _resolve(SweepConfig, args)
-    _prepare_out(args.out, ["config.echo.json", "sweep.csv", "heatmap.svg"], args.force)
+    echo, csv_path, svg_path = _prepare_out(args, "config.echo.json", "sweep.csv", "heatmap.svg")
     result = sweep_heatmap(requested, jobs=args.jobs)
     config = result.config  # the capped grid that was swept
 
     # a JSON config may give the grid as integers; the rows are floats
-    _write_csv(args.out, "sweep.csv", _metadata("sweep", config),
+    _write_csv(csv_path, _metadata(args, config),
                ("leak", "rho", "ratio", "trials"),
                ((float(leak), float(rho), result.ratio(li, ri), config.trials)
                 for li, leak in enumerate(config.leak_values)
                 for ri, rho in enumerate(config.rho_values)))
     svgplot.heatmap(
-        os.path.join(args.out, "heatmap.svg"), result.grid,
+        svg_path, result.grid,
         list(config.rho_values), list(config.leak_values),
         f"self-oscillation ratio (n={config.n}, trials={config.trials})",
         "spectral radius", "leak rate", timestamp=_timestamp(args),
     )
-    _write_echo(args.out, "sweep", config)
+    _write_echo(echo, args, config)
     print(f"sweep: {len(config.leak_values)}x{len(config.rho_values)} cells written to {args.out}")
     return EXIT_OK
 
 
 def cmd_inject(args) -> int:
     config = _resolve(InjectConfig, args)
-    _prepare_out(args.out, ["config.echo.json", "injection.csv", "injection.svg"], args.force)
+    echo, csv_path, svg_path = _prepare_out(args, "config.echo.json", "injection.csv",
+                                            "injection.svg")
     rows = injection_ratio_experiment(config, jobs=args.jobs)
 
-    _write_csv(args.out, "injection.csv", _metadata("inject-experiment", config),
+    _write_csv(csv_path, _metadata(args, config),
                ("population", "ratio_without", "ratio_with"),
                ((r.population, r.ratio_without, r.ratio_with) for r in rows))
     populations = [r.population for r in rows]
     svgplot.line_chart(
-        os.path.join(args.out, "injection.svg"),
+        svg_path,
         [
             ("without ensemble", populations, [r.ratio_without for r in rows]),
             ("with ensemble", populations, [r.ratio_with for r in rows]),
@@ -431,7 +439,7 @@ def cmd_inject(args) -> int:
         f"self-oscillation ratio vs population (trials={config.trials})",
         "population", "ratio", timestamp=_timestamp(args),
     )
-    _write_echo(args.out, "inject-experiment", config)
+    _write_echo(echo, args, config)
     print(f"inject-experiment: {len(rows)} populations written to {args.out}")
     return EXIT_OK
 
@@ -445,12 +453,12 @@ def cmd_reproduce(args) -> int:
 
 
 def _reproduce_single(args, config, target) -> int:
-    files = ["config.echo.json", "nrmse.json", "overlay.svg"]
-    _prepare_out(args.out, files, args.force)
+    echo, json_path, svg_path = _prepare_out(args, "config.echo.json", "nrmse.json",
+                                             "overlay.svg")
     outcome, prediction = reproduce_with_prediction(config, target)
 
-    payload = {"metadata": _metadata("reproduce", config), "target": target.name} | asdict(outcome)
-    _write_json(os.path.join(args.out, "nrmse.json"), payload)
+    payload = {"metadata": _metadata(args, config), "target": target.name} | asdict(outcome)
+    _write_json(json_path, payload)
 
     if outcome.oscillatory:
         t = np.arange(target.length) * target.dt
@@ -460,7 +468,7 @@ def _reproduce_single(args, config, target) -> int:
             series.append((f"target{suffix}", t, target.values[:, dim]))
             series.append((f"output{suffix}", t, prediction[:, dim]))
         svgplot.line_chart(
-            os.path.join(args.out, "overlay.svg"), series,
+            svg_path, series,
             f"{target.name}: target vs readout output",
             "t", "value", timestamp=_timestamp(args),
         )
@@ -468,27 +476,24 @@ def _reproduce_single(args, config, target) -> int:
                  f"mean train NRMSE {outcome.mean_nrmse():.4g}"
     else:
         status = f"no oscillatory reservoir within {outcome.attempt_count} attempts"
-    _write_echo(args.out, "reproduce", config)
+    _write_echo(echo, args, config)
     print(f"reproduce[{target.name}]: {status}; outputs in {args.out}")
     return EXIT_OK
 
 
 def _reproduce_sweep(args, config, target) -> int:
-    _prepare_out(
-        args.out,
-        ["config.echo.json", "boxplot.csv", "trials.jsonl", "summary.json"],
-        args.force,
-    )
+    echo, csv_path, jsonl_path, summary_path = _prepare_out(
+        args, "config.echo.json", "boxplot.csv", "trials.jsonl", "summary.json")
     per_count = subreservoir_count_outcomes(config, target, jobs=args.jobs)
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 
-    metadata = _metadata("reproduce", config)
+    metadata = _metadata(args, config)
     # one row and one record per trial, numbered alike; a trial without a
     # defined NRMSE (non-oscillatory, or a constant target) has none
     trials = [(m, t, outcome) for m, outcomes in per_count for t, outcome in enumerate(outcomes)]
-    _write_csv(args.out, "boxplot.csv", metadata, ("sub_count", "trial", "oscillatory", "nrmse"),
+    _write_csv(csv_path, metadata, ("sub_count", "trial", "oscillatory", "nrmse"),
                ((m, t, o.oscillatory, o.mean_nrmse()) for m, t, o in trials))
-    _write_jsonl(os.path.join(args.out, "trials.jsonl"), [{"metadata": metadata}] + [
+    _write_jsonl(jsonl_path, [{"metadata": metadata}] + [
         {"sub_count": m, "trial": t} | asdict(o) for m, t, o in trials
     ])
     summary = {
@@ -504,49 +509,33 @@ def _reproduce_sweep(args, config, target) -> int:
             for d in distributions
         ],
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
-    _write_echo(args.out, "reproduce", config)
+    _write_json(summary_path, summary)
+    _write_echo(echo, args, config)
     print(f"reproduce[{target.name}]: sweep over {list(config.sub_counts)} written to {args.out}")
     return EXIT_OK
 
 
 def cmd_topology_demo(args) -> int:
     config = _resolve(TopologyDemoConfig, args)
-    n, rho, tau, seed = config.n, config.rho, config.tau, config.seed
+    echo, *paths = _prepare_out(args, "config.echo.json", *(
+        f"{kind}_{suffix}" for kind in VALID_KINDS
+        for suffix in ("trajectory.csv", "report.json", "traces.svg")))
 
-    files = ["config.echo.json"]
-    for kind in VALID_KINDS:
-        files += [f"{kind}_trajectory.csv", f"{kind}_report.json", f"{kind}_traces.svg"]
-    _prepare_out(args.out, files, args.force)
-
-    sub_count = max(1, min(4, n // 4))
+    sub_count = max(1, min(4, config.n // 4))
     for kind_index, kind in enumerate(VALID_KINDS):
-        spec = TopologySpec(kind=kind, n=n, sub_count=sub_count,
-                            seed=derive_seed(seed, kind_index))
-        W = build_weights(spec, rho)
+        spec = TopologySpec(kind=kind, n=config.n, sub_count=sub_count,
+                            seed=derive_seed(config.seed, kind_index))
         # block layouts get the reproduction's per-unit leak draw so the
         # sub-reservoirs differ in pace
         if kind in ("block_diagonal", "weakly_coupled"):
-            leak = sample_leak_vector(n, ReproduceConfig.leak_mu, ReproduceConfig.leak_sigma,
+            leak = sample_leak_vector(config.n, ReproduceConfig.leak_mu,
+                                      ReproduceConfig.leak_sigma,
                                       derive_seed(spec.seed, ROLE_LEAK))
         else:
             leak = 0.5
-        trajectory = Reservoir(W, leak, init_state(n, derive_seed(spec.seed, ROLE_STATE))).run(tau)
-        report = classify_trajectory(trajectory)
-        trajectory.to_csv(os.path.join(args.out, f"{kind}_trajectory.csv"))
-        _write_json(
-            os.path.join(args.out, f"{kind}_report.json"),
-            {"metadata": _metadata("topology-demo", config), "kind": kind}
-            | report.to_json_dict(),
-        )
-        t = np.arange(trajectory.steps)
-        count = min(5, trajectory.n)
-        svgplot.line_chart(
-            os.path.join(args.out, f"{kind}_traces.svg"),
-            [(f"x{i}", t, trajectory.unit(i)) for i in range(count)],
-            f"{kind}: unit traces", "step", "state", timestamp=_timestamp(args),
-        )
-    _write_echo(args.out, "topology-demo", config)
+        _run_and_write(args, config, spec, leak, paths[3 * kind_index:3 * kind_index + 3],
+                       {"kind": kind}, 5, f"{kind}: unit traces")
+    _write_echo(echo, args, config)
     print(f"topology-demo: {len(VALID_KINDS)} topologies written to {args.out}")
     return EXIT_OK
 

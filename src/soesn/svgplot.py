@@ -18,8 +18,6 @@ PALETTE = (
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 

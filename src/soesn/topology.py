@@ -236,11 +236,9 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
     each diagonal block rescaled independently -- the per-block radius is
     what governs each sub-oscillator -- and the weak coupling is left
     untouched. An injected ensemble is spliced in last so it keeps its own
-    calibrated weights.
+    calibrated weights. A target `rho` that is not positive raises
+    InputError.
     """
-    if rho <= 0:
-        raise InputError(f"target spectral radius must be positive, got {rho}")
-
     if spec.kind == "dense":
         W = scale_to_spectral_radius(build_dense(spec.n, spec.seed), rho)
     elif spec.kind == "sparse":

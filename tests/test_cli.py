@@ -39,6 +39,13 @@ class TestGenerate:
         for name in ("trajectory.csv", "oscillation.json", "traces.svg", "config.echo.json"):
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
+    def test_no_svg_writes_no_traces(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["generate", "--n", "20", "--tau", "150", "--no-svg",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["config.echo.json", "oscillation.json",
+                                           "trajectory.csv"]
+
     def test_rho_zero_is_config_error(self, tmp_path):
         assert main(["generate", "--rho", "0", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
@@ -163,6 +170,20 @@ class TestConfigHandling:
         config.write_text("{not json")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) \
             == EXIT_CONFIG
+
+    def test_bare_params_config_accepted(self, tmp_path):
+        # a config without a "command" key is the params object itself
+        params = {"topology": {"n": 20, "seed": 4}, "tau": 150, "rho": 0.9}
+        outs = []
+        for name, content in [("bare", params), ("wrapped", {"command": "generate",
+                                                             "params": params})]:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(content))
+            outs.append(tmp_path / name)
+            assert main(["generate", "--config", str(config), "--out", str(outs[-1]),
+                         "--deterministic"]) == EXIT_OK
+        for name in ("config.echo.json", "trajectory.csv", "oscillation.json"):
+            assert read(outs[0] / name) == read(outs[1] / name)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOESN_SEED", "123")
@@ -452,8 +473,10 @@ BAD_FLAGS = [
     ("sweep", ["--n", "0"]),
     ("sweep", ["--rho-values", "0.5,-1"]),
     ("sweep", ["--cells", "0"]),
+    ("sweep", ["--leak-values", "0.5,x"]),
     ("inject-experiment", ["--tau", "50"]),
     ("inject-experiment", ["--populations", "1"]),
+    ("inject-experiment", ["--populations", "4,x"]),
     ("inject-experiment", ["--rho", "0"]),
     ("reproduce", ["--washout", "-1"]),
     ("reproduce", ["--tau", "100"]),
@@ -545,14 +568,16 @@ class TestExitCodes:
         {"command": "no-such-command", "params": {}},
         {"params": [1]},
         b"\xff\xfe{}",
+        '{"rho": 1' + "0" * 5000 + "}",  # past Python's int-to-str digit limit
     ], ids=["bad-json", "not-an-object", "command-mismatch", "params-not-an-object",
-            "not-utf-8"])
+            "not-utf-8", "oversized-int"])
     def test_bad_config_file_is_config_error(self, command, content, tmp_path):
         if isinstance(content, dict) and "command" not in content:
             content = {"command": command, **content}
         argv = [command, "--config", _config_file(tmp_path, content),
                 "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n", "4", "--tau", "99", "--trials", "1", "--leak-values", "0.5",
@@ -583,11 +608,36 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_integer_env_seed_is_config_error(self, command, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOESN_SEED", "abc")
+        assert main([command, *SMALL_FLAGS[command], "--out", str(tmp_path / "o")]) \
+            == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_existing_output_without_force_is_io_error(self, command, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
         (out / "config.echo.json").write_text("{}")
         assert main([command, *SMALL_FLAGS[command], "--out", str(out)]) == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [[c, *SMALL_FLAGS[c]] for c in COMMANDS] + [
+        ["generate", *SMALL_FLAGS["generate"], "--no-svg"],
+        ["reproduce", "--n", "20", "--sub-counts", "1,2", "--trials", "1", "--tau", "200",
+         "--max-attempts", "1"],
+    ], ids=" ".join)
+    def test_every_written_file_is_guarded(self, argv, tmp_path):
+        # any one file a run writes, alone in --out, stops a rerun without
+        # --force before anything is written
+        first = tmp_path / "first"
+        assert main([*argv, "--out", str(first), "--deterministic"]) == EXIT_OK
+        for name in os.listdir(first):
+            out = tmp_path / f"only-{name}"
+            out.mkdir()
+            (out / name).write_bytes(read(first / name))
+            assert main([*argv, "--out", str(out), "--deterministic"]) == EXIT_IO
+            assert os.listdir(out) == [name]
+            assert read(out / name) == read(first / name)
 
 
 class TestStandardize:

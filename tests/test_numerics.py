@@ -48,6 +48,12 @@ class TestSpectralRadius:
             oracle = float(np.max(np.abs(np.linalg.eigvals(W))))
             assert spectral_radius(W) == pytest.approx(oracle, rel=1e-6)
 
+    def test_invariant_krylov_space_is_exact(self):
+        # two distinct eigenvalues: above the cutover Arnoldi's Krylov space
+        # closes after two vectors, and its Ritz values are the eigenvalues
+        W = np.diag([2.0] + [1.0] * EIGVALS_CUTOVER)
+        assert spectral_radius(W) == 2.0
+
     def test_non_convergence_reports_last_estimate(self):
         # a circulant shift has every eigenvalue on the unit circle, so no
         # dominant pair can be isolated: the iteration must give up loudly

@@ -364,6 +364,10 @@ class TestTrajectoryCsv:
         with pytest.raises(InputError, match=f"line {line}: t is"):
             StateTrajectory.read_csv("t,x0\n" + body)
 
+    def test_blank_line_is_skipped(self):
+        restored = StateTrajectory.read_csv("t,x0\n0,0.5\n\n1,0.25\n")
+        assert restored.rows.tolist() == [[0.5], [0.25]]
+
     def test_header_only_file_has_no_rows(self):
         with pytest.raises(InputError, match="no rows"):
             StateTrajectory.read_csv("t,x0,x1\n")

@@ -261,6 +261,15 @@ class TestBuildWeights:
         spec = TopologySpec(kind="weakly_coupled", n=500, sub_count=8, seed=1)
         assert build_weights(spec, 1.25).shape == (500, 500)
 
+    @pytest.mark.parametrize("kind", ["dense", "weakly_coupled"])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+    def test_non_positive_rho_rejected(self, kind, rho):
+        # whole-matrix and per-block scaling share one target check
+        spec = TopologySpec(kind=kind, n=20, sub_count=2, coupling_scale=0.05,
+                            coupling_density=0.2, seed=5)
+        with pytest.raises(InputError, match="must be positive"):
+            build_weights(spec, rho)
+
 
 class TestTopologySpec:
     def test_validation(self):
