@@ -24,7 +24,7 @@ from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
-from .seeding import ROLE_LEAK, ROLE_STATE, check_seed, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, Seed, check_seed, derive_seed
 from .topology import VALID_KINDS, ConfigFields, TopologySpec, build_weights, sample_leak_vector
 from .experiments import (
     InjectConfig,
@@ -77,7 +77,7 @@ class TopologyDemoConfig(ConfigFields):
     n: int = 100
     rho: float = 1.25
     tau: int = 1000
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         _require(self.n >= 1, "n must be at least 1")

@@ -21,7 +21,7 @@ from .numerics import _radius_factors, spectral_radius
 from .oscillation import WINDOW, classify_states, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
-from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, check_seed, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, Seed, check_seed, derive_seed
 from .topology import (
     ConfigFields,
     TopologySpec,
@@ -74,7 +74,7 @@ class SweepConfig(ConfigFields):
     n: int = 100
     tau: int = 1000
     cells: int | None = None
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
@@ -109,7 +109,7 @@ class InjectConfig(ConfigFields):
     tau: int = 1000
     rho: float = 1.25
     leak: float = 0.5
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
@@ -159,7 +159,7 @@ class ReproduceConfig(ConfigFields):
     coupling_density: float = TopologySpec.coupling_density
     sub_counts: tuple[int, ...] | None = None
     trials: int = 30
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         _require(self.leak_sigma >= 0, f"leak_sigma must be non-negative, got {self.leak_sigma}")

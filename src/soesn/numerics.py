@@ -31,31 +31,23 @@ def _krylov_dim(n: int) -> int:
 
 
 def spectral_radius(W) -> float:
-    """Largest eigenvalue modulus of a square matrix: the one-matrix case of
-    spectral_radii, which checks W and raises its errors."""
-    return float(spectral_radii(np.asarray(W, dtype=float)[None])[0])
+    """Largest eigenvalue modulus of a square matrix: the package's one
+    radius call.
 
-
-def spectral_radii(stack) -> np.ndarray:
-    """Largest eigenvalue modulus of each matrix of a (k, m, m) stack.
-
-    Up to EIGVALS_CUTOVER rows the whole stack goes through one LAPACK
-    `eigvals` call (exact to rounding); above it each matrix gets its own
-    restarted Arnoldi estimate, which is cheaper there (to ARNOLDI_TOL,
-    within ARNOLDI_MAX_ITER products). The radius API's one input check:
-    raises DimensionError unless the stack holds square matrices of at
-    least one row (an empty stack, k = 0, gives an empty array) and
-    InputError for a non-finite entry.
+    Up to EIGVALS_CUTOVER rows it comes from LAPACK `eigvals` (exact to
+    rounding); above it from restarted Arnoldi, which is cheaper there (to
+    ARNOLDI_TOL, within ARNOLDI_MAX_ITER products). Raises DimensionError
+    unless W is a square matrix of at least one row and InputError for a
+    non-finite entry.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
-        raise DimensionError(
-            f"expected a (k, m, m) stack of square matrices, m >= 1, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] == 0:
+        raise DimensionError(f"expected a square matrix of at least one row, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
         raise InputError("matrix entries must be finite")
-    if stack.shape[1] <= EIGVALS_CUTOVER:
-        return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
-    return np.array([_arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER) for W in stack])
+    if W.shape[0] <= EIGVALS_CUTOVER:
+        return float(np.abs(np.linalg.eigvals(W)).max())
+    return _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER)
 
 
 def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
@@ -158,20 +150,17 @@ def scale_to_spectral_radius(W, rho_target: float) -> np.ndarray:
     return W * _radius_factors(spectral_radius(W), rho_target)
 
 
-def _radius_factors(radii, rho_target):
-    """The factors `rho_target / radii` that take matrices of spectral radii
-    `radii` to the radii `rho_target` (each a number or an array). Raises
+def _radius_factors(radius: float, rho_target):
+    """The factors `rho_target / radius` that take a matrix of spectral
+    radius `radius` to the radii `rho_target` (a number or an array). Raises
     InputError for a non-positive target and CannotScaleError for a radius
     too close to zero to rescale or a factor too large for a float."""
     if not np.all(rho_target > 0):  # NaN is not positive either
         raise InputError(f"target spectral radius must be positive, got {np.min(rho_target)}")
-    smallest = float(np.min(radii))
-    if smallest < 1e-12:
-        raise CannotScaleError(
-            f"spectral radius {smallest!r} is too close to zero to rescale"
-        )
+    if radius < 1e-12:
+        raise CannotScaleError(f"spectral radius {radius!r} is too close to zero to rescale")
     with np.errstate(over="ignore"):
-        factors = rho_target / radii
+        factors = rho_target / radius
     if not np.all(np.isfinite(factors)):
         raise CannotScaleError(
             f"the scale factor to radius {float(np.max(rho_target))!r} overflows"

@@ -1,8 +1,15 @@
 """Deterministic 64-bit seed derivation for experiment trials."""
 
+from typing import NewType
+
 from .errors import InputError
 
 _MASK = (1 << 64) - 1
+
+# The type of a config's seed field: an int that check_seed bounds to
+# [0, 2**64), where every other config int sizes an array or a loop and
+# stops at sys.maxsize.
+Seed = NewType("Seed", int)
 
 # Sub-seed roles, mixed into a trial seed to decorrelate its random draws.
 ROLE_WEIGHTS = 0

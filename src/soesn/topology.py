@@ -4,13 +4,14 @@ calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .numerics import _radius_factors, scale_to_spectral_radius, spectral_radii
-from .seeding import check_seed
+from .numerics import _radius_factors, spectral_radius
+from .seeding import Seed, check_seed
 
 VALID_KINDS = ("dense", "sparse", "block_diagonal", "weakly_coupled")
 
@@ -36,7 +37,9 @@ def _conforms(value, kind) -> bool:
             return isinstance(value, (int, float)) and math.isfinite(value)
         except OverflowError:
             return False
-    return isinstance(value, kind)
+    if kind is int:  # it sizes an array or a loop, which stop at sys.maxsize
+        return isinstance(value, int) and value <= sys.maxsize
+    return isinstance(value, getattr(kind, "__supertype__", kind))  # a Seed is any int
 
 
 class ConfigFields:
@@ -44,12 +47,12 @@ class ConfigFields:
 
     `to_dict` is the payload a run echoes. `from_dict` fills omitted fields
     from the defaults and raises ConfigError for an unknown field, a value
-    of the wrong type (a bool is not an int, an int is a float if a double
-    can hold it, a float must be finite, a list is a tuple, and a field
-    typed as another config class takes a nested object) or a value the
-    class's own checks reject. A list is stored as a tuple, its numbers as
-    given, so the built config equals and hashes like one built in code and
-    echoes the same bytes.
+    of the wrong type (a bool is not an int, an int other than a Seed is at
+    most sys.maxsize, an int is a float if a double can hold it, a float
+    must be finite, a list is a tuple, and a field typed as another config
+    class takes a nested object) or a value the class's own checks reject.
+    A list is stored as a tuple, its numbers as given, so the built config
+    equals and hashes like one built in code and echoes the same bytes.
     """
 
     def to_dict(self) -> dict:
@@ -70,7 +73,8 @@ class ConfigFields:
             if hasattr(kind, "from_dict"):
                 value = kind.from_dict(value, f"{label}.{name}")
             elif not _conforms(value, kind):
-                expected = kind.__name__ if isinstance(kind, type) else kind
+                expected = getattr(kind, "__supertype__", kind)
+                expected = expected.__name__ if isinstance(expected, type) else expected
                 raise ConfigError(f"{label}.{name} must be {expected}, got {value!r}")
             elif isinstance(value, list):  # only tuple fields take one
                 value = tuple(value)
@@ -100,7 +104,7 @@ class TopologySpec(ConfigFields):
     coupling_scale: float = 0.05
     coupling_density: float = 0.05
     inject_ensemble: bool = False
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -232,18 +236,19 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
     """Realize a TopologySpec as a weight matrix conditioned for a target
     spectral radius.
 
-    Dense and sparse matrices are rescaled as a whole. Block layouts have
-    each diagonal block rescaled independently -- the per-block radius is
-    what governs each sub-oscillator -- and the weak coupling is left
-    untouched. An injected ensemble is spliced in last so it keeps its own
-    calibrated weights. A target `rho` that is not positive raises
-    InputError.
+    Every diagonal block is rescaled independently -- the per-block radius
+    is what governs each sub-oscillator; a dense or sparse matrix is one
+    block -- and the weak coupling is left untouched. An injected ensemble
+    is spliced in last so it keeps its own calibrated weights. A target
+    `rho` that is not positive raises InputError.
     """
+    sizes = [spec.n]
     if spec.kind == "dense":
-        W = scale_to_spectral_radius(build_dense(spec.n, spec.seed), rho)
+        W = build_dense(spec.n, spec.seed)
     elif spec.kind == "sparse":
-        W = scale_to_spectral_radius(build_sparse(spec.n, spec.density, spec.seed), rho)
+        W = build_sparse(spec.n, spec.density, spec.seed)
     else:
+        sizes = block_sizes(spec.n, spec.sub_count)
         coupled = spec.kind == "weakly_coupled"
         W = build_weakly_coupled(
             spec.n,
@@ -252,17 +257,14 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
             spec.coupling_density if coupled else 0.0,
             spec.seed,
         )
-        # every diagonal block's radius from one call: the blocks stacked,
-        # each zero-padded to the largest size (padding adds only zero
-        # eigenvalues)
-        sizes = block_sizes(spec.n, spec.sub_count)
-        starts = np.cumsum([0] + sizes[:-1])
-        blocks = np.zeros((spec.sub_count, sizes[0], sizes[0]))
-        for block, start, size in zip(blocks, starts, sizes):
-            block[:size, :size] = W[start : start + size, start : start + size]
-        factors = _radius_factors(spectral_radii(blocks), rho)
-        for factor, start, size in zip(factors, starts, sizes):
-            W[start : start + size, start : start + size] *= factor
+    for start, size in zip(np.cumsum([0] + sizes[:-1]), sizes):
+        block = W[start : start + size, start : start + size]
+        # a short block of an uneven split takes its radius zero-padded to
+        # the first block's size: padding adds only zero eigenvalues, but
+        # the rounding of eigvals and Arnoldi depends on the side, and the
+        # 0.2.0 bits were taken padded
+        padded = np.pad(block, (0, sizes[0] - size)) if size < sizes[0] else block
+        block *= _radius_factors(spectral_radius(padded), rho)
 
     if spec.inject_ensemble:
         W = inject_ensemble(W)

@@ -494,7 +494,10 @@ BAD_FLAGS = [
 ] + [(command, ["--jobs", jobs]) for command in COMMANDS for jobs in ("0", "-3")] + [
     # a seed names one stream: derive_seed would mask these onto others
     (command, ["--seed", "-1"]) for command in COMMANDS if command != "generate"
-] + [(command, ["--seed", str(2**64)]) for command in COMMANDS]
+] + [(command, ["--seed", str(2**64)]) for command in COMMANDS] + [
+    # one past sys.maxsize: no array or loop takes it
+    ("sweep", ["--n", str(2**63)]), ("reproduce", ["--trials", str(2**63)]),
+]
 
 HUGE = 10**400
 BAD_PARAMS = [
@@ -526,7 +529,17 @@ BAD_PARAMS = [
     # a JSON integer no double can hold, in a float field
     (command, {"rho": HUGE})
     for command in ("generate", "inject-experiment", "reproduce", "topology-demo")
-] + [("sweep", {"rho_values": [HUGE]}), ("reproduce", {"freq": HUGE}), ("reproduce", {"dt": HUGE})]
+] + [("sweep", {"rho_values": [HUGE]}), ("reproduce", {"freq": HUGE}), ("reproduce", {"dt": HUGE})] + [
+    # an int field that sizes an array or a loop past sys.maxsize (numpy
+    # raised "Maximum allowed dimension exceeded", or the run never ended)
+    (command, {name: HUGE}) for command, names in [
+        ("generate", ["tau", "plot_units"]), ("sweep", ["n", "tau", "trials", "cells"]),
+        ("inject-experiment", ["tau", "trials"]),
+        ("reproduce", ["n", "tau", "trials", "sub_count", "washout", "max_attempts"]),
+        ("topology-demo", ["n", "tau"]),
+    ] for name in names
+] + [("generate", {"topology": {"n": HUGE}}), ("generate", {"topology": {"sub_count": HUGE}}),
+     ("inject-experiment", {"populations": [4, HUGE]}), ("reproduce", {"sub_counts": [1, HUGE]})]
 
 
 def _config_file(tmp_path, content):

@@ -4,6 +4,7 @@ radius, population or seed is rejected both when built in code and when
 read from JSON; and a JSON value of the wrong type is a ConfigError."""
 
 import json
+import sys
 from dataclasses import fields
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from soesn import InjectConfig, ReproduceConfig, SweepConfig, TopologySpec
 from soesn.cli import GenerateConfig, TopologyDemoConfig
 from soesn.errors import ConfigError, InputError
+from soesn.seeding import Seed
 from soesn.topology import VALID_KINDS
 
 
@@ -142,8 +144,11 @@ strings = st.sampled_from(["", "1", "1.5", "true", "abc"])
 def _wrong_values(kind):
     """JSON values of the wrong type for a field typed `kind`: a string,
     list or object where a number belongs, true or 1.5 where an int
+    belongs, an int above sys.maxsize where an int other than a Seed
     belongs, a number where a string, a list or an object belongs, and
     null unless the field is optional."""
+    seed = kind is Seed
+    kind = getattr(kind, "__supertype__", kind)
     options = getattr(kind, "__args__", ()) if getattr(kind, "__origin__", None) is None else ()
     optional = type(None) in options
     if optional:
@@ -158,6 +163,8 @@ def _wrong_values(kind):
                   st.just({"v": 1}), st.booleans()]
         if kind is int:
             wrong += [st.just(1.5), _finite().filter(lambda v: v != int(v))]
+            if not seed:  # a size or a count: numpy and range stop at sys.maxsize
+                wrong.append(st.integers(min_value=sys.maxsize + 1))
     elif kind is bool:
         wrong += [strings, st.integers(), st.just(1.5), st.just([True])]
     elif kind is str:

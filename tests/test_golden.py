@@ -30,6 +30,18 @@ CASES = {
             "trajectory.csv": "97e4acce68641d6183b4c4eb835da96e2f0c669053a72d8e92e572d0a6615149",
         },
     ),
+    # blocks of 102 and 101 rows: the short block's radius is taken zero-padded
+    # to 102 rows, and Arnoldi's rounding depends on the side it runs at
+    "generate-uneven-split": (
+        ["generate", "--topology", "weakly_coupled", "--n", "203", "--sub", "2",
+         "--tau", "120", "--seed", "7"],
+        {
+            "config.echo.json": "9bc212e14b94014ca2ec22d2d99252fa7eccc901c6281c308c1cc20a741d73bd",
+            "oscillation.json": "d9e06ea4d419c06d5523375c57ed2aed83aada789c675f52ab0ec8ee2685f4de",
+            "traces.svg": "b2c6cf1cfbeb31cc8ed4bbe59976f18d0cd995f618c1e38a3ae3f67bcb31215b",
+            "trajectory.csv": "30e5ed5b066ad0df105caf14628cf8d91ac6ce747afd3c53ed949a30854d9d30",
+        },
+    ),
     "sweep": (
         ["sweep", "--leak-values", "0.3,0.6", "--rho-values", "0.8,1.5,2.0",
          "--cells", "2", "--trials", "3", "--n", "40", "--tau", "300", "--seed", "9"],

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from soesn.errors import CannotScaleError, DimensionError, InputError
-from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector, spectral_radii
+from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector
 
 from conftest import naive_dft_power
 
@@ -67,39 +67,34 @@ class TestSpectralRadius:
             spectral_radius(shift)
 
 
-def _eigvals_radii(stack):
-    return np.array([np.max(np.abs(np.linalg.eigvals(W))) for W in stack])
+def _eigvals_radius(W):
+    return float(np.max(np.abs(np.linalg.eigvals(W))))
 
 
 class TestSpectralRadii:
-    # both sides of the cutover: LAPACK eigvals up to it, Arnoldi above it
+    """spectral_radius on both sides of the cutover (LAPACK eigvals up to
+    it, Arnoldi above it), and its one input check."""
+
     @pytest.mark.parametrize("m", [1, 4, 64, EIGVALS_CUTOVER, EIGVALS_CUTOVER + 1, 200])
     def test_matches_max_abs_eigvals(self, m):
         stack = np.random.default_rng(m).uniform(-0.5, 0.5, (3, m, m))
         stack[1] *= 7.0
-        assert spectral_radii(stack) == pytest.approx(_eigvals_radii(stack), rel=1e-8)
-
-    def test_radius_is_its_one_matrix_case(self, rng):
-        for m in (20, EIGVALS_CUTOVER + 20):
-            W = rng.uniform(-0.5, 0.5, (m, m))
-            assert spectral_radius(W) == spectral_radii(W[None])[0]
+        for W in stack:
+            assert spectral_radius(W) == pytest.approx(_eigvals_radius(W), rel=1e-8)
 
     def test_zero_matrices(self):
         for m in (3, EIGVALS_CUTOVER + 1):
-            assert spectral_radii(np.zeros((2, m, m))).tolist() == [0.0, 0.0]
+            assert spectral_radius(np.zeros((m, m))) == 0.0
 
-    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (1, 2, 2, 2)])
+    # a non-square matrix, a vector and a stack of matrices
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
     def test_non_square_stack_rejected(self, shape):
         with pytest.raises(DimensionError):
-            spectral_radii(np.ones(shape))
-
-    def test_empty_stack_has_no_radii(self):
-        assert spectral_radii(np.zeros((0, 5, 5))).shape == (0,)
+            spectral_radius(np.ones(shape))
 
     @pytest.mark.parametrize("radius", [
-        spectral_radius, lambda W: spectral_radii(W[None]),
-        lambda W: scale_to_spectral_radius(W, 1.0),
-    ], ids=["spectral_radius", "spectral_radii", "scale_to_spectral_radius"])
+        spectral_radius, lambda W: scale_to_spectral_radius(W, 1.0),
+    ], ids=["spectral_radius", "scale_to_spectral_radius"])
     def test_zero_rows_rejected(self, radius):
         with pytest.raises(DimensionError):
             radius(np.zeros((0, 0)))
@@ -107,10 +102,10 @@ class TestSpectralRadii:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stack_rejected(self, bad):
         for m in (4, EIGVALS_CUTOVER + 1):
-            stack = np.ones((2, m, m))
-            stack[1, 0, m - 1] = bad
+            W = np.ones((m, m))
+            W[0, m - 1] = bad
             with pytest.raises(InputError):
-                spectral_radii(stack)
+                spectral_radius(W)
 
 
 def test_ritz_vector_survives_an_exactly_singular_shift():

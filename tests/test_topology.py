@@ -16,6 +16,8 @@ from soesn import (
     inject_ensemble,
     sample_leak_vector,
     scale_to_spectral_radius,
+    spectral_radius,
+    topology,
 )
 from soesn.errors import CannotScaleError, ConfigError, InputError
 from soesn.topology import block_sizes
@@ -256,6 +258,21 @@ class TestBuildWeights:
         spec = TopologySpec(kind="dense", n=50, inject_ensemble=True, seed=31)
         W = build_weights(spec, 1.25)
         assert np.array_equal(W[:2, :2], TWO_NEURON_ENSEMBLE)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "block_diagonal", "weakly_coupled"])
+    def test_one_radius_call_per_block(self, kind, monkeypatch):
+        # a dense or sparse matrix is one block; the 7-row blocks of an
+        # uneven split take their radius padded to the first block's 8 rows
+        sides = []
+
+        def counted(W):
+            sides.append(np.shape(W))
+            return spectral_radius(W)
+
+        monkeypatch.setattr(topology, "spectral_radius", counted)
+        spec = TopologySpec(kind=kind, n=30, sub_count=4, seed=3)
+        build_weights(spec, 1.25)
+        assert sides == ([(30, 30)] if kind in ("dense", "sparse") else [(8, 8)] * 4)
 
     def test_uneven_population_accepted(self):
         spec = TopologySpec(kind="weakly_coupled", n=500, sub_count=8, seed=1)
