@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -115,6 +117,71 @@ class TestSweep:
         rhos = SweepConfig().rho_values
         assert min(leaks) == 0.05 and max(leaks) == 1.0 and len(leaks) == 20
         assert min(rhos) == 0.1 and max(rhos) == 3.0 and len(rhos) == 30
+
+
+CLI_SURFACE = Path(__file__).parent / "golden" / "cli_surface.json"
+
+
+def _subcommands(parser):
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers
+
+
+def _parsed(command, argv):
+    """repr of what `command argv` sets beyond the command's defaults."""
+    parser = build_parser()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            given = vars(parser.parse_args([command, *argv]))
+    except SystemExit:
+        return "rejected"
+    defaults = vars(parser.parse_args([command]))
+    return repr({dest: value for dest, value in given.items() if dest not in defaults})
+
+
+def cli_surface(samples=None):
+    """The CLI as a user meets it. Per subcommand, each action by dest: its
+    option strings, action class, choices, the invocation --help prints,
+    help and default. Per config flag (a default of SUPPRESS, -h aside), the
+    value each option string parses from its sample: the `samples` given,
+    else, to record them, the last choice, "3,4" or "3", whichever parses
+    first. Record the snapshot from tests/, with src/ on PYTHONPATH:
+
+        python -c "import json, test_cli; print(json.dumps(
+            test_cli.cli_surface(), indent=1, sort_keys=True))"
+    """
+    subparsers = _subcommands(build_parser())
+    surface = {"commands": {a.dest: a.help for a in subparsers._choices_actions},
+               "samples": {}}
+    for command, p in subparsers.choices.items():
+        formatter = p._get_formatter()
+        surface[command] = {a.dest: {
+            "options": a.option_strings, "action": type(a).__name__,
+            "choices": None if a.choices is None else list(a.choices),
+            "invocation": formatter._format_action_invocation(a),
+            "help": a.help, "default": repr(a.default),
+        } for a in p._actions}
+        recorded = (samples or {}).get(command, {})
+        surface["samples"][command] = found = {}
+        for a in p._actions:
+            config_flag = a.default is argparse.SUPPRESS and a.dest != "help"
+            for option in a.option_strings if config_flag else ():
+                if a.nargs == 0:
+                    found[option] = [None, _parsed(command, [option])]
+                    continue
+                texts = [recorded[option][0]] if option in recorded else \
+                    [str(a.choices[-1])] if a.choices else ["3,4", "3"]
+                text = next((t for t in texts if _parsed(command, [option, t]) != "rejected"),
+                            texts[-1])
+                found[option] = [text, _parsed(command, [option, text])]
+    return surface
+
+
+def test_cli_surface_matches_the_snapshot():
+    # flags, dests, help and parsed values are the CLI's contract: a change
+    # to how the parser is built must leave all of them as recorded
+    snapshot = json.loads(CLI_SURFACE.read_text())
+    assert cli_surface(snapshot["samples"]) == snapshot
 
 
 def _field_paths(cls, prefix=""):
