@@ -24,14 +24,19 @@ from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
-from .seeding import ROLE_LEAK, ROLE_STATE, Seed, check_seed, derive_seed
-from .topology import VALID_KINDS, ConfigFields, TopologySpec, build_weights, sample_leak_vector
+from .seeding import ROLE_LEAK, ROLE_STATE, SEED_HELP, Seed, check_seed, derive_seed
+from .topology import (
+    VALID_KINDS,
+    ConfigFields,
+    TopologySpec,
+    build_weights,
+    option,
+    sample_leak_vector,
+)
 from .experiments import (
     InjectConfig,
     ReproduceConfig,
     SweepConfig,
-    _SINE_MODES,
-    _TARGET_DT,
     _require,
     _require_window,
     distribution_from_outcomes,
@@ -56,11 +61,11 @@ class GenerateConfig(ConfigFields):
     `svg`) draws the first `plot_units` units, at least one."""
 
     topology: TopologySpec = field(default_factory=TopologySpec)
-    rho: float = 1.25
-    leak: float = 0.5
-    tau: int = 1000
-    plot_units: int = 5
-    svg: bool = True
+    rho: float = option(1.25, "target spectral radius")
+    leak: float = option(0.5, "constant leak rate")
+    tau: int = option(1000, "steps to run")
+    plot_units: int = option(5, "units drawn in the trace SVG")
+    svg: bool = option(True, "emit the trace SVG")
 
     def __post_init__(self):
         _require(self.rho > 0, f"rho must be positive, got {self.rho}")
@@ -77,7 +82,7 @@ class TopologyDemoConfig(ConfigFields):
     n: int = 100
     rho: float = 1.25
     tau: int = 1000
-    seed: Seed = 0
+    seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
         _require(self.n >= 1, "n must be at least 1")
@@ -109,9 +114,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# flags not named after their field
+_FLAG_NAMES = {"kind": "--topology", "sub_count": "--sub", "inject_ensemble": "--inject"}
+
+
+def _config_fields(cls, prefix=""):
+    """(path, field) for each field of the config class `cls`; a nested
+    config class's fields are walked into, their paths as "topology.n"."""
+    for f in fields(cls):
+        if hasattr(f.type, "from_dict"):
+            yield from _config_fields(f.type, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f
+
+
+def _flag_type(kind):
+    """The argparse type of a config field annotated `kind`."""
+    if getattr(kind, "__origin__", None) is tuple:  # tuple[T, ...]
+        return _list_of(kind.__args__[0])
+    if hasattr(kind, "__args__"):  # T | None
+        return _flag_type(kind.__args__[0])
+    return getattr(kind, "__supertype__", kind)  # a Seed is an int
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Each config flag's dest is the path of its config field (nested
-    fields as "topology.n"); unset flags stay out of the namespace."""
+    """One flag per config field: `--` and the field's name with `-` for
+    `_` (or its _FLAG_NAMES entry), its dest the field's path, its help and
+    choices from the field's metadata. Unset flags stay out of the
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="soesn",
         allow_abbrev=False,
@@ -120,8 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"soesn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, default_out, seed_dest="seed"):
+    for name, cls, func, default_out, help in [
+        ("generate", GenerateConfig, cmd_generate, "soesn-generate",
+         "build one reservoir, run it, classify it"),
+        ("sweep", SweepConfig, cmd_sweep, "soesn-sweep",
+         "leak x spectral-radius oscillation-ratio heatmap"),
+        ("inject-experiment", InjectConfig, cmd_inject, "soesn-inject",
+         "oscillation ratio with vs without an injected ensemble"),
+        ("reproduce", ReproduceConfig, cmd_reproduce, "soesn-reproduce",
+         "train the readout to reproduce a target waveform"),
+        ("topology-demo", TopologyDemoConfig, cmd_topology_demo, "soesn-topology-demo",
+         "build each topology, run it, and emit trajectories + reports"),
+    ]:
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
         p.add_argument("--config", default=None,
@@ -133,83 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit the timestamp comment from SVG outputs")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for trials, at least 1 (never changes results)")
-        p.add_argument("--seed", type=int, dest=seed_dest, metavar="SEED",
-                       help="base seed (default: $SOESN_SEED or 0)")
-        return p
-
-    p = command("generate", "build one reservoir, run it, classify it", "soesn-generate",
-                seed_dest="topology.seed")
-    p.add_argument("--topology", dest="topology.kind", choices=VALID_KINDS,
-                   help="weight-matrix layout")
-    p.add_argument("--n", dest="topology.n", metavar="N", type=int, help="population size")
-    p.add_argument("--density", dest="topology.density", metavar="DENSITY", type=float,
-                   help="sparse connection probability")
-    p.add_argument("--sub", dest="topology.sub_count", metavar="SUB", type=int,
-                   help="number of sub-reservoirs")
-    p.add_argument("--coupling-scale", dest="topology.coupling_scale",
-                   metavar="COUPLING_SCALE", type=float)
-    p.add_argument("--coupling-density", dest="topology.coupling_density",
-                   metavar="COUPLING_DENSITY", type=float)
-    p.add_argument("--inject", dest="topology.inject_ensemble",
-                   action=argparse.BooleanOptionalAction,
-                   help="splice in the calibrated two-neuron ensemble")
-    p.add_argument("--rho", type=float, help="target spectral radius")
-    p.add_argument("--leak", type=float, help="constant leak rate")
-    p.add_argument("--tau", type=int, help="steps to run")
-    p.add_argument("--plot-units", type=int, help="units drawn in the trace SVG")
-    p.add_argument("--svg", action=argparse.BooleanOptionalAction, help="emit the trace SVG")
-    p.set_defaults(func=cmd_generate)
-
-    p = command("sweep", "leak x spectral-radius oscillation-ratio heatmap", "soesn-sweep")
-    p.add_argument("--leak-values", type=_list_of(float), help="comma-separated leak grid")
-    p.add_argument("--rho-values", type=_list_of(float), help="comma-separated rho grid")
-    p.add_argument("--trials", type=int, help="reservoirs per cell")
-    p.add_argument("--n", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--cells", type=int, help="cap the grid to about this many cells (smoke runs)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = command("inject-experiment", "oscillation ratio with vs without an injected ensemble",
-                "soesn-inject")
-    p.add_argument("--populations", type=_list_of(int), help="comma-separated population sizes")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--leak", type=float)
-    p.set_defaults(func=cmd_inject)
-
-    p = command("reproduce", "train the readout to reproduce a target waveform",
-                "soesn-reproduce")
-    p.add_argument("--target", choices=tuple(_TARGET_DT))
-    p.add_argument("--mode", choices=_SINE_MODES, help="sine flavour")
-    p.add_argument("--freq", type=float, help="pure sine frequency (cycles per step)")
-    p.add_argument("--dt", type=float, help="target sample spacing")
-    p.add_argument("--tau", type=int, help="target steps (samples - 1)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--sub", dest="sub_count", metavar="SUB", type=int,
-                   help="sub-reservoir count (single run)")
-    p.add_argument("--sub-counts", type=_list_of(int),
-                   help="comma-separated counts: run the boxplot sweep instead")
-    p.add_argument("--trials", type=int, help="trials per count in sweep mode")
-    p.add_argument("--coupling-scale", type=float)
-    p.add_argument("--coupling-density", type=float)
-    p.add_argument("--leak-mu", type=float)
-    p.add_argument("--leak-sigma", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--ridge-lambda", type=float)
-    p.add_argument("--washout", type=int)
-    p.add_argument("--max-attempts", type=int)
-    p.add_argument("--standardize", action=argparse.BooleanOptionalAction,
-                   help="standardize target dimensions before the fit")
-    p.set_defaults(func=cmd_reproduce)
-
-    p = command("topology-demo", "build each topology, run it, and emit trajectories + reports",
-                "soesn-topology-demo")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tau", type=int)
-    p.set_defaults(func=cmd_topology_demo)
-
+        for path, f in _config_fields(cls):
+            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            options = dict(f.metadata)
+            if f.type is bool:
+                options["action"] = argparse.BooleanOptionalAction
+            elif not options.get("choices"):
+                options.update(type=_flag_type(f.type), metavar=flag[2:].upper().replace("-", "_"))
+            p.add_argument(flag, dest=path, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -241,13 +213,14 @@ def _load_config_params(path: str, command: str) -> dict:
     return params
 
 
-def _resolve(cls, args, seed_path: str = "seed"):
+def _resolve(cls, args):
     """The command's config: defaults, overlaid by --config, overlaid by the
     flags given.
 
     Values travel keyed by field path, so a flag overrides one field of a
-    nested object. The seed resolves flag > config > $SOESN_SEED > default,
-    so a stray environment seed never breaks a rerun from config.echo.json.
+    nested object. The seed (the field typed Seed) resolves flag > config >
+    $SOESN_SEED > default, so a stray environment seed never breaks a rerun
+    from config.echo.json.
     """
     given = {}
     if args.config:
@@ -256,11 +229,11 @@ def _resolve(cls, args, seed_path: str = "seed"):
             given[(key,)] = {} if nested else value
             if nested:
                 given.update({(key, k): v for k, v in value.items()})
-    names = {f.name for f in fields(cls)}
+    paths = dict(_config_fields(cls))
     for dest, value in vars(args).items():
-        if dest.split(".")[0] in names:
+        if dest in paths:
             given[tuple(dest.split("."))] = value
-    seed = tuple(seed_path.split("."))
+    (seed,) = [tuple(path.split(".")) for path, f in paths.items() if f.type is Seed]
     env = os.environ.get("SOESN_SEED")
     if env is not None and seed not in given:
         try:
@@ -385,7 +358,7 @@ def _run_and_write(args, config, spec: TopologySpec, leak, paths, head: dict,
 
 
 def cmd_generate(args) -> int:
-    config = _resolve(GenerateConfig, args, seed_path="topology.seed")
+    config = _resolve(GenerateConfig, args)
     spec = config.topology
     echo, *paths = _prepare_out(args, "config.echo.json", "trajectory.csv", "oscillation.json",
                                 *(["traces.svg"] if config.svg else []))

@@ -21,12 +21,13 @@ from .numerics import _radius_factors, spectral_radius
 from .oscillation import WINDOW, classify_states, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
-from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, Seed, check_seed, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, SEED_HELP, Seed, check_seed, derive_seed
 from .topology import (
     ConfigFields,
     TopologySpec,
     build_dense,
     build_weights,
+    option,
     sample_leak_vector,
 )
 
@@ -68,13 +69,15 @@ class SweepConfig(ConfigFields):
     units per (leak, rho) cell, each run `tau` steps; `cells` caps the grid
     for smoke runs."""
 
-    leak_values: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(1, 21))
-    rho_values: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 31))
-    trials: int = 20
+    leak_values: tuple[float, ...] = option(tuple(round(0.05 * i, 10) for i in range(1, 21)),
+                                            "comma-separated leak grid")
+    rho_values: tuple[float, ...] = option(tuple(round(0.1 * i, 10) for i in range(1, 31)),
+                                           "comma-separated rho grid")
+    trials: int = option(20, "reservoirs per cell")
     n: int = 100
     tau: int = 1000
-    cells: int | None = None
-    seed: Seed = 0
+    cells: int | None = option(None, "cap the grid to about this many cells (smoke runs)")
+    seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
         _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
@@ -104,12 +107,12 @@ class InjectConfig(ConfigFields):
     dense reservoirs with and without the two-neuron ensemble, at radius
     `rho` and constant `leak`, run `tau` steps."""
 
-    populations: tuple[int, ...] = (4, 10, 25, 50, 100)
+    populations: tuple[int, ...] = option((4, 10, 25, 50, 100), "comma-separated population sizes")
     trials: int = 200
     tau: int = 1000
     rho: float = 1.25
     leak: float = 0.5
-    seed: Seed = 0
+    seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
         _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
@@ -147,19 +150,20 @@ class ReproduceConfig(ConfigFields):
     ridge_lambda: float = 1e-8
     washout: int = 100
     max_attempts: int = 10
-    standardize: bool = False
-    target: str = "sine"
-    mode: str = "pure_sine"
-    freq: float = 0.05
-    dt: float | None = None
-    tau: int | None = None
+    standardize: bool = option(False, "standardize target dimensions before the fit")
+    target: str = option("sine", choices=tuple(_TARGET_DT))
+    mode: str = option("pure_sine", "sine flavour", _SINE_MODES)
+    freq: float = option(0.05, "pure sine frequency (cycles per step)")
+    dt: float | None = option(None, "target sample spacing")
+    tau: int | None = option(None, "target steps (samples - 1)")
     n: int = 500
-    sub_count: int = 8
+    sub_count: int = option(8, "sub-reservoir count (single run)")
     coupling_scale: float = TopologySpec.coupling_scale
     coupling_density: float = TopologySpec.coupling_density
-    sub_counts: tuple[int, ...] | None = None
-    trials: int = 30
-    seed: Seed = 0
+    sub_counts: tuple[int, ...] | None = option(
+        None, "comma-separated counts: run the boxplot sweep instead")
+    trials: int = option(30, "trials per count in sweep mode")
+    seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
         _require(self.leak_sigma >= 0, f"leak_sigma must be non-negative, got {self.leak_sigma}")

@@ -10,6 +10,7 @@ _MASK = (1 << 64) - 1
 # [0, 2**64), where every other config int sizes an array or a loop and
 # stops at sys.maxsize.
 Seed = NewType("Seed", int)
+SEED_HELP = "base seed (default: $SOESN_SEED or 0)"
 
 # Sub-seed roles, mixed into a trial seed to decorrelate its random draws.
 ROLE_WEIGHTS = 0

@@ -5,13 +5,13 @@ them to seed oscillation."""
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .numerics import _radius_factors, spectral_radius
-from .seeding import Seed, check_seed
+from .seeding import SEED_HELP, Seed, check_seed
 
 VALID_KINDS = ("dense", "sparse", "block_diagonal", "weakly_coupled")
 
@@ -40,6 +40,12 @@ def _conforms(value, kind) -> bool:
     if kind is int:  # it sizes an array or a loop, which stop at sys.maxsize
         return isinstance(value, int) and value <= sys.maxsize
     return isinstance(value, getattr(kind, "__supertype__", kind))  # a Seed is any int
+
+
+def option(default, help: str | None = None, choices=None):
+    """A config field defaulting to `default`; `help` and `choices` are its
+    command-line flag's."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 class ConfigFields:
@@ -97,14 +103,14 @@ class TopologySpec(ConfigFields):
     (sizes differ by at most one when `n` is not divisible by `sub_count`).
     """
 
-    kind: str = "dense"
-    n: int = 100
-    density: float = 0.1
-    sub_count: int = 1
+    kind: str = option("dense", "weight-matrix layout", VALID_KINDS)
+    n: int = option(100, "population size")
+    density: float = option(0.1, "sparse connection probability")
+    sub_count: int = option(1, "number of sub-reservoirs")
     coupling_scale: float = 0.05
     coupling_density: float = 0.05
-    inject_ensemble: bool = False
-    seed: Seed = 0
+    inject_ensemble: bool = option(False, "splice in the calibrated two-neuron ensemble")
+    seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
