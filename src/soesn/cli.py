@@ -7,7 +7,8 @@ result-determining parameters; rerunning with `--config <that file>`
 reproduces the CSV/JSON payloads byte for byte regardless of `--jobs`.
 SVGs embed a generation timestamp unless `--deterministic` is given.
 Exit codes: 0 success (a non-oscillatory outcome is still a result),
-2 configuration error, 3 numeric error, 4 I/O error.
+2 configuration error, 3 numeric error (out of memory included), 4 I/O
+error.
 """
 
 import argparse
@@ -531,6 +532,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"soesn: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # a size that fits an index but not this host
+        detail = f": {exc}" if str(exc) else ""
+        print(f"soesn: numeric failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"soesn: I/O error: {exc}", file=sys.stderr)

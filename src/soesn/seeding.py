@@ -10,6 +10,8 @@ _MASK = (1 << 64) - 1
 # [0, 2**64), where every other config int sizes an array or a loop and
 # stops at sys.maxsize.
 Seed = NewType("Seed", int)
+# The help of a config seed's command-line flag: the CLI falls back on
+# $SOESN_SEED when neither the flag nor a config file gives the seed.
 SEED_HELP = "base seed (default: $SOESN_SEED or 0)"
 
 # Sub-seed roles, mixed into a trial seed to decorrelate its random draws.

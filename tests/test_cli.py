@@ -78,6 +78,14 @@ class TestGenerate:
         ])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("n", ["100", "200"])
+    def test_nilpotent_sparse_matrix_is_numeric_error(self, n, tmp_path):
+        # this draw is nilpotent: its radius is 0 on either side of the
+        # eigvals/Arnoldi cutover, so it cannot be scaled
+        code = main(["generate", "--topology", "sparse", "--density", "0.001", "--n", n,
+                     "--seed", "0", "--out", str(tmp_path / "z")])
+        assert code == EXIT_NUMERIC
+
     def test_timestamp_present_unless_deterministic(self, tmp_path):
         main(["generate", "--n", "20", "--tau", "150", "--out", str(tmp_path / "t1")])
         assert b"<!-- generated" in read(tmp_path / "t1" / "traces.svg")
@@ -672,6 +680,24 @@ class TestExitCodes:
         # rho / radius is inf for these seeded matrices: no command may go on
         # with it (the suite turns a leaked overflow warning into a failure)
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("command,target", [
+        ("generate", "soesn.cli.build_weights"), ("sweep", "soesn.experiments.build_dense"),
+    ])
+    def test_failed_allocation_is_numeric_error(self, command, target, tmp_path, monkeypatch,
+                                                capsys):
+        # injected, never allocated: whether a huge request fails at once
+        # depends on the host's overcommit setting
+        def fail(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(target, fail)
+        assert main([command, *SMALL_FLAGS[command], "--out", str(tmp_path / "o")]) \
+            == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "soesn: numeric failure: out of memory: " \
+                      "Unable to allocate 298. GiB for an array\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["generate", "sweep", "inject-experiment",
                                          "topology-demo"])

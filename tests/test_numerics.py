@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from soesn.errors import CannotScaleError, DimensionError, InputError
-from soesn.numerics import EIGVALS_CUTOVER, _ritz_vector
+from soesn.numerics import (
+    ARNOLDI_MAX_ITER,
+    ARNOLDI_TOL,
+    EIGVALS_CUTOVER,
+    _arnoldi_radius,
+    _ritz_vector,
+    _strong_components,
+)
+from soesn.topology import build_sparse
 
 from conftest import naive_dft_power
 
@@ -106,6 +114,52 @@ class TestSpectralRadii:
             W[0, m - 1] = bad
             with pytest.raises(InputError):
                 spectral_radius(W)
+
+
+def _triangular(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "jordan":  # 0.5 I plus a superdiagonal of ones: radius 0.5
+        return 0.5 * np.eye(n) + np.eye(n, k=1)
+    return np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1 if kind == "strictly-upper" else 0)
+
+
+def _assert_eigvals_radius(W):
+    oracle = _eigvals_radius(W)
+    if oracle == 0.0:
+        assert spectral_radius(W) == 0.0
+    else:
+        assert spectral_radius(W) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+class TestReducibleAboveCutover:
+    """A matrix whose nonzero graph is not strongly connected has repeated
+    eigenvalues that Arnoldi rounds to about the k-th root of a rounding
+    error: above the cutover it is split into its strongly connected
+    blocks, so a zero radius stays zero (eigvals is the oracle)."""
+
+    @pytest.mark.parametrize("n", [EIGVALS_CUTOVER + 1, 200])
+    @pytest.mark.parametrize("kind", ["jordan", "strictly-upper", "upper"])
+    def test_triangular(self, kind, n):
+        _assert_eigvals_radius(_triangular(kind, n))
+
+    @pytest.mark.parametrize("n", [EIGVALS_CUTOVER + 1, 200])
+    @pytest.mark.parametrize("density", [0.001, 0.002, 0.004])
+    def test_sparse(self, density, n):
+        for seed in range(10):
+            _assert_eigvals_radius(build_sparse(n, density, seed))
+
+    def test_block_diagonal_is_its_largest_block(self):
+        W = np.zeros((120, 120))
+        W[:60, :60] = _uniform(1, 60)
+        W[60:, 60:] = _uniform(2, 60, 3.0)
+        assert spectral_radius(W) == _eigvals_radius(W[60:, 60:])
+
+    def test_zero_rows_and_columns_do_not_split_a_matrix(self):
+        # an uneven split's short block is zero-padded: it keeps Arnoldi,
+        # and the bits it had before the split existed
+        W = np.pad(_uniform(0, EIGVALS_CUTOVER + 1), (0, 1))
+        assert _strong_components(W) is None
+        assert spectral_radius(W) == _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER)
 
 
 def test_ritz_vector_survives_an_exactly_singular_shift():
