@@ -130,11 +130,6 @@ class TestSweep:
 CLI_SURFACE = Path(__file__).parent / "golden" / "cli_surface.json"
 
 
-def _subcommands(parser):
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subparsers
-
-
 def _parsed(command, argv):
     """repr of what `command argv` sets beyond the command's defaults."""
     parser = build_parser()
@@ -158,7 +153,8 @@ def cli_surface(samples=None):
         python -c "import json, test_cli; print(json.dumps(
             test_cli.cli_surface(), indent=1, sort_keys=True))"
     """
-    subparsers = _subcommands(build_parser())
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
     surface = {"commands": {a.dest: a.help for a in subparsers._choices_actions},
                "samples": {}}
     for command, p in subparsers.choices.items():
