@@ -130,11 +130,18 @@ def _config_fields(cls, prefix=""):
 
 
 def _flag_type(kind):
-    """The argparse type of a config field annotated `kind`."""
+    """The argparse type of a config field annotated `kind`; a `T | None`
+    field takes `none` to clear it."""
     if getattr(kind, "__origin__", None) is tuple:  # tuple[T, ...]
         return _list_of(kind.__args__[0])
     if hasattr(kind, "__args__"):  # T | None
-        return _flag_type(kind.__args__[0])
+        parse = _flag_type(kind.__args__[0])
+
+        def optional(text: str):
+            return None if text == "none" else parse(text)
+
+        optional.__name__ = parse.__name__  # argparse names it in errors
+        return optional
     return getattr(kind, "__supertype__", kind)  # a Seed is an int
 
 
@@ -525,6 +532,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    fresh = not os.path.lexists(args.out)
+    code = _run(args)
+    if code != EXIT_OK and fresh:
+        # a failed run leaves no output directory it made, unless it wrote
+        # into it
+        try:
+            os.rmdir(args.out)
+        except OSError:
+            pass
+    return code
+
+
+def _run(args) -> int:
+    """Run the parsed command, mapping each error to its exit code."""
     try:
         return args.func(args)
     except InputError as exc:  # ConfigError included

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -213,19 +214,28 @@ class ReproduceConfig(ConfigFields):
 # Trial plans and the batched runner
 # ---------------------------------------------------------------------------
 
-# The most states one matrix product advances. Chunks are cut from a plan
-# list in order, so a state's bits depend on the config alone (a gemm row's
-# bits depend on the batch width and on the row's place in it), never on
-# --jobs. At n=100 and 1000 steps a state costs 13 ms alone, 2.3 ms in a
-# chunk of 32 and 1.7 ms in one of 64 (one BLAS thread); the kept 100-row
-# tail of a full chunk takes 51 KB per unit (5 MB at n=100).
+# The most states one matrix product advances, whether one trial's or a
+# stack's. Chunks are cut from a plan list in order, so a state's bits
+# depend on the config alone (a gemm row's bits depend on the batch width
+# and on the row's place in it), never on --jobs or on the stack. At n=100
+# and 1000 steps a state costs 13 ms alone, 2.3 ms in a chunk of 32 and
+# 1.7 ms in one of 64 (one BLAS thread); the kept 100-row tail of a full
+# chunk takes 51 KB per unit (5 MB at n=100).
 BATCH_WIDTH = 64
+
+# The most weight-matrix bytes one stack advances. Stacking pays while the
+# matrices stay in cache: 8 width-2 trials of 1000 steps, run G at a time
+# (2 vCPUs, one BLAS thread), against one at a time, ran at n=100 2.24x
+# faster for G=4 (0.3 MB); at n=200 1.23x for G=4 (1.3 MB) but 0.86x for
+# G=8 (2.6 MB); at n=300 1.08x for G=2 (1.4 MB) but 0.66x for G=4; and at
+# n=500 0.70x for G=2 (4 MB). 1 MiB stays below that crossover.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """One state that run_plans advances on its shared dense matrix, scaled
-    to radius `rho` (with the two-neuron ensemble spliced in when
+    """One state that run_plans advances on its trial's dense matrix,
+    scaled to radius `rho` (with the two-neuron ensemble spliced in when
     `injected`), at the constant `leak`, from `init_state(n, state_seed)`.
     `label` names the run in errors."""
 
@@ -236,41 +246,81 @@ class TrialPlan:
     label: str = ""
 
 
-def run_plans(n: int, matrix_seed: int, plans, tau: int):
-    """Run plans on the dense matrix of `n` units drawn from `matrix_seed`
-    as batches, yielding each chunk's kept states: a
-    (min(WINDOW, tau + 1), B, n) stack, the classifier window of B plans in
-    plan order.
+def _cut_stacks(tasks) -> list[list]:
+    """The trials `(n, matrix_seed, plans)` cut, in order, into stacks for
+    run_plans. Each run of consecutive trials that share n and their plan
+    count B goes into the fewest stacks of at most
+    max(1, min(BATCH_WIDTH // B, STACK_BYTES // (8 n^2))) trials, with sizes
+    that differ by at most one. The cut depends on the tasks alone."""
+    stacks = []
+    for (n, width), run in groupby(tasks, key=lambda task: (task[0], len(task[2]))):
+        run = list(run)
+        most = max(1, min(BATCH_WIDTH // max(1, width), STACK_BYTES // (8 * n * n)))
+        count = -(-len(run) // most)
+        size, extra = divmod(len(run), count)
+        start = 0
+        for i in range(count):
+            stop = start + size + (i < extra)
+            stacks.append(run[start:stop])
+            start = stop
+    return stacks
 
-    The base matrix W0 = build_dense(n, matrix_seed) is built, and its
-    radius taken, once; plan j runs under c_j * W0 with
+
+def run_plans(stack, tau: int):
+    """Run a stack of G trials `(n, matrix_seed, plans)`, which share n and
+    their plan count B, as batches, yielding each chunk's kept states: a
+    (min(WINDOW, tau + 1), G, B', n) array, the classifier window of the
+    chunk's B' plans of every trial, in plan order. A single trial is a
+    stack of one.
+
+    A trial's base matrix W0 = build_dense(n, matrix_seed) is built, and
+    its radius taken, once; plan j runs under c_j * W0 with
     c_j = rho_j / radius(W0), which is build_weights of the dense spec at
     rho_j factored out of the product, and with the ensemble's weights in
     its leading block when it is injected. Chunks hold at most BATCH_WIDTH
-    plans. A NumericError names the failing plan's label.
+    plans of each trial, and _cut_stacks keeps G * B' within BATCH_WIDTH. A
+    NumericError names the failing plan's label.
     """
-    try:
-        W0 = build_dense(n, matrix_seed)
-        factors = _radius_factors(spectral_radius(W0), np.array([p.rho for p in plans]))
-        states = {s: init_state(n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
-    except NumericError as exc:
-        raise NumericError(f"{plans[0].label} failed: {exc}") from exc
-    keep = min(WINDOW, tau + 1)
-    for start in range(0, len(plans), BATCH_WIDTH):
-        chunk = plans[start : start + BATCH_WIDTH]
+    bases, factors, states = [], [], []
+    for n, matrix_seed, plans in stack:
         try:
-            yield run_batch(
-                W0, [states[p.state_seed] for p in chunk], [p.leak for p in chunk],
-                factors[start : start + len(chunk)], tau, keep, [p.injected for p in chunk],
-            )
+            W0 = build_dense(n, matrix_seed)
+            factors.append(_radius_factors(spectral_radius(W0), np.array([p.rho for p in plans])))
+            drawn = {s: init_state(n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
         except NumericError as exc:
-            raise NumericError(f"{chunk[exc.row].label} failed: {exc}") from exc
+            raise NumericError(f"{plans[0].label} failed: {exc}") from exc
+        bases.append(W0)
+        states.append([drawn[p.state_seed] for p in plans])
+    W, x, factors = np.array(bases), np.array(states), np.array(factors)
+    leak = np.array([[p.leak for p in plans] for _, _, plans in stack])
+    injected = np.array([[p.injected for p in plans] for _, _, plans in stack], dtype=bool)
+    keep = min(WINDOW, tau + 1)
+    for start in range(0, x.shape[1], BATCH_WIDTH):
+        cut = slice(start, start + BATCH_WIDTH)
+        try:
+            yield run_batch(W, x[:, cut], leak[:, cut], factors[:, cut], tau, keep,
+                            injected[:, cut])
+        except NumericError as exc:
+            plan = stack[exc.stack][2][start + exc.row]
+            raise NumericError(f"{plan.label} failed: {exc}") from exc
 
 
-def _self_oscillatory(task, tau: int) -> list[bool]:
-    """Each plan's self-oscillatory verdict, in plan order, for a task
-    `(n, matrix_seed, plans)` of run_plans."""
-    return [bool(v) for tail in run_plans(*task, tau) for v in classify_states(tail)]
+def classify_stack(stack, tau: int) -> list[list[bool]]:
+    """Each trial's self-oscillatory verdicts, in plan order, for a stack
+    of run_plans."""
+    verdicts = [[] for _ in stack]
+    for tail in run_plans(stack, tau):
+        flags = classify_states(tail.reshape(tail.shape[0], -1, tail.shape[-1]))
+        for trial, chunk in zip(verdicts, flags.reshape(tail.shape[1:3]).tolist()):
+            trial.extend(chunk)
+    return verdicts
+
+
+def _self_oscillatory(tasks, tau: int, jobs: int) -> list[list[bool]]:
+    """Each trial's verdicts, in task order, for the trials `tasks` of
+    run_plans, one stack of _cut_stacks per pool task."""
+    per_stack = _map_trials(partial(classify_stack, tau=tau), _cut_stacks(tasks), jobs)
+    return [trial for stack in per_stack for trial in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +348,8 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     initial state (from derive_seed(seed, t)), and every cell runs them,
     scaled to its radius at its leak, for `tau` steps. A cell's ratio is
     the fraction of its `trials` runs classified self-oscillatory, so cells
-    differ only by their (leak, rho), never by the draw. One task per trial
-    index runs all of its cells as batches (see run_plans).
+    differ only by their (leak, rho), never by the draw. Each trial runs
+    all of its cells as batches, stacked with other trials (see run_plans).
     """
     config = config.capped()
     leaks, rhos = config.leak_values, config.rho_values
@@ -312,8 +362,7 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
             for a in leaks
             for r in rhos
         ]))
-    verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
-    flags = np.array(verdicts, dtype=float)
+    flags = np.array(_self_oscillatory(tasks, config.tau, jobs), dtype=float)
     # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
     return SweepResult(flags.mean(axis=0).reshape(len(leaks), len(rhos)), config)
 
@@ -354,8 +403,7 @@ def injection_ratio_experiment(
                 TrialPlan(config.rho, config.leak, derive_seed(seed, ROLE_STATE), arm, label)
                 for arm in (False, True)
             ]))
-    verdicts = _map_trials(partial(_self_oscillatory, tau=config.tau), tasks, jobs)
-    flags = np.array(verdicts, dtype=float)
+    flags = np.array(_self_oscillatory(tasks, config.tau, jobs), dtype=float)
     ratios = flags.reshape(len(config.populations), config.trials, 2).mean(axis=1)
     return [
         PopulationComparison(p, float(without), float(with_))

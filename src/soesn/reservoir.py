@@ -122,27 +122,35 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, injected=None) -> np.
     block of those rows' weights, as inject_ensemble does, by correcting
     their two leading drives; it needs n >= 2.
 
+    A stack of G batches runs in the same loop: weights (G, n, n), states
+    (G, B, n), and `scale`, `leak` and `injected` shaped (G, B), with the
+    kept states shaped (keep, G, B, n). Batch g runs on W[g], and the tick's
+    one stacked product makes one BLAS call per batch, each with the shape
+    and strides of a 2-D call, so a state's bits do not depend on the stack.
+
     Reservoir.run is the width-1 case of the same loop. A row's bits differ
     from that run's only through factoring the scale out of the product
     and through the batch width and the row's position in the batch. A
     non-finite state stays non-finite, so finiteness (non-finite weights
     included) is checked once, on the kept states: a NumericError names the
-    first failing row as `exc.row`.
+    first failing row as `exc.row`, and its batch of a stack as `exc.stack`
+    (None for a 2-D call).
     """
     if tau < 1 or not 1 <= keep <= tau + 1:
         raise InputError(f"need tau >= 1 and 1 <= keep <= tau + 1, got {tau} and {keep}")
     W = np.asarray(W, dtype=float)
     x = np.asarray(states, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise DimensionError(f"states must be a non-empty (B, n) array, got shape {x.shape}")
-    batch, n = x.shape
-    if W.shape != (n, n):
-        raise DimensionError(f"weight matrix must be ({n}, {n}), got shape {W.shape}")
+    if x.ndim not in (2, 3) or x.size == 0:
+        raise DimensionError(f"states must be a non-empty (B, n) or (G, B, n) array, "
+                             f"got shape {x.shape}")
+    rows, n = x.shape[:-1], x.shape[-1]
+    if W.shape != rows[:-1] + (n, n):
+        raise DimensionError(f"weight matrices must be {rows[:-1] + (n, n)}, got shape {W.shape}")
     scale = np.asarray(scale, dtype=float)
     leak = np.asarray(leak, dtype=float)
-    injected = np.zeros(batch, bool) if injected is None else np.asarray(injected)
-    if scale.shape != (batch,) or leak.shape != (batch,) or injected.shape != (batch,):
-        raise DimensionError(f"need one scale, leak and injected flag per row, shape ({batch},), "
+    injected = np.zeros(rows, bool) if injected is None else np.asarray(injected)
+    if scale.shape != rows or leak.shape != rows or injected.shape != rows:
+        raise DimensionError(f"need one scale, leak and injected flag per row, shape {rows}, "
                              f"got {scale.shape}, {leak.shape} and {injected.shape}")
     if injected.dtype != bool or (n < 2 and injected.any()):
         raise DimensionError(f"injected needs bools, and rows of 2 units or more if one is "
@@ -151,28 +159,33 @@ def run_batch(W, states, leak, scale, tau: int, keep: int, injected=None) -> np.
         raise InputError("every leak value must lie in (0, 1]")
     if not np.all(np.abs(x) <= 1.0):
         raise InputError("state values must be finite and within [-1, 1]")
-    tail = _advance(W, x, leak[:, None], scale[:, None], tau, keep, np.flatnonzero(injected))
+    tail = _advance(W, x, leak[..., None], scale[..., None], tau, keep,
+                    injected.nonzero() if injected.any() else None)
     # finite states stay in [-1, 1], so the sum is finite unless one is not
     if not np.isfinite(tail.sum()):
-        _, row, unit = np.argwhere(~np.isfinite(tail))[0]
-        exc = NumericError(f"non-finite state at unit {unit} of batch row {row} "
+        *stack, row, unit = np.argwhere(~np.isfinite(tail))[0][1:]
+        where = f" of stack entry {stack[0]}" if stack else ""
+        exc = NumericError(f"non-finite state at unit {unit} of batch row {row}{where} "
                            f"within {tau} steps")
         exc.row = int(row)
+        exc.stack = int(stack[0]) if stack else None
         raise exc
     return tail
 
 
-def _advance(W, x, leak, scale, tau: int, keep: int, injected=()) -> np.ndarray:
-    """The one state-update loop. Advance the states `x` (B, n) for `tau`
-    ticks, without writing `x`, and return the last `keep` recorded states,
-    shaped (keep, B, n). `leak` broadcasts against `x`; `scale` is a (B, 1)
-    factor on each row's drive, or None when the weights are already
-    scaled; `injected` holds the indices of the rows whose leading 2 x 2
-    block of `scale * W` is replaced by TWO_NEURON_ENSEMBLE (through a
-    correction of their two leading drives, so `scale` must be given).
-    Nothing is checked: a non-finite state is returned as it is.
+def _advance(W, x, leak, scale, tau: int, keep: int, injected=None) -> np.ndarray:
+    """The one state-update loop. Advance the states `x` (B, n), or a stack
+    of them (G, B, n) on the weights W (G, n, n), for `tau` ticks, without
+    writing `x`, and return the last `keep` recorded states, shaped
+    (keep,) + x.shape. `leak` broadcasts against `x`; `scale` is a factor
+    on each row's drive shaped like `x` but for its last axis of 1, or None
+    when the weights are already scaled; `injected` (None: no row), index
+    arrays into x.shape[:-1] as nonzero() gives them, picks the rows whose
+    leading 2 x 2 block of `scale * W` is replaced by TWO_NEURON_ENSEMBLE
+    (through a correction of their two leading drives, so `scale` must be
+    given). Nothing is checked: a non-finite state is returned as it is.
     """
-    remain, Wt = 1.0 - leak, W.T
+    remain, Wt = 1.0 - leak, np.swapaxes(W, -1, -2)
     tail = np.empty((keep,) + x.shape)
     first = tau + 1 - keep  # the tick whose state is kept first
     spare = np.empty((2,) + x.shape)  # the states of ticks before `first`
@@ -181,15 +194,17 @@ def _advance(W, x, leak, scale, tau: int, keep: int, injected=()) -> np.ndarray:
         tail[0] = x
     # tanh saturates an overflowing drive, and a NaN is left for the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(injected):
-            fix = TWO_NEURON_ENSEMBLE - scale[injected, :, None] * W[:2, :2]
+        if injected is not None:
+            lead = injected + (slice(2),)  # the injected rows' two leading units
+            block = W[..., :2, :2][injected[:-1]]  # the leading block of each row's W
+            fix = TWO_NEURON_ENSEMBLE - scale[injected][:, :, None] * block
         for t in range(1, tau + 1):
             new = tail[t - first] if t >= first else spare[t % 2]
             np.matmul(x, Wt, out=drive)
             if scale is not None:
                 drive *= scale
-            if len(injected):
-                drive[injected, :2] += np.matmul(fix, x[injected, :2, None])[..., 0]
+            if injected is not None:
+                drive[lead] += np.matmul(fix, x[lead][..., None])[..., 0]
             np.tanh(drive, out=drive)
             drive *= leak
             np.multiply(remain, x, out=new)

@@ -82,9 +82,9 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
         for attempt in range(40 * count):
             seed = derive_seed(BASE_SEED, attempt)
             plans = [TrialPlan(rho, leak, derive_seed(seed, s)) for s in (1, 2)]
-            (tail,) = run_plans(n, derive_seed(seed, 0), plans, 1000)
+            (tail,) = run_plans([(n, derive_seed(seed, 0), plans)], 1000)
             first, second = (classify_trajectory(StateTrajectory(rows))
-                             for rows in tail.transpose(1, 0, 2))
+                             for rows in tail[:, 0].transpose(1, 0, 2))
             if first.reservoir_is_self_oscillatory:
                 sampled.append((first, second))
                 if len(sampled) == count:

@@ -77,6 +77,15 @@ class TestGenerate:
             "--n", "10", "--seed", str(seed), "--out", str(tmp_path / "z"),
         ])
         assert code == EXIT_NUMERIC
+        assert not (tmp_path / "z").exists()  # the failed run leaves no directory it made
+
+    def test_failed_run_keeps_a_directory_it_did_not_make(self, tmp_path):
+        out = tmp_path / "z"
+        out.mkdir()
+        code = main(["generate", "--topology", "sparse", "--density", "0.001", "--n", "200",
+                     "--seed", "0", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert out.is_dir()
 
     @pytest.mark.parametrize("n", ["100", "200"])
     def test_nilpotent_sparse_matrix_is_numeric_error(self, n, tmp_path):
@@ -85,6 +94,7 @@ class TestGenerate:
         code = main(["generate", "--topology", "sparse", "--density", "0.001", "--n", n,
                      "--seed", "0", "--out", str(tmp_path / "z")])
         assert code == EXIT_NUMERIC
+        assert not (tmp_path / "z").exists()
 
     def test_timestamp_present_unless_deterministic(self, tmp_path):
         main(["generate", "--n", "20", "--tau", "150", "--out", str(tmp_path / "t1")])
@@ -284,6 +294,31 @@ class TestConfigHandling:
         assert read(out1 / "trajectory.csv") == read(out2 / "trajectory.csv")
 
 
+    def test_none_clears_an_optional_field(self, tmp_path):
+        # a config that sets every T | None field, each cleared by its flag:
+        # the echo holds null, and rerunning it writes the same bytes
+        cases = {
+            "reproduce": ({"n": 20, "sub_count": 2, "max_attempts": 1, "sub_counts": [1, 2],
+                           "dt": 0.5, "tau": 150},
+                          ["--sub-counts", "none", "--dt", "none", "--tau", "none"],
+                          ("nrmse.json",)),
+            "sweep": ({"leak_values": [0.5], "rho_values": [0.8, 1.5], "trials": 1, "n": 20,
+                       "tau": 200, "cells": 1}, ["--cells", "none"], ("sweep.csv",)),
+        }
+        for command, (params, flags, payloads) in cases.items():
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps({"command": command, "params": params}))
+            first, rerun = tmp_path / f"{command}1", tmp_path / f"{command}2"
+            assert main([command, "--config", str(config), *flags, "--out", str(first),
+                         "--deterministic"]) == EXIT_OK
+            echo = json.loads(read(first / "config.echo.json"))["params"]
+            assert all(echo[flag[2:].replace("-", "_")] is None for flag in flags[::2])
+            assert main([command, "--config", str(first / "config.echo.json"),
+                         "--out", str(rerun), "--deterministic"]) == EXIT_OK
+            for name in ("config.echo.json",) + payloads:
+                assert read(first / name) == read(rerun / name)
+
+
 class TestReproduce:
     def test_sine_single_run_writes_nrmse(self, tmp_path):
         out = tmp_path / "rep"
@@ -447,9 +482,9 @@ class TestUndefinedNumbersAreNull:
 
 
 class TestJobsAndEchoIdentity:
-    """The batched trial engine chunks a trial's states by the config alone:
-    payloads are byte-identical at --jobs 1 and 2 and on a rerun from the
-    echo, also when a trial spans several chunks."""
+    """The batched trial engine chunks a trial's states, and stacks trials,
+    by the config alone: payloads are byte-identical at --jobs 1, 2 and 3
+    and on a rerun from the echo, also when a trial spans several chunks."""
 
     CASES = {
         "sweep": (["sweep", "--leak-values", "0.2,0.4,0.6,0.8,1.0",
@@ -464,13 +499,13 @@ class TestJobsAndEchoIdentity:
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_payloads_do_not_depend_on_jobs_or_the_echo(self, command, tmp_path):
         argv, payloads = self.CASES[command]
-        runs = [tmp_path / name for name in ("j1", "j2", "echo")]
-        assert main(argv + ["--jobs", "1", "--out", str(runs[0]), "--deterministic"]) == EXIT_OK
-        assert main(argv + ["--jobs", "2", "--out", str(runs[1]), "--deterministic"]) == EXIT_OK
+        runs = [tmp_path / name for name in ("j1", "j2", "j3", "echo")]
+        for jobs, out in zip("123", runs):
+            assert main(argv + ["--jobs", jobs, "--out", str(out), "--deterministic"]) == EXIT_OK
         assert main([command, "--config", str(runs[0] / "config.echo.json"), "--jobs", "2",
-                     "--out", str(runs[2]), "--deterministic"]) == EXIT_OK
+                     "--out", str(runs[3]), "--deterministic"]) == EXIT_OK
         for name in payloads:
-            assert read(runs[0] / name) == read(runs[1] / name) == read(runs[2] / name)
+            assert len({read(out / name) for out in runs}) == 1
 
 
 class TestInjectExperiment:
@@ -694,6 +729,7 @@ class TestExitCodes:
         assert err == "soesn: numeric failure: out of memory: " \
                       "Unable to allocate 298. GiB for an array\n"
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep", "inject-experiment",
                                          "topology-demo"])

@@ -24,7 +24,9 @@ from soesn import (
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.experiments import (
     BATCH_WIDTH,
+    STACK_BYTES,
     TrialPlan,
+    _cut_stacks,
     _map_trials,
     run_plans,
 )
@@ -73,8 +75,9 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
 
 
 def _trajectories(n, matrix_seed, plans, tau):
-    return [rows for tail in run_plans(n, matrix_seed, plans, tau)
-            for rows in tail.transpose(1, 0, 2)]
+    """Each plan's kept states, run as a stack of one trial."""
+    return [rows for tail in run_plans([(n, matrix_seed, plans)], tau)
+            for rows in tail[:, 0].transpose(1, 0, 2)]
 
 
 class TestTrialPlans:
@@ -110,10 +113,57 @@ class TestTrialPlans:
 
     def test_per_unit_leak_rejected(self):
         with pytest.raises(DimensionError):
-            next(run_plans(12, 1, [TrialPlan(1.0, np.full(12, 0.5), 0)], 200))
+            next(run_plans([(12, 1, [TrialPlan(1.0, np.full(12, 0.5), 0)])], 200))
 
     def test_no_plans_give_no_batches(self):
-        assert list(run_plans(4, 0, [], 100)) == []
+        assert list(run_plans([(4, 0, [])], 100)) == []
+
+
+def _stack_sizes(monkeypatch, experiment, config):
+    """The trial count of each stack `experiment(config)` classifies, with
+    a stand-in that runs nothing."""
+    import soesn.experiments as module
+
+    sizes = []
+
+    def record(stack, tau):
+        assert len({(n, len(plans)) for n, _, plans in stack}) == 1
+        sizes.append(len(stack))
+        return [[False] * len(plans) for _, _, plans in stack]
+
+    monkeypatch.setattr(module, "classify_stack", record)
+    experiment(config)
+    return sizes
+
+
+class TestStackCut:
+    """Trials that share n and their plan count run as stacks of at most
+    BATCH_WIDTH states and STACK_BYTES of weights, as few as fit, with
+    sizes that differ by at most one."""
+
+    def test_sweep_benchmark_config_gives_three_stacks_of_four(self, monkeypatch):
+        config = SweepConfig(leak_values=(0.2, 0.5, 0.8), rho_values=(0.6, 0.9, 1.2, 1.5),
+                             trials=12, n=100, tau=1000)
+        assert _stack_sizes(monkeypatch, sweep_heatmap, config) == [4, 4, 4]
+
+    def test_injection_stacks_by_population(self, monkeypatch):
+        # n=10: 32 width-2 trials fill BATCH_WIDTH; n=500: one 2 MB matrix
+        # is over STACK_BYTES, so no trial shares its stack
+        config = InjectConfig(populations=(10, 500), trials=64, tau=200)
+        assert _stack_sizes(monkeypatch, injection_ratio_experiment, config) == \
+            [32, 32] + [1] * 64
+
+    @pytest.mark.parametrize("n", [2, 100, 200, 500])
+    @pytest.mark.parametrize("width", [1, 2, 12, 65])
+    @pytest.mark.parametrize("trials", [1, 7, 200])
+    def test_stacks_keep_their_budgets(self, n, width, trials):
+        tasks = [(n, t, [TrialPlan(1.0, 0.5, 0)] * width) for t in range(trials)]
+        stacks = _cut_stacks(tasks)
+        assert [task for stack in stacks for task in stack] == tasks
+        most = max(1, min(BATCH_WIDTH // width, STACK_BYTES // (8 * n * n)))
+        sizes = [len(stack) for stack in stacks]
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        assert len(stacks) == -(-trials // most)
 
 
 class TestSeedDerivation:
@@ -244,9 +294,9 @@ class TestSweepHeatmap:
         real = module.run_batch
 
         def poisoned(W, states, leak, scale, tau, keep, injected=None):
-            # NaN weights in batch row 1 alone
+            # NaN weights in batch row 1 alone, of every trial in the stack
             scale = np.array(scale)
-            scale[1] = np.nan
+            scale[..., 1] = np.nan
             return real(W, states, leak, scale, tau, keep, injected)
 
         monkeypatch.setattr(module, "run_batch", poisoned)
@@ -297,6 +347,22 @@ class TestInjectionExperiment:
         monkeypatch.setattr(module, "build_dense", boom)
         with pytest.raises(NumericError, match=r"cell \(population=4\) trial 0"):
             injection_ratio_experiment(InjectConfig(populations=(4,), trials=1, tau=200))
+
+    def test_failing_run_names_its_cell_and_trial(self, monkeypatch):
+        import soesn.experiments as module
+
+        real = module.run_batch
+
+        def poisoned(W, states, leak, scale, tau, keep, injected=None):
+            # NaN weights in the injected arm of the stack's last trial alone
+            scale = np.array(scale)
+            scale[-1, 1] = np.nan
+            return real(W, states, leak, scale, tau, keep, injected)
+
+        monkeypatch.setattr(module, "run_batch", poisoned)
+        config = InjectConfig(populations=(4,), trials=3, tau=200)
+        with pytest.raises(NumericError, match=r"cell \(population=4\) trial 2 failed"):
+            injection_ratio_experiment(config)
 
     def test_population_below_two_rejected(self):
         with pytest.raises(InputError):

@@ -307,6 +307,44 @@ class TestRunBatch:
             with pytest.raises(InputError, match="state"):
                 run_batch(W, outside, leak, scale, 10, 5)
 
+    @pytest.mark.parametrize("n", [2, 4, 30, 100])
+    @pytest.mark.parametrize("batch", [1, 2, 12])
+    @pytest.mark.parametrize("stack", [1, 2, 5])
+    def test_stack_is_one_call_per_batch_bit_for_bit(self, n, batch, stack):
+        # a state's bits do not depend on the batches it is stacked with,
+        # injected rows (every other one, from the second) included
+        W = np.array([build_dense(n, seed=10 * n + g) for g in range(stack)])
+        states = np.array([[init_state(n, seed=g * batch + j) for j in range(batch)]
+                           for g in range(stack)])
+        scale = np.linspace(0.5, 2.0, stack * batch).reshape(stack, batch) / np.sqrt(n)
+        leak = np.linspace(0.3, 1.0, stack * batch).reshape(stack, batch)
+        injected = (np.arange(stack * batch) % 2 == 1).reshape(stack, batch)
+        tail = run_batch(W, states, leak, scale, 60, 40, injected)
+        assert tail.shape == (40, stack, batch, n)
+        for g in range(stack):
+            alone = run_batch(W[g], states[g], leak[g], scale[g], 60, 40, injected[g])
+            assert tail[:, g].tobytes() == alone.tobytes()
+
+    def test_non_finite_state_names_its_stack_entry(self):
+        W, states, leak, scale = self._rows()
+        stacked = [np.stack([a, a]) for a in (W, states, leak, scale)]
+        stacked[3][1, 3] = np.nan  # row 3 of the second batch runs NaN weights
+        with pytest.raises(NumericError, match="batch row 3 of stack entry 1") as caught:
+            run_batch(*stacked, 200, 100)
+        assert (caught.value.stack, caught.value.row) == (1, 3)
+
+    def test_bad_stacks_rejected(self):
+        W, states, leak, scale = self._rows()
+        W2, x2, leak2, scale2 = (np.stack([a, a]) for a in (W, states, leak, scale))
+        with pytest.raises(DimensionError, match="weight"):  # one matrix per batch
+            run_batch(W, x2, leak2, scale2, 10, 5)
+        with pytest.raises(DimensionError, match="weight"):
+            run_batch(W2[:1], x2, leak2, scale2, 10, 5)
+        with pytest.raises(DimensionError, match="per row"):  # one scale per row, not per batch
+            run_batch(W2, x2, leak2, scale2[:, 0], 10, 5)
+        with pytest.raises(DimensionError, match="states"):
+            run_batch(W2[None], x2[None], leak2[None], scale2[None], 10, 5)
+
     def test_stacked_verdicts_match_per_trajectory_reports(self):
         W, states, leak, scale = self._rows(batch=8)
         scale = np.linspace(0.2, 1.2, 8)  # radius 0.37 to 2.2: damped and oscillating rows
