@@ -18,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .numerics import _radius_factors, spectral_radius
+from .numerics import _one_blas_thread, _radius_factors, spectral_radius
 from .oscillation import WINDOW, classify_states, classify_trajectory
 from .readout import ReadoutModel, predict, train_ridge
 from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
@@ -33,16 +33,22 @@ from .topology import (
 )
 
 
-def _map_trials(worker, tasks, jobs):
+def _worker_count(jobs: int) -> int:
+    """The workers `jobs` asks for, never more than the CPUs (unknown: one)."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _map_trials(worker, tasks, jobs, initializer=None):
     # a forking pool starts every worker at once: never more than the tasks
-    # or the CPUs can use
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    # or the CPUs can use; `initializer` runs once in each worker, never in
+    # a serial map
+    workers = min(_worker_count(jobs), len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only here: keeps `--version` fast
 
     chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -246,17 +252,21 @@ class TrialPlan:
     label: str = ""
 
 
-def _cut_stacks(tasks) -> list[list]:
+def _cut_stacks(tasks, workers: int) -> list[list]:
     """The trials `(n, matrix_seed, plans)` cut, in order, into stacks for
-    run_plans. Each run of consecutive trials that share n and their plan
-    count B goes into the fewest stacks of at most
-    max(1, min(BATCH_WIDTH // B, STACK_BYTES // (8 n^2))) trials, with sizes
-    that differ by at most one. The cut depends on the tasks alone."""
+    run_plans, to share among `workers` pool workers. Each run of
+    consecutive trials that share n and their plan count B takes the fewest
+    stacks of at most max(1, min(BATCH_WIDTH // B, STACK_BYTES // (8 n^2)))
+    trials, that count rounded up to a multiple of `workers` (so each
+    worker gets an equal share) but never above the run's trial count, with
+    sizes that differ by at most one. A trial's bits do not depend on its
+    stack, so the bytes still come from the config alone."""
     stacks = []
     for (n, width), run in groupby(tasks, key=lambda task: (task[0], len(task[2]))):
         run = list(run)
         most = max(1, min(BATCH_WIDTH // max(1, width), STACK_BYTES // (8 * n * n)))
-        count = -(-len(run) // most)
+        fewest = -(-len(run) // most)
+        count = min(len(run), -(-fewest // workers) * workers)
         size, extra = divmod(len(run), count)
         start = 0
         for i in range(count):
@@ -318,8 +328,15 @@ def classify_stack(stack, tau: int) -> list[list[bool]]:
 
 def _self_oscillatory(tasks, tau: int, jobs: int) -> list[list[bool]]:
     """Each trial's verdicts, in task order, for the trials `tasks` of
-    run_plans, one stack of _cut_stacks per pool task."""
-    per_stack = _map_trials(partial(classify_stack, tau=tau), _cut_stacks(tasks), jobs)
+    run_plans, one stack of _cut_stacks per pool task.
+
+    Each pool worker runs BLAS on one thread, so workers x BLAS threads
+    stays within the CPUs. The verdicts came out the same under one and two
+    BLAS threads (sweep and injection payloads at n up to 500), so the
+    bytes still do not depend on --jobs. reproduce_trials' workers keep the
+    caller's count: its NRMSE at n=512 changed with the thread count."""
+    stacks = _cut_stacks(tasks, _worker_count(jobs))
+    per_stack = _map_trials(partial(classify_stack, tau=tau), stacks, jobs, _one_blas_thread)
     return [trial for stack in per_stack for trial in stack]
 
 

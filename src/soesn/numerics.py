@@ -227,6 +227,34 @@ def _radius_factors(radius: float, rho_target):
     return factors
 
 
+def _openblas_call(name: str):
+    """The ctypes function `name` of numpy's bundled OpenBLAS (scipy-openblas,
+    which numpy's core extension links, so its handle resolves the symbol),
+    or None when numpy runs on another BLAS."""
+    import ctypes  # only here: keeps `--version` fast
+
+    try:
+        return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (AttributeError, OSError):
+        return None
+
+
+def _one_blas_thread() -> None:
+    """Run this process's BLAS on one thread: a pool worker's initializer,
+    so that workers x BLAS threads stays within the CPUs. Another BLAS than
+    the bundled OpenBLAS is left as it is."""
+    set_threads = _openblas_call("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _blas_threads() -> int | None:
+    """The bundled OpenBLAS's thread count in this process, or None when
+    numpy runs on another BLAS."""
+    get_threads = _openblas_call("scipy_openblas_get_num_threads64_")
+    return None if get_threads is None else get_threads()
+
+
 @dataclass(frozen=True)
 class PowerSpectrum:
     """One-sided power spectrum of a real series: bins 0..floor(n/2)."""

@@ -178,13 +178,19 @@ def _advance(W, x, leak, scale, tau: int, keep: int, injected=None) -> np.ndarra
     of them (G, B, n) on the weights W (G, n, n), for `tau` ticks, without
     writing `x`, and return the last `keep` recorded states, shaped
     (keep,) + x.shape. `leak` broadcasts against `x`; `scale` is a factor
-    on each row's drive shaped like `x` but for its last axis of 1, or None
-    when the weights are already scaled; `injected` (None: no row), index
-    arrays into x.shape[:-1] as nonzero() gives them, picks the rows whose
-    leading 2 x 2 block of `scale * W` is replaced by TWO_NEURON_ENSEMBLE
-    (through a correction of their two leading drives, so `scale` must be
-    given). Nothing is checked: a non-finite state is returned as it is.
+    on each row's drive that broadcasts against `x` (one per row), or None
+    when the weights are already scaled. Neither is written: both are
+    expanded to x.shape once, before the loop, since a multiply of equal
+    shapes costs less than a broadcasting one and gives the same bits.
+    `injected` (None: no row), index arrays into x.shape[:-1] as nonzero()
+    gives them, picks the rows whose leading 2 x 2 block of `scale * W` is
+    replaced by TWO_NEURON_ENSEMBLE (through a correction of their two
+    leading drives, so `scale` must be given). Nothing is checked: a
+    non-finite state is returned as it is.
     """
+    leak = np.ascontiguousarray(np.broadcast_to(leak, x.shape))
+    if scale is not None:
+        scale = np.ascontiguousarray(np.broadcast_to(scale, x.shape))
     remain, Wt = 1.0 - leak, np.swapaxes(W, -1, -2)
     tail = np.empty((keep,) + x.shape)
     first = tau + 1 - keep  # the tick whose state is kept first
@@ -197,7 +203,7 @@ def _advance(W, x, leak, scale, tau: int, keep: int, injected=None) -> np.ndarra
         if injected is not None:
             lead = injected + (slice(2),)  # the injected rows' two leading units
             block = W[..., :2, :2][injected[:-1]]  # the leading block of each row's W
-            fix = TWO_NEURON_ENSEMBLE - scale[injected][:, :, None] * block
+            fix = TWO_NEURON_ENSEMBLE - scale[injected][:, :1, None] * block
         for t in range(1, tau + 1):
             new = tail[t - first] if t >= first else spare[t % 2]
             np.matmul(x, Wt, out=drive)

@@ -30,6 +30,7 @@ from soesn.experiments import (
     _map_trials,
     run_plans,
 )
+from soesn.numerics import _blas_threads, _one_blas_thread, _openblas_call
 from soesn.cli import EXIT_OK, main
 
 from conftest import (
@@ -55,7 +56,8 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
     made = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is _one_blas_thread
             self.max_workers = max_workers
 
         def __enter__(self):
@@ -70,8 +72,43 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert _map_trials(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert _map_trials(abs, list(range(-tasks, 0)), jobs, _one_blas_thread) == \
+        list(range(tasks, 0, -1))
     assert made == ([] if pool is None else [pool])
+
+
+def _task_blas_threads(task):
+    return _blas_threads()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The bundled OpenBLAS set to two threads for the test (skipped on
+    another BLAS), so that a worker's one thread tells from the caller's."""
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy does not run on the bundled OpenBLAS")
+    set_threads = _openblas_call("scipy_openblas_set_num_threads64_")
+    set_threads(2)
+    yield
+    set_threads(before)
+
+
+def test_pinned_pool_workers_run_one_blas_thread(monkeypatch, two_blas_threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _map_trials(_task_blas_threads, [0, 1], 2, _one_blas_thread) == [1, 1]
+    assert _blas_threads() == 2
+
+
+def test_unpinned_pool_workers_keep_the_callers_blas_threads(monkeypatch, two_blas_threads):
+    # reproduce_trials' pool: its NRMSE bits depend on the thread count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _map_trials(_task_blas_threads, [0, 1], 2) == [2, 2]
+
+
+def test_serial_map_keeps_the_callers_blas_threads(two_blas_threads):
+    assert _map_trials(_task_blas_threads, [0, 1], 1, _one_blas_thread) == [2, 2]
+    assert _blas_threads() == 2
 
 
 def _trajectories(n, matrix_seed, plans, tau):
@@ -119,9 +156,9 @@ class TestTrialPlans:
         assert list(run_plans([(4, 0, [])], 100)) == []
 
 
-def _stack_sizes(monkeypatch, experiment, config):
-    """The trial count of each stack `experiment(config)` classifies, with
-    a stand-in that runs nothing."""
+def _stack_sizes(monkeypatch, experiment, config, jobs=1):
+    """The trial count of each stack `experiment(config, jobs)` classifies,
+    with stand-ins that run nothing and start no pool, on 8 CPUs."""
     import soesn.experiments as module
 
     sizes = []
@@ -131,20 +168,30 @@ def _stack_sizes(monkeypatch, experiment, config):
         sizes.append(len(stack))
         return [[False] * len(plans) for _, _, plans in stack]
 
+    def serial(worker, tasks, jobs, initializer):
+        assert initializer is _one_blas_thread  # the trial pool pins its workers
+        return list(map(worker, tasks))
+
     monkeypatch.setattr(module, "classify_stack", record)
-    experiment(config)
+    monkeypatch.setattr(module, "_map_trials", serial)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    experiment(config, jobs)
     return sizes
 
 
 class TestStackCut:
     """Trials that share n and their plan count run as stacks of at most
-    BATCH_WIDTH states and STACK_BYTES of weights, as few as fit, with
-    sizes that differ by at most one."""
+    BATCH_WIDTH states and STACK_BYTES of weights, as few as fit and a
+    multiple of the worker count, with sizes that differ by at most one."""
+
+    SWEEP = SweepConfig(leak_values=(0.2, 0.5, 0.8), rho_values=(0.6, 0.9, 1.2, 1.5),
+                        trials=12, n=100, tau=1000)
 
     def test_sweep_benchmark_config_gives_three_stacks_of_four(self, monkeypatch):
-        config = SweepConfig(leak_values=(0.2, 0.5, 0.8), rho_values=(0.6, 0.9, 1.2, 1.5),
-                             trials=12, n=100, tau=1000)
-        assert _stack_sizes(monkeypatch, sweep_heatmap, config) == [4, 4, 4]
+        assert _stack_sizes(monkeypatch, sweep_heatmap, self.SWEEP) == [4, 4, 4]
+
+    def test_sweep_benchmark_config_at_two_workers_gives_four_stacks_of_three(self, monkeypatch):
+        assert _stack_sizes(monkeypatch, sweep_heatmap, self.SWEEP, jobs=2) == [3, 3, 3, 3]
 
     def test_injection_stacks_by_population(self, monkeypatch):
         # n=10: 32 width-2 trials fill BATCH_WIDTH; n=500: one 2 MB matrix
@@ -153,17 +200,42 @@ class TestStackCut:
         assert _stack_sizes(monkeypatch, injection_ratio_experiment, config) == \
             [32, 32] + [1] * 64
 
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # 5 width-2 trials per run fit one stack: 1, 2 and 3 workers cut
+        # each run into 1, 2 and 3 stacks, and 3 CPUs let jobs=3 start 3
+        import soesn.experiments as module
+
+        counts = []
+
+        def counted(tasks, workers):
+            stacks = _cut_stacks(tasks, workers)
+            counts.append(len(stacks))
+            return stacks
+
+        monkeypatch.setattr(module, "_cut_stacks", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sweep = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=5, n=30, tau=200,
+                            seed=2)
+        inject = InjectConfig(populations=(4, 12), trials=5, tau=200, seed=2)
+        grids = [sweep_heatmap(sweep, jobs).grid.tobytes() for jobs in (1, 2, 3)]
+        ratios = [repr(injection_ratio_experiment(inject, jobs)) for jobs in (1, 2, 3)]
+        assert counts == [1, 2, 3] + [2, 4, 6]
+        assert grids[0] == grids[1] == grids[2]
+        assert ratios[0] == ratios[1] == ratios[2]
+
     @pytest.mark.parametrize("n", [2, 100, 200, 500])
     @pytest.mark.parametrize("width", [1, 2, 12, 65])
     @pytest.mark.parametrize("trials", [1, 7, 200])
     def test_stacks_keep_their_budgets(self, n, width, trials):
         tasks = [(n, t, [TrialPlan(1.0, 0.5, 0)] * width) for t in range(trials)]
-        stacks = _cut_stacks(tasks)
-        assert [task for stack in stacks for task in stack] == tasks
         most = max(1, min(BATCH_WIDTH // width, STACK_BYTES // (8 * n * n)))
-        sizes = [len(stack) for stack in stacks]
-        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
-        assert len(stacks) == -(-trials // most)
+        fewest = -(-trials // most)
+        for workers in (1, 2, 3):
+            stacks = _cut_stacks(tasks, workers)
+            assert [task for stack in stacks for task in stack] == tasks
+            sizes = [len(stack) for stack in stacks]
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+            assert len(stacks) == min(trials, -(-fewest // workers) * workers)
 
 
 class TestSeedDerivation:

@@ -20,7 +20,7 @@ from soesn import (
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.oscillation import classify_states
 from soesn._csv17g import fast_lines
-from soesn.topology import build_dense, inject_ensemble
+from soesn.topology import TWO_NEURON_ENSEMBLE, build_dense, inject_ensemble
 
 from conftest import fstring_write_csv
 
@@ -324,6 +324,32 @@ class TestRunBatch:
         for g in range(stack):
             alone = run_batch(W[g], states[g], leak[g], scale[g], 60, 40, injected[g])
             assert tail[:, g].tobytes() == alone.tobytes()
+
+    def test_stack_matches_a_broadcasting_loop_bit_for_bit(self):
+        # the plain update with each row's leak and scale broadcast over its
+        # units, and the injected rows' two leading drives corrected to the
+        # ensemble; leak and scale are read-only, so a write would raise
+        stack, batch, n, tau = 3, 4, 30, 50
+        W = np.array([build_dense(n, seed=g) for g in range(stack)])
+        x = np.array([[init_state(n, seed=g * batch + j) for j in range(batch)]
+                      for g in range(stack)])
+        scale = np.linspace(0.5, 2.0, stack * batch).reshape(stack, batch) / np.sqrt(n)
+        leak = np.linspace(0.3, 1.0, stack * batch).reshape(stack, batch)
+        injected = np.zeros((stack, batch), bool)
+        injected[[0, 2, 2], [1, 0, 3]] = True
+        scale.setflags(write=False)
+        leak.setflags(write=False)
+        tail = run_batch(W, x, leak, scale, tau, tau + 1, injected)
+        rows = injected.nonzero()
+        lead = rows + (slice(2),)
+        fix = TWO_NEURON_ENSEMBLE - scale[rows][:, None, None] * W[rows[0], :2, :2]
+        expected = [x]
+        for _ in range(tau):
+            drive = scale[..., None] * (x @ np.swapaxes(W, -1, -2))
+            drive[lead] += np.matmul(fix, x[lead][..., None])[..., 0]
+            x = (1.0 - leak[..., None]) * x + leak[..., None] * np.tanh(drive)
+            expected.append(x)
+        assert tail.tobytes() == np.array(expected).tobytes()
 
     def test_non_finite_state_names_its_stack_entry(self):
         W, states, leak, scale = self._rows()
