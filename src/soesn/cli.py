@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, svgplot
 from .errors import ConfigError, InputError, NumericError
+from .numerics import _set_blas_threads
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
 from .seeding import ROLE_LEAK, ROLE_STATE, SEED_HELP, Seed, check_seed, derive_seed
@@ -532,6 +533,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    # every run computes on one BLAS thread, its pool workers included: a
+    # ridge fit's bits change with the count, and a payload's bytes must
+    # not depend on the count the process starts with
+    _set_blas_threads(1)
     fresh = not os.path.lexists(args.out)
     code = _run(args)
     if code != EXIT_OK and fresh:

@@ -18,10 +18,10 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .numerics import _one_blas_thread, _radius_factors, spectral_radius
+from .numerics import _blas_threads, _radius_factors, _set_blas_threads, spectral_radius
 from .oscillation import WINDOW, classify_states, classify_trajectory
-from .readout import ReadoutModel, predict, train_ridge
-from .reservoir import Reservoir, StateTrajectory, init_state, run_batch
+from .readout import predict, train_ridge
+from .reservoir import Reservoir, init_state, run_batch
 from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, SEED_HELP, Seed, check_seed, derive_seed
 from .topology import (
     ConfigFields,
@@ -38,17 +38,19 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _map_trials(worker, tasks, jobs, initializer=None):
+def _map_trials(worker, tasks, jobs):
     # a forking pool starts every worker at once: never more than the tasks
-    # or the CPUs can use; `initializer` runs once in each worker, never in
-    # a serial map
+    # or the CPUs can use; each worker runs BLAS on the caller's thread
+    # count (a forkserver or spawned worker would not inherit it), so it
+    # computes the serial map's bits
     workers = min(_worker_count(jobs), len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only here: keeps `--version` fast
 
     chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads,
+                             initargs=(_blas_threads(),)) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -328,15 +330,9 @@ def classify_stack(stack, tau: int) -> list[list[bool]]:
 
 def _self_oscillatory(tasks, tau: int, jobs: int) -> list[list[bool]]:
     """Each trial's verdicts, in task order, for the trials `tasks` of
-    run_plans, one stack of _cut_stacks per pool task.
-
-    Each pool worker runs BLAS on one thread, so workers x BLAS threads
-    stays within the CPUs. The verdicts came out the same under one and two
-    BLAS threads (sweep and injection payloads at n up to 500), so the
-    bytes still do not depend on --jobs. reproduce_trials' workers keep the
-    caller's count: its NRMSE at n=512 changed with the thread count."""
+    run_plans, one stack of _cut_stacks per pool task."""
     stacks = _cut_stacks(tasks, _worker_count(jobs))
-    per_stack = _map_trials(partial(classify_stack, tau=tau), stacks, jobs, _one_blas_thread)
+    per_stack = _map_trials(partial(classify_stack, tau=tau), stacks, jobs)
     return [trial for stack in per_stack for trial in stack]
 
 
@@ -654,17 +650,6 @@ def reproduce_with_prediction(
     if winner is None:
         return outcome, None
     return outcome, _prediction(*winner, config)
-
-
-def rebuild_trial(
-    config: ReproduceConfig, target: TargetSignal, attempt_seed: int
-) -> tuple[StateTrajectory, ReadoutModel, np.ndarray]:
-    """Reconstruct a reproduction attempt from its seed (say, one recorded in
-    trials.jsonl), returning the trajectory, the trained model that was
-    scored, and its full-length prediction in target units."""
-    trajectory = _attempt_reservoir(config, attempt_seed).run(target.length - 1)
-    model, mean, sd = _fit(trajectory, target, config)
-    return trajectory, model, _prediction(trajectory, model, mean, sd, config)
 
 
 def reproduce_trials(

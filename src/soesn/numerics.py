@@ -239,13 +239,14 @@ def _openblas_call(name: str):
         return None
 
 
-def _one_blas_thread() -> None:
-    """Run this process's BLAS on one thread: a pool worker's initializer,
-    so that workers x BLAS threads stays within the CPUs. Another BLAS than
-    the bundled OpenBLAS is left as it is."""
+def _set_blas_threads(count: int | None) -> None:
+    """Run this process's BLAS on `count` threads; None, or another BLAS
+    than the bundled OpenBLAS, leaves it as it is."""
+    if count is None:
+        return
     set_threads = _openblas_call("scipy_openblas_set_num_threads64_")
     if set_threads is not None:
-        set_threads(1)
+        set_threads(count)
 
 
 def _blas_threads() -> int | None:

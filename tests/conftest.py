@@ -27,6 +27,7 @@ from soesn import (
     scale_to_spectral_radius,
     svgplot,
 )
+from soesn.numerics import _blas_threads, _set_blas_threads
 from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
 
 # Property tests draw the same examples on every run and store none, so the
@@ -46,6 +47,12 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="soesn-hypothesis-")
     config.add_cleanup(home.cleanup)
     set_hypothesis_home_dir(home.name)
+    # the test process runs BLAS on one thread, as `soesn.cli.main` does for
+    # every run: tests that call the experiments directly compute the CLI's
+    # bits, their pool workers take one thread each, and no result depends
+    # on which test ran `main` first (a spawned worker that imports this
+    # module is left alone)
+    _set_blas_threads(1)
 
 
 def naive_dft_power(signal):
@@ -230,3 +237,21 @@ def classifier_corpus(length=1000):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def blas_threads():
+    """Sets the bundled OpenBLAS's thread count for one test and restores
+    it after; skips the test on another BLAS."""
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy does not run on the bundled OpenBLAS")
+    yield _set_blas_threads
+    _set_blas_threads(before)
+
+
+@pytest.fixture
+def two_blas_threads(blas_threads):
+    """The bundled OpenBLAS on two threads for the test, so that one thread
+    set by the code under test tells from the caller's."""
+    blas_threads(2)

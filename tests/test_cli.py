@@ -794,26 +794,35 @@ class TestStandardize:
         assert len(raw) == len(std) == 4
         assert raw != std
 
+    @staticmethod
+    def rebuild(config, target, attempt_seed):
+        """The attempt that `attempt_seed` names, re-simulated and refitted:
+        its trained model and full-length prediction in target units."""
+        from soesn.experiments import _attempt_reservoir, _fit, _prediction
+
+        trajectory = _attempt_reservoir(config, attempt_seed).run(target.length - 1)
+        model, mean, sd = _fit(trajectory, target, config)
+        return model, _prediction(trajectory, model, mean, sd, config)
+
     def test_rebuilt_overlay_model_is_the_scored_model(self):
         from soesn import ReproduceConfig, gen_lorenz, reproduce_waveform
-        from soesn.experiments import rebuild_trial
 
         config = ReproduceConfig(n=60, sub_count=3, standardize=True, seed=3)
         target = gen_lorenz(300)
         outcome = reproduce_waveform(config, target)
         assert outcome.oscillatory
-        _, model, prediction = rebuild_trial(config, target, outcome.seed)
+        model, prediction = self.rebuild(config, target, outcome.seed)
         assert tuple(model.train_nrmse) == outcome.train_nrmse
         assert prediction.shape == target.values.shape
 
     def test_single_run_prediction_is_the_rebuilt_models(self):
         from soesn import ReproduceConfig, gen_lorenz
-        from soesn.experiments import rebuild_trial, reproduce_with_prediction
+        from soesn.experiments import reproduce_with_prediction
 
         config = ReproduceConfig(n=60, sub_count=3, standardize=True, seed=3)
         target = gen_lorenz(300)
         outcome, prediction = reproduce_with_prediction(config, target)
-        _, _, rebuilt = rebuild_trial(config, target, outcome.seed)
+        _, rebuilt = self.rebuild(config, target, outcome.seed)
         assert prediction.tobytes() == rebuilt.tobytes()
 
 
@@ -836,6 +845,22 @@ def test_single_run_reproduce_simulates_each_attempt_once(tmp_path, monkeypatch)
     assert payload["oscillatory"] and payload["attempt_count"] == 3
     assert taus == [300] * payload["attempt_count"]
     assert (out / "overlay.svg").exists()
+
+
+def test_version_leaves_the_blas_threads_alone(two_blas_threads, capsys):
+    from soesn.numerics import _blas_threads
+
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith(soesn.__version__)
+    assert _blas_threads() == 2
+
+
+def test_a_run_sets_one_blas_thread(two_blas_threads, tmp_path):
+    from soesn.numerics import _blas_threads
+
+    assert main(["generate", "--n", "20", "--tau", "150", "--no-svg",
+                 "--out", str(tmp_path / "g")]) == EXIT_OK
+    assert _blas_threads() == 1
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

@@ -30,7 +30,7 @@ from soesn.experiments import (
     _map_trials,
     run_plans,
 )
-from soesn.numerics import _blas_threads, _one_blas_thread, _openblas_call
+from soesn.numerics import _blas_threads, _set_blas_threads
 from soesn.cli import EXIT_OK, main
 
 from conftest import (
@@ -56,8 +56,8 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
     made = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            assert initializer is _one_blas_thread
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is _set_blas_threads and initargs == (_blas_threads(),)
             self.max_workers = max_workers
 
         def __enter__(self):
@@ -72,8 +72,7 @@ def test_worker_count_is_capped(monkeypatch, jobs, tasks, cpus, pool):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert _map_trials(abs, list(range(-tasks, 0)), jobs, _one_blas_thread) == \
-        list(range(tasks, 0, -1))
+    assert _map_trials(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
     assert made == ([] if pool is None else [pool])
 
 
@@ -81,33 +80,26 @@ def _task_blas_threads(task):
     return _blas_threads()
 
 
-@pytest.fixture
-def two_blas_threads():
-    """The bundled OpenBLAS set to two threads for the test (skipped on
-    another BLAS), so that a worker's one thread tells from the caller's."""
-    before = _blas_threads()
-    if before is None:
-        pytest.skip("numpy does not run on the bundled OpenBLAS")
-    set_threads = _openblas_call("scipy_openblas_set_num_threads64_")
-    set_threads(2)
-    yield
-    set_threads(before)
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+@pytest.mark.parametrize("count", [1, 2])
+def test_pool_workers_run_the_callers_blas_threads(monkeypatch, blas_threads, count, start):
+    # a spawned worker starts from the environment's count, as a forkserver
+    # worker (Python 3.14's default) would; the pool hands it the caller's
+    import concurrent.futures
+    import multiprocessing
+    from functools import partial
 
-
-def test_pinned_pool_workers_run_one_blas_thread(monkeypatch, two_blas_threads):
+    blas_threads(count)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(concurrent.futures.ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context(start)))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _map_trials(_task_blas_threads, [0, 1], 2, _one_blas_thread) == [1, 1]
-    assert _blas_threads() == 2
-
-
-def test_unpinned_pool_workers_keep_the_callers_blas_threads(monkeypatch, two_blas_threads):
-    # reproduce_trials' pool: its NRMSE bits depend on the thread count
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _map_trials(_task_blas_threads, [0, 1], 2) == [2, 2]
+    assert _map_trials(_task_blas_threads, [0, 1], 2) == [count, count]
+    assert _blas_threads() == count
 
 
 def test_serial_map_keeps_the_callers_blas_threads(two_blas_threads):
-    assert _map_trials(_task_blas_threads, [0, 1], 1, _one_blas_thread) == [2, 2]
+    assert _map_trials(_task_blas_threads, [0, 1], 1) == [2, 2]
     assert _blas_threads() == 2
 
 
@@ -168,8 +160,7 @@ def _stack_sizes(monkeypatch, experiment, config, jobs=1):
         sizes.append(len(stack))
         return [[False] * len(plans) for _, _, plans in stack]
 
-    def serial(worker, tasks, jobs, initializer):
-        assert initializer is _one_blas_thread  # the trial pool pins its workers
+    def serial(worker, tasks, jobs):
         return list(map(worker, tasks))
 
     monkeypatch.setattr(module, "classify_stack", record)
@@ -460,12 +451,12 @@ class TestReproduceWaveform:
         # collinear state matrices, so representability is checked at the
         # least-squares limit.
         from soesn import predict, train_ridge
-        from soesn.experiments import rebuild_trial
+        from soesn.experiments import _attempt_reservoir
 
         sine = gen_sinusoid(400, dt=1.0)
         probe = reproduce_waveform(replace(CONFIG, max_attempts=5, seed=17), sine)
         assert probe.oscillatory
-        trajectory, _, _ = rebuild_trial(CONFIG, sine, probe.seed)
+        trajectory = _attempt_reservoir(CONFIG, probe.seed).run(sine.length - 1)
         pre_trained = train_ridge(trajectory.rows, sine.values, 1.0, 100)
         realizable = TargetSignal("realizable", 1.0, predict(pre_trained, trajectory.rows))
         with pytest.warns(UserWarning, match="least squares"):

@@ -4,18 +4,24 @@ files. Every case runs with --deterministic, which leaves the timestamp
 comment out of the SVGs, so they are byte-stable too.
 
 The digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
-Python 3.11); another numpy or BLAS build may round differently and move
-them, which says nothing about the change under test. `golden/` holds the
+Python 3.11), with BLAS on one thread, as every CLI run sets it; another
+numpy or BLAS build may round differently and move them, which says
+nothing about the change under test. `golden/` holds the
 config.echo.json each case wrote when the digests were recorded; a rerun
 from it must reproduce every payload, the echo included.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import soesn
 from soesn.cli import EXIT_OK, main
+from soesn.numerics import _blas_threads
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,3 +153,21 @@ def test_integer_grid_config_matches_golden(tmp_path):
     code = main(["sweep", "--config", str(config), "--out", str(tmp_path), "--deterministic"])
     assert code == EXIT_OK
     assert payload_digests(tmp_path) == INT_GRID_DIGESTS
+
+
+@pytest.mark.skipif(_blas_threads() is None, reason="numpy does not run on the bundled OpenBLAS")
+def test_reproduce_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # an n=1000 ridge fit whose bits change with the BLAS thread count: a
+    # run that kept the count it started with wrote another nrmse.json
+    argv = ["reproduce", "--n", "1000", "--sub", "1", "--tau", "400", "--seed", "3",
+            "--deterministic"]
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(soesn.__file__)))
+        subprocess.run([sys.executable, "-m", "soesn.cli", *argv, "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        digests[threads] = payload_digests(out)
+    assert set(digests["1"]) >= {"nrmse.json", "overlay.svg"}
+    assert digests["1"] == digests["2"]
