@@ -49,6 +49,7 @@ from .experiments import (
 )
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
+ECHO = "config.echo.json"
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif not options.get("choices"):
                 options.update(type=_flag_type(f.type), metavar=flag[2:].upper().replace("-", "_"))
             p.add_argument(flag, dest=path, **options)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, config_class=cls)
     return parser
 
 
@@ -266,15 +267,15 @@ def _timestamp(args) -> str | None:
 
 def _prepare_out(args, *names: str) -> list[str]:
     """The paths of the command's output files `names` in --out, which is
-    made if missing; refuses to overwrite any of them without --force."""
+    made if missing; refuses to overwrite any of them, or the echo, without
+    --force."""
     os.makedirs(args.out, exist_ok=True)
-    paths = [os.path.join(args.out, name) for name in names]
-    existing = [name for name, path in zip(names, paths) if os.path.exists(path)]
+    existing = [name for name in (ECHO, *names) if os.path.exists(os.path.join(args.out, name))]
     if existing and not args.force:
         raise FileExistsError(
             f"refusing to overwrite {existing} in {args.out}; pass --force to allow"
         )
-    return paths
+    return [os.path.join(args.out, name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +283,6 @@ def _prepare_out(args, *names: str) -> list[str]:
 # (a trajectory CSV keeps its own format, next to its reader). JSON keys are
 # sorted; a NaN is null in JSON and an empty field in CSV.
 # ---------------------------------------------------------------------------
-
-
-def _write_echo(path: str, args, config: ConfigFields) -> None:
-    payload = {"artifact_version": __version__, "command": args.command,
-               "params": config.to_dict()}
-    _write_json(path, payload)
 
 
 def _metadata(args, config: ConfigFields) -> dict:
@@ -366,24 +361,19 @@ def _run_and_write(args, config, spec: TopologySpec, leak, paths, head: dict,
     return report
 
 
-def cmd_generate(args) -> int:
-    config = _resolve(GenerateConfig, args)
+def cmd_generate(args, config: GenerateConfig) -> str:
     spec = config.topology
-    echo, *paths = _prepare_out(args, "config.echo.json", "trajectory.csv", "oscillation.json",
-                                *(["traces.svg"] if config.svg else []))
+    paths = _prepare_out(args, "trajectory.csv", "oscillation.json",
+                         *(["traces.svg"] if config.svg else []))
     report = _run_and_write(args, config, spec, config.leak, paths, {}, config.plot_units,
                             f"unit traces (n={spec.n}, rho={config.rho}, leak={config.leak})")
-    _write_echo(echo, args, config)
     verdict = "self-oscillatory" if report.reservoir_is_self_oscillatory else "damped"
-    print(f"generate: {verdict}; outputs in {args.out}")
-    return EXIT_OK
+    return f"generate: {verdict}; outputs in {args.out}"
 
 
-def cmd_sweep(args) -> int:
-    requested = _resolve(SweepConfig, args)
-    echo, csv_path, svg_path = _prepare_out(args, "config.echo.json", "sweep.csv", "heatmap.svg")
-    result = sweep_heatmap(requested, jobs=args.jobs)
-    config = result.config  # the capped grid that was swept
+def cmd_sweep(args, config: SweepConfig) -> str:
+    csv_path, svg_path = _prepare_out(args, "sweep.csv", "heatmap.svg")
+    result = sweep_heatmap(config, jobs=args.jobs)
 
     # a JSON config may give the grid as integers; the rows are floats
     _write_csv(csv_path, _metadata(args, config),
@@ -397,15 +387,11 @@ def cmd_sweep(args) -> int:
         f"self-oscillation ratio (n={config.n}, trials={config.trials})",
         "spectral radius", "leak rate", timestamp=_timestamp(args),
     )
-    _write_echo(echo, args, config)
-    print(f"sweep: {len(config.leak_values)}x{len(config.rho_values)} cells written to {args.out}")
-    return EXIT_OK
+    return f"sweep: {len(config.leak_values)}x{len(config.rho_values)} cells written to {args.out}"
 
 
-def cmd_inject(args) -> int:
-    config = _resolve(InjectConfig, args)
-    echo, csv_path, svg_path = _prepare_out(args, "config.echo.json", "injection.csv",
-                                            "injection.svg")
+def cmd_inject(args, config: InjectConfig) -> str:
+    csv_path, svg_path = _prepare_out(args, "injection.csv", "injection.svg")
     rows = injection_ratio_experiment(config, jobs=args.jobs)
 
     _write_csv(csv_path, _metadata(args, config),
@@ -421,22 +407,18 @@ def cmd_inject(args) -> int:
         f"self-oscillation ratio vs population (trials={config.trials})",
         "population", "ratio", timestamp=_timestamp(args),
     )
-    _write_echo(echo, args, config)
-    print(f"inject-experiment: {len(rows)} populations written to {args.out}")
-    return EXIT_OK
+    return f"inject-experiment: {len(rows)} populations written to {args.out}"
 
 
-def cmd_reproduce(args) -> int:
-    config = _resolve(ReproduceConfig, args)
+def cmd_reproduce(args, config: ReproduceConfig) -> str:
     target = config.target_signal()
     if config.sub_counts:
         return _reproduce_sweep(args, config, target)
     return _reproduce_single(args, config, target)
 
 
-def _reproduce_single(args, config, target) -> int:
-    echo, json_path, svg_path = _prepare_out(args, "config.echo.json", "nrmse.json",
-                                             "overlay.svg")
+def _reproduce_single(args, config, target) -> str:
+    json_path, svg_path = _prepare_out(args, "nrmse.json", "overlay.svg")
     outcome, prediction = reproduce_with_prediction(config, target)
 
     payload = {"metadata": _metadata(args, config), "target": target.name} | asdict(outcome)
@@ -458,14 +440,12 @@ def _reproduce_single(args, config, target) -> int:
                  f"mean train NRMSE {outcome.mean_nrmse():.4g}"
     else:
         status = f"no oscillatory reservoir within {outcome.attempt_count} attempts"
-    _write_echo(echo, args, config)
-    print(f"reproduce[{target.name}]: {status}; outputs in {args.out}")
-    return EXIT_OK
+    return f"reproduce[{target.name}]: {status}; outputs in {args.out}"
 
 
-def _reproduce_sweep(args, config, target) -> int:
-    echo, csv_path, jsonl_path, summary_path = _prepare_out(
-        args, "config.echo.json", "boxplot.csv", "trials.jsonl", "summary.json")
+def _reproduce_sweep(args, config, target) -> str:
+    csv_path, jsonl_path, summary_path = _prepare_out(
+        args, "boxplot.csv", "trials.jsonl", "summary.json")
     per_count = subreservoir_count_outcomes(config, target, jobs=args.jobs)
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 
@@ -492,14 +472,11 @@ def _reproduce_sweep(args, config, target) -> int:
         ],
     }
     _write_json(summary_path, summary)
-    _write_echo(echo, args, config)
-    print(f"reproduce[{target.name}]: sweep over {list(config.sub_counts)} written to {args.out}")
-    return EXIT_OK
+    return f"reproduce[{target.name}]: sweep over {list(config.sub_counts)} written to {args.out}"
 
 
-def cmd_topology_demo(args) -> int:
-    config = _resolve(TopologyDemoConfig, args)
-    echo, *paths = _prepare_out(args, "config.echo.json", *(
+def cmd_topology_demo(args, config: TopologyDemoConfig) -> str:
+    paths = _prepare_out(args, *(
         f"{kind}_{suffix}" for kind in VALID_KINDS
         for suffix in ("trajectory.csv", "report.json", "traces.svg")))
 
@@ -517,9 +494,7 @@ def cmd_topology_demo(args) -> int:
             leak = 0.5
         _run_and_write(args, config, spec, leak, paths[3 * kind_index:3 * kind_index + 3],
                        {"kind": kind}, 5, f"{kind}: unit traces")
-    _write_echo(echo, args, config)
-    print(f"topology-demo: {len(VALID_KINDS)} topologies written to {args.out}")
-    return EXIT_OK
+    return f"topology-demo: {len(VALID_KINDS)} topologies written to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +525,17 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Run the parsed command, mapping each error to its exit code."""
+    """Run the parsed command, mapping each error to its exit code: resolve
+    its config, write its payloads, then the echo of the config that ran,
+    then print its summary line."""
     try:
-        return args.func(args)
+        config = _resolve(args.config_class, args)
+        summary = args.func(args, config)
+        _write_json(os.path.join(args.out, ECHO), {
+            "artifact_version": __version__, "command": args.command,
+            "params": config.to_dict()})
+        print(summary)
+        return EXIT_OK
     except InputError as exc:  # ConfigError included
         print(f"soesn: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -76,7 +76,9 @@ def _require_window(tau: int) -> None:
 class SweepConfig(ConfigFields):
     """The leak x spectral-radius sweep: `trials` dense reservoirs of `n`
     units per (leak, rho) cell, each run `tau` steps; `cells` caps the grid
-    for smoke runs."""
+    for smoke runs. The cap trims the grid when the config is built, and a
+    trimmed grid trims to itself, so the echo of a capped sweep is the grid
+    that ran and its rerun builds the same config."""
 
     leak_values: tuple[float, ...] = option(tuple(round(0.05 * i, 10) for i in range(1, 21)),
                                             "comma-separated leak grid")
@@ -98,16 +100,11 @@ class SweepConfig(ConfigFields):
         _require_window(self.tau)
         _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
         check_seed(self.seed)
-
-    def capped(self) -> "SweepConfig":
-        """The grid trimmed to about `cells` cells; the echo records the
-        trimmed grid, which trims to itself again on a rerun."""
-        if self.cells is None:
-            return self
-        cols = min(self.cells, len(self.rho_values))
-        rows = max(1, min(len(self.leak_values), self.cells // cols))
-        return replace(self, leak_values=self.leak_values[:rows],
-                       rho_values=self.rho_values[:cols])
+        if self.cells is not None:
+            cols = min(self.cells, len(self.rho_values))
+            rows = max(1, min(len(self.leak_values), self.cells // cols))
+            object.__setattr__(self, "leak_values", self.leak_values[:rows])
+            object.__setattr__(self, "rho_values", self.rho_values[:cols])
 
 
 @dataclass(frozen=True)
@@ -355,7 +352,7 @@ class SweepResult:
 
 def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Monte-Carlo oscillation ratio over the (leak, spectral radius) grid
-    of `config.capped()`.
+    of `config`.
 
     Common random numbers: trial t draws one dense base matrix and one
     initial state (from derive_seed(seed, t)), and every cell runs them,
@@ -364,7 +361,6 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     differ only by their (leak, rho), never by the draw. Each trial runs
     all of its cells as batches, stacked with other trials (see run_plans).
     """
-    config = config.capped()
     leaks, rhos = config.leak_values, config.rho_values
     tasks = []
     for t in range(config.trials):
@@ -657,8 +653,12 @@ def reproduce_trials(
 ) -> list[TrialOutcome]:
     """`config.trials` independent reproduction trials at `config.sub_count`,
     trial t from base seed derive_seed(config.seed, t)."""
-    trials = [replace(config, seed=derive_seed(config.seed, t)) for t in range(config.trials)]
-    return _map_trials(partial(reproduce_waveform, target=target), trials, jobs)
+    return _map_trials(partial(reproduce_waveform, target=target), _trials(config), jobs)
+
+
+def _trials(config: ReproduceConfig) -> list[ReproduceConfig]:
+    """The config of each of reproduce_trials' trials, in trial order."""
+    return [replace(config, seed=derive_seed(config.seed, t)) for t in range(config.trials)]
 
 
 @dataclass(frozen=True)
@@ -694,11 +694,12 @@ def subreservoir_count_outcomes(
 ) -> list[tuple[int, list[TrialOutcome]]]:
     """Raw reproduction outcomes per count in `config.sub_counts`, the
     count's trials from base seed derive_seed(config.seed, count index) (a
-    single block is the dense baseline of the weakly coupled layout).
-    Summarize each count with distribution_from_outcomes."""
+    single block is the dense baseline of the weakly coupled layout): each
+    count's reproduce_trials, all run in one pool. Summarize each count
+    with distribution_from_outcomes."""
     _require(config.sub_counts is not None, "subreservoir_count_outcomes needs sub_counts")
-    return [
-        (m, reproduce_trials(replace(config, sub_count=m, seed=derive_seed(config.seed, mi)),
-                             target, jobs))
-        for mi, m in enumerate(config.sub_counts)
-    ]
+    counts, k = config.sub_counts, config.trials
+    trials = [trial for mi, m in enumerate(counts) for trial in
+              _trials(replace(config, sub_count=m, seed=derive_seed(config.seed, mi)))]
+    outcomes = _map_trials(partial(reproduce_waveform, target=target), trials, jobs)
+    return [(m, outcomes[mi * k:(mi + 1) * k]) for mi, m in enumerate(counts)]

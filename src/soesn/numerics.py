@@ -123,16 +123,12 @@ def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
     without convergence.
     """
     n = W.shape[0]
-    scale = float(np.max(np.abs(W)))
-    if scale == 0.0:
-        return 0.0
-
     m = _krylov_dim(n)
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
 
-    floor = 1e-12 * scale
+    floor = 1e-12 * float(np.max(np.abs(W)))
     estimate = 0.0
     matvecs = 0
     while matvecs < max_iter:

@@ -847,6 +847,33 @@ def test_single_run_reproduce_simulates_each_attempt_once(tmp_path, monkeypatch)
     assert (out / "overlay.svg").exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_run_writes_its_payloads_then_the_echo_then_its_summary(command, tmp_path,
+                                                                  monkeypatch, capsys):
+    import soesn.cli as cli
+
+    out = tmp_path / "o"
+    seen = {}
+    write_json = cli._write_json
+
+    def recording(path, payload):
+        if os.path.basename(path) == cli.ECHO:
+            seen["echo"] = sorted(os.listdir(out))
+        write_json(path, payload)
+
+    def summary(line):
+        seen["summary"] = sorted(os.listdir(out))
+        print(line)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    monkeypatch.setattr(cli, "print", summary, raising=False)
+    assert main([command, *SMALL_FLAGS[command], "--out", str(out)]) == EXIT_OK
+    written = sorted(os.listdir(out))
+    assert seen == {"echo": [name for name in written if name != cli.ECHO],
+                    "summary": written}
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_version_leaves_the_blas_threads_alone(two_blas_threads, capsys):
     from soesn.numerics import _blas_threads
 

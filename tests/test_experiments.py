@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from dataclasses import asdict, replace
@@ -332,6 +333,23 @@ class TestSweepHeatmap:
         assert data[0] == "leak,rho,ratio,trials"
         assert len(data) - 1 == 2 * 3
 
+    @pytest.mark.parametrize("cells,rows,cols", [
+        (1, 1, 1), (2, 1, 2), (6, 2, 3), (7, 2, 3), (100, 3, 3),
+    ])
+    def test_cells_trim_the_grid_when_built(self, cells, rows, cols):
+        grid = dict(trials=1, n=20, tau=200, seed=4, cells=cells)
+        leaks, rhos = (0.1, 0.3, 0.5), (0.8, 1.2, 1.5)
+        capped = SweepConfig(leak_values=leaks, rho_values=rhos, **grid)
+        assert capped == SweepConfig(leak_values=leaks[:rows], rho_values=rhos[:cols], **grid)
+        # the trim is idempotent: a variant or a rerun from the echo keeps it
+        for config in (capped, replace(capped, seed=5)):
+            assert (config.leak_values, config.rho_values) == (leaks[:rows], rhos[:cols])
+        assert SweepConfig.from_dict(json.loads(json.dumps(capped.to_dict()))) == capped
+        # the config that ran is the config given
+        result = sweep_heatmap(capped)
+        assert result.config == capped
+        assert result.grid.shape == (rows, cols)
+
     def test_validation(self):
         with pytest.raises(InputError):
             SweepConfig(leak_values=(1.5,), rho_values=(1.0,), trials=1, n=10)
@@ -507,6 +525,26 @@ class TestSubCountSweep:
         b = sub_count_distributions([1, 4], sine, trials=3, base_seed=5)
         assert [d.sub_count for d in a] == [1, 4]
         assert a == b
+
+    def test_counts_share_one_pool(self, monkeypatch):
+        import soesn.experiments as module
+
+        pools = []
+
+        def counted(worker, tasks, jobs):
+            pools.append(len(tasks))
+            return _map_trials(worker, tasks, jobs)
+
+        sine = gen_sinusoid(300, dt=1.0)
+        config = ReproduceConfig(n=48, sub_counts=(1, 4), trials=3, seed=5)
+        monkeypatch.setattr(module, "_map_trials", counted)
+        parallel = subreservoir_count_outcomes(config, sine, jobs=2)
+        assert pools == [6]
+        assert subreservoir_count_outcomes(config, sine, jobs=1) == parallel
+        assert [m for m, _ in parallel] == [1, 4]
+        for mi, (m, outcomes) in enumerate(parallel):
+            count = replace(config, sub_count=m, seed=derive_seed(config.seed, mi))
+            assert outcomes == reproduce_trials(count, sine)
 
     def test_boxplot_csv_rows(self, tmp_path):
         assert main(["reproduce", "--n", "48", "--sub-counts", "1,4", "--trials", "3",

@@ -57,10 +57,22 @@ class TestSpectralRadius:
             assert spectral_radius(W) == pytest.approx(oracle, rel=1e-6)
 
     def test_invariant_krylov_space_is_exact(self):
-        # two distinct eigenvalues: above the cutover Arnoldi's Krylov space
-        # closes after two vectors, and its Ritz values are the eigenvalues
+        # two distinct eigenvalues: Arnoldi's Krylov space closes after two
+        # vectors, and its Ritz values are the eigenvalues (the matrix is
+        # reducible, so spectral_radius would split it into 1x1 blocks)
         W = np.diag([2.0] + [1.0] * EIGVALS_CUTOVER)
-        assert spectral_radius(W) == 2.0
+        assert _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER) == 2.0
+
+    def test_irreducible_rank_one_space_is_exact(self):
+        # all ones: irreducible, rank one, radius n; the space closes after
+        # one vector
+        n = EIGVALS_CUTOVER + 1
+        assert spectral_radius(np.ones((n, n))) == pytest.approx(n, rel=1e-12)
+
+    def test_arnoldi_of_the_zero_matrix_is_zero(self):
+        # the first product is zero, so the space closes at once on the
+        # Ritz value 0
+        assert _arnoldi_radius(np.zeros((150, 150)), ARNOLDI_TOL, ARNOLDI_MAX_ITER) == 0.0
 
     def test_non_convergence_reports_last_estimate(self):
         # a circulant shift has every eigenvalue on the unit circle, so no
