@@ -512,13 +512,17 @@ def main(argv=None) -> int:
     # ridge fit's bits change with the count, and a payload's bytes must
     # not depend on the count the process starts with
     _set_blas_threads(1)
-    fresh = not os.path.lexists(args.out)
+    path = existing = os.path.abspath(args.out)
+    while not os.path.lexists(existing):  # the run makes every directory below it
+        existing = os.path.dirname(existing)
     code = _run(args)
-    if code != EXIT_OK and fresh:
-        # a failed run leaves no output directory it made, unless it wrote
-        # into it
+    if code != EXIT_OK:
+        # a failed run leaves no directory it made: they go leaf first, up
+        # to the first one that is not empty
         try:
-            os.rmdir(args.out)
+            while path != existing:
+                os.rmdir(path)
+                path = os.path.dirname(path)
         except OSError:
             pass
     return code

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 
@@ -216,11 +216,11 @@ class ReproduceConfig(ConfigFields):
 
 
 # ---------------------------------------------------------------------------
-# Trial plans and the batched runner
+# Dense trials under a shared plan table, and the batched runner
 # ---------------------------------------------------------------------------
 
 # The most states one matrix product advances, whether one trial's or a
-# stack's. Chunks are cut from a plan list in order, so a state's bits
+# stack's. Chunks are cut from a plan table in order, so a state's bits
 # depend on the config alone (a gemm row's bits depend on the batch width
 # and on the row's place in it), never on --jobs or on the stack. At n=100
 # and 1000 steps a state costs 13 ms alone, 2.3 ms in a chunk of 32 and
@@ -237,31 +237,17 @@ BATCH_WIDTH = 64
 STACK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class TrialPlan:
-    """One state that run_plans advances on its trial's dense matrix,
-    scaled to radius `rho` (with the two-neuron ensemble spliced in when
-    `injected`), at the constant `leak`, from `init_state(n, state_seed)`.
-    `label` names the run in errors."""
-
-    rho: float
-    leak: float
-    state_seed: int
-    injected: bool = False
-    label: str = ""
-
-
-def _cut_stacks(tasks, workers: int) -> list[list]:
-    """The trials `(n, matrix_seed, plans)` cut, in order, into stacks for
-    run_plans, to share among `workers` pool workers. Each run of
-    consecutive trials that share n and their plan count B takes the fewest
-    stacks of at most max(1, min(BATCH_WIDTH // B, STACK_BYTES // (8 n^2)))
-    trials, that count rounded up to a multiple of `workers` (so each
-    worker gets an equal share) but never above the run's trial count, with
-    sizes that differ by at most one. A trial's bits do not depend on its
-    stack, so the bytes still come from the config alone."""
+def _cut_stacks(tasks, width: int, workers: int) -> list[list]:
+    """The trials `tasks`, each running `width` plans, cut, in order, into
+    stacks for run_plans, to share among `workers` pool workers. Each run
+    of consecutive trials that share n takes the fewest stacks of at most
+    max(1, min(BATCH_WIDTH // width, STACK_BYTES // (8 n^2))) trials, that
+    count rounded up to a multiple of `workers` (so each worker gets an
+    equal share) but never above the run's trial count, with sizes that
+    differ by at most one. A trial's bits do not depend on its stack, so
+    the bytes still come from the config alone."""
     stacks = []
-    for (n, width), run in groupby(tasks, key=lambda task: (task[0], len(task[2]))):
+    for n, run in groupby(tasks, key=lambda task: task[0]):
         run = list(run)
         most = max(1, min(BATCH_WIDTH // max(1, width), STACK_BYTES // (8 * n * n)))
         fewest = -(-len(run) // most)
@@ -275,62 +261,69 @@ def _cut_stacks(tasks, workers: int) -> list[list]:
     return stacks
 
 
-def run_plans(stack, tau: int):
-    """Run a stack of G trials `(n, matrix_seed, plans)`, which share n and
-    their plan count B, as batches, yielding each chunk's kept states: a
-    (min(WINDOW, tau + 1), G, B', n) array, the classifier window of the
-    chunk's B' plans of every trial, in plan order. A single trial is a
-    stack of one.
+def run_plans(stack, rho, leak, injected, tau: int):
+    """Run a stack of G trials `(n, matrix_seed, state_seed, label)`, which
+    share n, under one table of B plans `(rho[j], leak[j], injected[j])`,
+    as batches, yielding each chunk's kept states: a (min(WINDOW, tau + 1),
+    G, B', n) array, the classifier window of the chunk's B' plans of every
+    trial, in plan order. A single trial is a stack of one.
 
     A trial's base matrix W0 = build_dense(n, matrix_seed) is built, and
-    its radius taken, once; plan j runs under c_j * W0 with
-    c_j = rho_j / radius(W0), which is build_weights of the dense spec at
-    rho_j factored out of the product, and with the ensemble's weights in
-    its leading block when it is injected. Chunks hold at most BATCH_WIDTH
-    plans of each trial, and _cut_stacks keeps G * B' within BATCH_WIDTH. A
-    NumericError names the failing plan's label.
+    its radius taken, once; plan j runs from init_state(n, state_seed)
+    under c_j * W0 with c_j = rho_j / radius(W0), which is build_weights of
+    the dense spec at rho_j factored out of the product, with the
+    ensemble's weights in its leading block when injected_j. Chunks hold at
+    most BATCH_WIDTH plans of each trial, and _cut_stacks keeps G * B'
+    within BATCH_WIDTH. A NumericError names the failing plan: its trial's
+    `label` formatted with the plan's rho, leak and injected. A matrix that
+    cannot be scaled names the plan of largest rho, whose factor overflows
+    first (a radius too small fails every plan alike).
     """
+    rhos = np.array(rho, dtype=float)
+
+    def failed(label, j, exc):
+        plan = label.format(rho=rho[j], leak=leak[j], injected=injected[j])
+        return NumericError(f"{plan} failed: {exc}")
+
     bases, factors, states = [], [], []
-    for n, matrix_seed, plans in stack:
+    for n, matrix_seed, state_seed, label in stack:
         try:
             W0 = build_dense(n, matrix_seed)
-            factors.append(_radius_factors(spectral_radius(W0), np.array([p.rho for p in plans])))
-            drawn = {s: init_state(n, s) for s in dict.fromkeys(p.state_seed for p in plans)}
+            factors.append(_radius_factors(spectral_radius(W0), rhos))
         except NumericError as exc:
-            raise NumericError(f"{plans[0].label} failed: {exc}") from exc
+            raise failed(label, int(np.argmax(rhos)), exc) from exc
         bases.append(W0)
-        states.append([drawn[p.state_seed] for p in plans])
-    W, x, factors = np.array(bases), np.array(states), np.array(factors)
-    leak = np.array([[p.leak for p in plans] for _, _, plans in stack])
-    injected = np.array([[p.injected for p in plans] for _, _, plans in stack], dtype=bool)
+        states.append(init_state(n, state_seed))
+    W, factors = np.array(bases), np.array(factors)
+    x = np.repeat(np.array(states)[:, None], len(rhos), axis=1)
+    leak_rows = np.array([leak] * len(stack), dtype=float)
+    injected_rows = np.array([injected] * len(stack), dtype=bool)
     keep = min(WINDOW, tau + 1)
-    for start in range(0, x.shape[1], BATCH_WIDTH):
+    for start in range(0, len(rhos), BATCH_WIDTH):
         cut = slice(start, start + BATCH_WIDTH)
         try:
-            yield run_batch(W, x[:, cut], leak[:, cut], factors[:, cut], tau, keep,
-                            injected[:, cut])
+            yield run_batch(W, x[:, cut], leak_rows[:, cut], factors[:, cut], tau, keep,
+                            injected_rows[:, cut])
         except NumericError as exc:
-            plan = stack[exc.stack][2][start + exc.row]
-            raise NumericError(f"{plan.label} failed: {exc}") from exc
+            raise failed(stack[exc.stack][3], start + exc.row, exc) from exc
 
 
-def classify_stack(stack, tau: int) -> list[list[bool]]:
-    """Each trial's self-oscillatory verdicts, in plan order, for a stack
-    of run_plans."""
-    verdicts = [[] for _ in stack]
-    for tail in run_plans(stack, tau):
-        flags = classify_states(tail.reshape(tail.shape[0], -1, tail.shape[-1]))
-        for trial, chunk in zip(verdicts, flags.reshape(tail.shape[1:3]).tolist()):
-            trial.extend(chunk)
-    return verdicts
+def classify_stack(stack, rho, leak, injected, tau: int) -> np.ndarray:
+    """Each trial's self-oscillatory verdicts, a (G, B) bool array in plan
+    order, for a stack of run_plans."""
+    return np.concatenate([
+        classify_states(tail.reshape(tail.shape[0], -1, tail.shape[-1])).reshape(tail.shape[1:3])
+        for tail in run_plans(stack, rho, leak, injected, tau)
+    ], axis=1)
 
 
-def _self_oscillatory(tasks, tau: int, jobs: int) -> list[list[bool]]:
-    """Each trial's verdicts, in task order, for the trials `tasks` of
-    run_plans, one stack of _cut_stacks per pool task."""
-    stacks = _cut_stacks(tasks, _worker_count(jobs))
-    per_stack = _map_trials(partial(classify_stack, tau=tau), stacks, jobs)
-    return [trial for stack in per_stack for trial in stack]
+def _self_oscillatory(tasks, rho, leak, injected, tau: int, jobs: int) -> np.ndarray:
+    """The verdicts of the trials `tasks` of run_plans under the plan table
+    `(rho, leak, injected)`, a (T, B) bool array in task order, one stack
+    of _cut_stacks per pool task."""
+    stacks = _cut_stacks(tasks, len(rho), _worker_count(jobs))
+    classify = partial(classify_stack, rho=rho, leak=leak, injected=injected, tau=tau)
+    return np.concatenate(_map_trials(classify, stacks, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +352,17 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     scaled to its radius at its leak, for `tau` steps. A cell's ratio is
     the fraction of its `trials` runs classified self-oscillatory, so cells
     differ only by their (leak, rho), never by the draw. Each trial runs
-    all of its cells as batches, stacked with other trials (see run_plans).
+    all of the grid's cells, one plan table, as batches, stacked with other
+    trials (see run_plans).
     """
     leaks, rhos = config.leak_values, config.rho_values
     tasks = []
     for t in range(config.trials):
         seed = derive_seed(config.seed, t)
-        tasks.append((config.n, derive_seed(seed, ROLE_WEIGHTS), [
-            TrialPlan(r, a, derive_seed(seed, ROLE_STATE),
-                      label=f"sweep cell (leak={a}, rho={r}) trial {t}")
-            for a in leaks
-            for r in rhos
-        ]))
-    flags = np.array(_self_oscillatory(tasks, config.tau, jobs), dtype=float)
+        tasks.append((config.n, derive_seed(seed, ROLE_WEIGHTS), derive_seed(seed, ROLE_STATE),
+                      f"sweep cell (leak={{leak}}, rho={{rho}}) trial {t}"))
+    leak, rho = zip(*product(leaks, rhos))
+    flags = _self_oscillatory(tasks, rho, leak, (False,) * len(rho), config.tau, jobs)
     # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
     return SweepResult(flags.mean(axis=0).reshape(len(leaks), len(rhos)), config)
 
@@ -407,12 +398,10 @@ def injection_ratio_experiment(
     for pi, p in enumerate(config.populations):
         for t in range(config.trials):
             seed = derive_seed(config.seed, pi, t)
-            label = f"injection cell (population={p}) trial {t}"
-            tasks.append((p, derive_seed(seed, ROLE_WEIGHTS), [
-                TrialPlan(config.rho, config.leak, derive_seed(seed, ROLE_STATE), arm, label)
-                for arm in (False, True)
-            ]))
-    flags = np.array(_self_oscillatory(tasks, config.tau, jobs), dtype=float)
+            tasks.append((p, derive_seed(seed, ROLE_WEIGHTS), derive_seed(seed, ROLE_STATE),
+                          f"injection cell (population={p}) trial {t}"))
+    flags = _self_oscillatory(tasks, (config.rho,) * 2, (config.leak,) * 2, (False, True),
+                              config.tau, jobs)
     ratios = flags.reshape(len(config.populations), config.trials, 2).mean(axis=1)
     return [
         PopulationComparison(p, float(without), float(with_))

@@ -277,6 +277,7 @@ class StateTrajectory:
 
     @classmethod
     def read_csv(cls, f) -> "StateTrajectory":
+        """Parse CSV text (a str, not a path) or a text stream; from_csv takes a path."""
         if isinstance(f, str):
             f = io.StringIO(f)
         header = f.readline().strip().split(",")

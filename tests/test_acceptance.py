@@ -26,6 +26,7 @@ from soesn import (
     Reservoir,
     StateTrajectory,
     SweepConfig,
+    build_dense,
     classify_trajectory,
     derive_seed,
     distribution_from_outcomes,
@@ -36,13 +37,14 @@ from soesn import (
     injection_ratio_experiment,
     periodogram,
     reproduce_trials,
+    run_batch,
     spectral_radius,
     subreservoir_count_outcomes,
     sweep_heatmap,
     train_ridge,
 )
 from soesn.cli import main as cli_main
-from soesn.experiments import TrialPlan, run_plans
+from soesn.oscillation import WINDOW
 
 from conftest import classifier_corpus, naive_dft_power, ridge_oracle, rk4_lorenz_oracle_step
 
@@ -81,10 +83,12 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
         sampled = []
         for attempt in range(40 * count):
             seed = derive_seed(BASE_SEED, attempt)
-            plans = [TrialPlan(rho, leak, derive_seed(seed, s)) for s in (1, 2)]
-            (tail,) = run_plans([(n, derive_seed(seed, 0), plans)], 1000)
+            W0 = build_dense(n, derive_seed(seed, 0))
+            c = rho / spectral_radius(W0)
+            states = [init_state(n, derive_seed(seed, s)) for s in (1, 2)]
+            tail = run_batch(W0, states, [leak] * 2, [c] * 2, 1000, WINDOW)
             first, second = (classify_trajectory(StateTrajectory(rows))
-                             for rows in tail[:, 0].transpose(1, 0, 2))
+                             for rows in tail.transpose(1, 0, 2))
             if first.reservoir_is_self_oscillatory:
                 sampled.append((first, second))
                 if len(sampled) == count:

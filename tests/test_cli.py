@@ -87,6 +87,18 @@ class TestGenerate:
         assert code == EXIT_NUMERIC
         assert out.is_dir()
 
+    def test_failed_run_removes_the_parents_it_made(self, tmp_path):
+        kept = tmp_path / "a"
+        kept.mkdir()
+        (kept / "keep").write_text("")
+        for out in (tmp_path / "x" / "y" / "z", kept / "b" / "c"):
+            code = main(["sweep", "--n", "1", "--tau", "200", "--leak-values", "0.5",
+                         "--rho-values", "1e308", "--trials", "1", "--out", str(out)])
+            assert code == EXIT_NUMERIC
+        # each failed run removed the directories it made, and only those
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+        assert sorted(p.name for p in kept.iterdir()) == ["keep"]
+
     @pytest.mark.parametrize("n", ["100", "200"])
     def test_nilpotent_sparse_matrix_is_numeric_error(self, n, tmp_path):
         # this draw is nilpotent: its radius is 0 on either side of the

@@ -26,7 +26,6 @@ from soesn.errors import DimensionError, InputError, NumericError
 from soesn.experiments import (
     BATCH_WIDTH,
     STACK_BYTES,
-    TrialPlan,
     _cut_stacks,
     _map_trials,
     run_plans,
@@ -104,9 +103,9 @@ def test_serial_map_keeps_the_callers_blas_threads(two_blas_threads):
     assert _blas_threads() == 2
 
 
-def _trajectories(n, matrix_seed, plans, tau):
+def _trajectories(n, matrix_seed, state_seed, rho, leak, injected, tau):
     """Each plan's kept states, run as a stack of one trial."""
-    return [rows for tail in run_plans([(n, matrix_seed, plans)], tau)
+    return [rows for tail in run_plans([(n, matrix_seed, state_seed, "")], rho, leak, injected, tau)
             for rows in tail[:, 0].transpose(1, 0, 2)]
 
 
@@ -114,39 +113,35 @@ class TestTrialPlans:
     """The batched runner against one Reservoir.run per state: over 30
     steps (the whole run is kept) every state agrees to 1e-12."""
 
-    def _check(self, n, matrix_seed, plans):
-        got = _trajectories(n, matrix_seed, plans, 30)
-        for plan, rows in zip(plans, got):
-            reference = reference_run(n, matrix_seed, plan.rho, plan.leak, plan.state_seed, 30,
-                                      plan.injected)
+    def _check(self, n, matrix_seed, state_seed, rho, leak, injected):
+        got = _trajectories(n, matrix_seed, state_seed, rho, leak, injected, 30)
+        assert len(got) == len(rho)
+        for (rho_j, leak_j, injected_j), rows in zip(zip(rho, leak, injected), got):
+            reference = reference_run(n, matrix_seed, rho_j, leak_j, state_seed, 30, injected_j)
             assert np.max(np.abs(rows - reference.rows)) <= 1e-12
 
     def test_sweep_rows(self):
-        self._check(100, derive_seed(4, 0), [TrialPlan(r, a, 77) for a in (0.2, 0.5, 0.8)
-                                             for r in (0.6, 0.9, 1.2, 1.5)])
+        leak, rho = zip(*[(a, r) for a in (0.2, 0.5, 0.8) for r in (0.6, 0.9, 1.2, 1.5)])
+        self._check(100, derive_seed(4, 0), 77, rho, leak, (False,) * len(rho))
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_injection_arms(self, n):
-        self._check(n, derive_seed(5, n), [TrialPlan(1.25, 0.5, 78, arm)
-                                           for arm in (False, True)])
-
-    def test_state_pair(self):
-        self._check(100, derive_seed(6, 0), [TrialPlan(1.25, 0.5, s) for s in (1, 2)])
+        self._check(n, derive_seed(5, n), 78, (1.25, 1.25), (0.5, 0.5), (False, True))
 
     def test_chunks_cover_every_plan_in_order(self):
-        plans = [TrialPlan(0.5 + 0.01 * j, 0.5, j) for j in range(2 * BATCH_WIDTH + 3)]
-        got = _trajectories(12, 1, plans, 30)
-        assert len(got) == len(plans)
-        for j in (0, BATCH_WIDTH, len(plans) - 1):
-            reference = reference_run(12, 1, plans[j].rho, 0.5, j, 30)
+        rho = [0.5 + 0.01 * j for j in range(2 * BATCH_WIDTH + 3)]
+        got = _trajectories(12, 1, 7, rho, [0.5] * len(rho), [False] * len(rho), 30)
+        assert len(got) == len(rho)
+        for j in (0, BATCH_WIDTH, len(rho) - 1):
+            reference = reference_run(12, 1, rho[j], 0.5, 7, 30)
             assert np.max(np.abs(got[j] - reference.rows)) <= 1e-12
 
     def test_per_unit_leak_rejected(self):
         with pytest.raises(DimensionError):
-            next(run_plans([(12, 1, [TrialPlan(1.0, np.full(12, 0.5), 0)])], 200))
+            next(run_plans([(12, 1, 0, "")], [1.0], [np.full(12, 0.5)], [False], 200))
 
     def test_no_plans_give_no_batches(self):
-        assert list(run_plans([(4, 0, [])], 100)) == []
+        assert list(run_plans([(4, 0, 0, "")], [], [], [], 100)) == []
 
 
 def _stack_sizes(monkeypatch, experiment, config, jobs=1):
@@ -156,10 +151,11 @@ def _stack_sizes(monkeypatch, experiment, config, jobs=1):
 
     sizes = []
 
-    def record(stack, tau):
-        assert len({(n, len(plans)) for n, _, plans in stack}) == 1
+    def record(stack, rho, leak, injected, tau):
+        assert len({n for n, *_ in stack}) == 1
+        assert len(rho) == len(leak) == len(injected)
         sizes.append(len(stack))
-        return [[False] * len(plans) for _, _, plans in stack]
+        return np.zeros((len(stack), len(rho)), dtype=bool)
 
     def serial(worker, tasks, jobs):
         return list(map(worker, tasks))
@@ -172,9 +168,9 @@ def _stack_sizes(monkeypatch, experiment, config, jobs=1):
 
 
 class TestStackCut:
-    """Trials that share n and their plan count run as stacks of at most
-    BATCH_WIDTH states and STACK_BYTES of weights, as few as fit and a
-    multiple of the worker count, with sizes that differ by at most one."""
+    """Trials that share n run as stacks of at most BATCH_WIDTH states and
+    STACK_BYTES of weights, as few as fit and a multiple of the worker
+    count, with sizes that differ by at most one."""
 
     SWEEP = SweepConfig(leak_values=(0.2, 0.5, 0.8), rho_values=(0.6, 0.9, 1.2, 1.5),
                         trials=12, n=100, tau=1000)
@@ -199,8 +195,8 @@ class TestStackCut:
 
         counts = []
 
-        def counted(tasks, workers):
-            stacks = _cut_stacks(tasks, workers)
+        def counted(tasks, width, workers):
+            stacks = _cut_stacks(tasks, width, workers)
             counts.append(len(stacks))
             return stacks
 
@@ -219,11 +215,11 @@ class TestStackCut:
     @pytest.mark.parametrize("width", [1, 2, 12, 65])
     @pytest.mark.parametrize("trials", [1, 7, 200])
     def test_stacks_keep_their_budgets(self, n, width, trials):
-        tasks = [(n, t, [TrialPlan(1.0, 0.5, 0)] * width) for t in range(trials)]
+        tasks = [(n, t, 0, "") for t in range(trials)]
         most = max(1, min(BATCH_WIDTH // width, STACK_BYTES // (8 * n * n)))
         fewest = -(-trials // most)
         for workers in (1, 2, 3):
-            stacks = _cut_stacks(tasks, workers)
+            stacks = _cut_stacks(tasks, width, workers)
             assert [task for stack in stacks for task in stack] == tasks
             sizes = [len(stack) for stack in stacks]
             assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
@@ -383,6 +379,14 @@ class TestSweepHeatmap:
         monkeypatch.setattr(module, "run_batch", poisoned)
         config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=1, n=10, tau=200)
         with pytest.raises(NumericError, match=r"cell \(leak=0.5, rho=1.5\) trial 0 failed"):
+            sweep_heatmap(config)
+
+    def test_unscalable_cell_is_named(self):
+        # the factor to 1e308 overflows; the first cell's factor would not
+        config = SweepConfig(leak_values=(0.5,), rho_values=(0.5, 1e308, 2.0), trials=1, n=1,
+                             tau=200)
+        with pytest.raises(NumericError, match=r"^sweep cell \(leak=0.5, rho=1e\+308\) trial 0 "
+                                               r"failed: the scale factor to radius 1e\+308"):
             sweep_heatmap(config)
 
     @pytest.mark.parametrize("jobs", [1, 2])
