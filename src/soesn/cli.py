@@ -512,6 +512,9 @@ def main(argv=None) -> int:
     # ridge fit's bits change with the count, and a payload's bytes must
     # not depend on the count the process starts with
     _set_blas_threads(1)
+    if "\0" in args.out:  # no path holds one; os raises ValueError, not OSError
+        print(f"soesn: I/O error: --out {args.out!r} holds a NUL byte", file=sys.stderr)
+        return EXIT_IO
     path = existing = os.path.abspath(args.out)
     while not os.path.lexists(existing):  # the run makes every directory below it
         existing = os.path.dirname(existing)

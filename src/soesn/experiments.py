@@ -295,6 +295,7 @@ def run_plans(stack, rho, leak, injected, tau: int):
         bases.append(W0)
         states.append(init_state(n, state_seed))
     W, factors = np.array(bases), np.array(factors)
+    del bases  # the stack holds the matrices from here on
     x = np.repeat(np.array(states)[:, None], len(rhos), axis=1)
     leak_rows = np.array([leak] * len(stack), dtype=float)
     injected_rows = np.array([injected] * len(stack), dtype=bool)
@@ -598,6 +599,7 @@ def _search(config: ReproduceConfig, target: TargetSignal):
                 seed=attempt_seed,
             )
             return outcome, (trajectory, model, mean, sd)
+        del trajectory  # freed before the next attempt's states are allocated
     outcome = TrialOutcome(
         attempt_count=config.max_attempts, oscillatory=False, train_nrmse=None,
         seed=last_seed,

@@ -265,12 +265,7 @@ def build_weights(spec: TopologySpec, rho: float) -> np.ndarray:
         )
     for start, size in zip(np.cumsum([0] + sizes[:-1]), sizes):
         block = W[start : start + size, start : start + size]
-        # a short block of an uneven split takes its radius zero-padded to
-        # the first block's size: padding adds only zero eigenvalues, but
-        # the rounding of eigvals and Arnoldi depends on the side, and the
-        # 0.2.0 bits were taken padded
-        padded = np.pad(block, (0, sizes[0] - size)) if size < sizes[0] else block
-        block *= _radius_factors(spectral_radius(padded), rho)
+        block *= _radius_factors(spectral_radius(block), rho)
 
     if spec.inject_ensemble:
         W = inject_ensemble(W)

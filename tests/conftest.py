@@ -4,7 +4,9 @@ per-component from the tableau, the ridge oracle uses the explicit inverse
 formula, the weakly coupled builder draws block pair by block pair, and
 the two ratio experiments are re-run trial by trial from the library's
 building blocks, one state at a time through Reservoir.run (the library
-batches the states). The trajectory CSV writer and the line chart are kept
+batches the states). The float32 update is written out as plain
+broadcasting steps (float32_update), the exact reference for batched
+states, whose rounding depends on their batch. The trajectory CSV writer and the line chart are kept
 here as first written, value by value and point by point, as byte oracles
 for the library's faster writers."""
 
@@ -18,6 +20,7 @@ from hypothesis import Phase, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from soesn import (
+    TWO_NEURON_ENSEMBLE,
     Reservoir,
     build_dense,
     classify_trajectory,
@@ -25,8 +28,11 @@ from soesn import (
     init_state,
     inject_ensemble,
     scale_to_spectral_radius,
+    spectral_radius,
     svgplot,
 )
+from soesn.experiments import BATCH_WIDTH
+from soesn.reservoir import STATE_FLOOR
 from soesn.numerics import _blas_threads, _set_blas_threads
 from soesn.seeding import ROLE_STATE, ROLE_WEIGHTS
 
@@ -140,6 +146,49 @@ def reference_run(n, matrix_seed, rho, leak, state_seed, tau, injected=False):
     if injected:
         W = inject_ensemble(W)
     return Reservoir(W, leak, init_state(n, state_seed)).run(tau)
+
+
+def float32_update(W, x, leak, scale, tau, injected=None):
+    """The update in plain float32 numpy, one broadcasting step at a time:
+    W (n, n) or a stack (G, n, n), states (B, n) or (G, B, n), and one leak
+    and scale per row, each taken in float64 and rounded once, as are the
+    injected rows' corrections of their two leading drives. Returns every
+    state, the given one first, as float64."""
+    x, leak, scale = (np.asarray(a, dtype=float) for a in (x, leak, scale))
+    expected = [x]
+    f32 = np.float32
+    lead = None if injected is None or not np.any(injected) else \
+        np.nonzero(injected) + (slice(2),)
+    if lead is not None:
+        block = W[..., :2, :2][lead[:-2]] if W.ndim == 3 else W[:2, :2]
+        fix = (TWO_NEURON_ENSEMBLE - scale[lead[:-1]][:, None, None] * block).astype(f32)
+    Wt = np.swapaxes(W.astype(f32), -1, -2)
+    s, a, b = (v[..., None].astype(f32) for v in (scale, leak, 1.0 - leak))
+    x = x.astype(f32)
+    for _ in range(tau):
+        drive = s * (x @ Wt)
+        if lead is not None:
+            drive[lead] += np.matmul(fix, x[lead][..., None])[..., 0]
+        x = b * x + a * np.tanh(drive)
+        x[np.abs(x) < STATE_FLOOR] = 0.0
+        expected.append(x.astype(float))
+    return np.array(expected)
+
+
+def plan_reference(n, matrix_seed, state_seed, rho, leak, injected, tau):
+    """Each dense trial plan's recorded states as run_plans runs them: the
+    float32 update of BATCH_WIDTH plans at a time from one initial state,
+    plan j on the seeded dense matrix with the scale rho_j / radius."""
+    W = build_dense(n, matrix_seed)
+    scale = np.array(rho) / spectral_radius(W)
+    x = np.repeat(init_state(n, state_seed)[None], len(rho), axis=0)
+    leak, injected = np.array(leak, dtype=float), np.array(injected, dtype=bool)
+    plans = []
+    for start in range(0, len(rho), BATCH_WIDTH):
+        cut = slice(start, start + BATCH_WIDTH)
+        rows = float32_update(W, x[cut], leak[cut], scale[cut], tau, injected[cut])
+        plans.extend(rows.transpose(1, 0, 2))
+    return plans
 
 
 def _reference_oscillates(n, tau, leak, rho, seed, injected=False):

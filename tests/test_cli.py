@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -724,6 +725,34 @@ class TestExitCodes:
         # with it (the suite turns a leaked overflow warning into a failure)
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "20", "--tau", "150"],
+        ["sweep", "--n", "4", "--tau", "99", "--trials", "1", "--leak-values", "0.5",
+         "--rho-values", "1e300"],
+        ["reproduce", "--n", "8", "--sub", "2", "--tau", "150", "--washout", "10"],
+        ["inject-experiment", "--populations", "2", "--trials", "1", "--tau", "99"],
+        ["topology-demo", "--n", "4", "--tau", "99"],
+    ], ids=lambda argv: argv[0])
+    def test_scale_factor_beyond_float32_is_ok_or_numeric_error(self, argv, tmp_path, capsys):
+        # rho / radius is finite but rounds to inf in the float32 update: a
+        # drive of inf saturates, and inf * 0 or inf - inf is a NaN that
+        # names its unit (the suite turns a leaked overflow warning into a
+        # failure)
+        if "--rho-values" not in argv:
+            argv = argv + ["--rho", "1e300"]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        if code == EXIT_NUMERIC:
+            assert "non-finite state at unit" in capsys.readouterr().err
+
+    def test_nul_byte_in_out_is_io_error(self, tmp_path, monkeypatch, capsys):
+        # os raises ValueError, not OSError, for such a path
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--n", "20", "--tau", "150", "--out", "a\x00b"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "NUL" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command,target", [
         ("generate", "soesn.cli.build_weights"), ("sweep", "soesn.experiments.build_dense"),
     ])
@@ -884,6 +913,13 @@ def test_a_run_writes_its_payloads_then_the_echo_then_its_summary(command, tmp_p
     assert seen == {"echo": [name for name in written if name != cli.ECHO],
                     "summary": written}
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_pyproject_version_is_the_package_version():
+    # read with a regex: tomllib needs Python 3.11, and the package supports 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [soesn.__version__]
 
 
 def test_version_leaves_the_blas_threads_alone(two_blas_threads, capsys):

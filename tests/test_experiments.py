@@ -11,6 +11,7 @@ from soesn import (
     ReproduceConfig,
     SweepConfig,
     TargetSignal,
+    build_dense,
     derive_seed,
     distribution_from_outcomes,
     gen_lorenz,
@@ -19,6 +20,8 @@ from soesn import (
     injection_ratio_experiment,
     reproduce_trials,
     reproduce_waveform,
+    scale_to_spectral_radius,
+    spectral_radius,
     subreservoir_count_outcomes,
     sweep_heatmap,
 )
@@ -34,8 +37,8 @@ from soesn.numerics import _blas_threads, _set_blas_threads
 from soesn.cli import EXIT_OK, main
 
 from conftest import (
+    plan_reference,
     reference_injection_rows,
-    reference_run,
     reference_sweep_grid,
     rk4_lorenz_oracle_step,
 )
@@ -110,15 +113,20 @@ def _trajectories(n, matrix_seed, state_seed, rho, leak, injected, tau):
 
 
 class TestTrialPlans:
-    """The batched runner against one Reservoir.run per state: over 30
-    steps (the whole run is kept) every state agrees to 1e-12."""
+    """The batched runner against the float32 update of each plan on its
+    factor of the seeded matrix: over 30 steps (the whole run is kept)
+    every state agrees to 1e-12. The factor times the matrix is the weight
+    matrix one Reservoir.run per state would take."""
 
     def _check(self, n, matrix_seed, state_seed, rho, leak, injected):
         got = _trajectories(n, matrix_seed, state_seed, rho, leak, injected, 30)
         assert len(got) == len(rho)
-        for (rho_j, leak_j, injected_j), rows in zip(zip(rho, leak, injected), got):
-            reference = reference_run(n, matrix_seed, rho_j, leak_j, state_seed, 30, injected_j)
-            assert np.max(np.abs(rows - reference.rows)) <= 1e-12
+        expected = plan_reference(n, matrix_seed, state_seed, rho, leak, injected, 30)
+        W = build_dense(n, matrix_seed)
+        for j, rows in enumerate(got):
+            assert np.max(np.abs(rows - expected[j])) <= 1e-12
+            assert np.array_equal(rho[j] / spectral_radius(W) * W,
+                                  scale_to_spectral_radius(W, rho[j]))
 
     def test_sweep_rows(self):
         leak, rho = zip(*[(a, r) for a in (0.2, 0.5, 0.8) for r in (0.6, 0.9, 1.2, 1.5)])
@@ -132,9 +140,9 @@ class TestTrialPlans:
         rho = [0.5 + 0.01 * j for j in range(2 * BATCH_WIDTH + 3)]
         got = _trajectories(12, 1, 7, rho, [0.5] * len(rho), [False] * len(rho), 30)
         assert len(got) == len(rho)
+        expected = plan_reference(12, 1, 7, rho, [0.5] * len(rho), [False] * len(rho), 30)
         for j in (0, BATCH_WIDTH, len(rho) - 1):
-            reference = reference_run(12, 1, rho[j], 0.5, 7, 30)
-            assert np.max(np.abs(got[j] - reference.rows)) <= 1e-12
+            assert np.max(np.abs(got[j] - expected[j])) <= 1e-12
 
     def test_per_unit_leak_rejected(self):
         with pytest.raises(DimensionError):

@@ -167,8 +167,8 @@ class TestReducibleAboveCutover:
         assert spectral_radius(W) == _eigvals_radius(W[60:, 60:])
 
     def test_zero_rows_and_columns_do_not_split_a_matrix(self):
-        # an uneven split's short block is zero-padded: it keeps Arnoldi,
-        # and the bits it had before the split existed
+        # a zero row and column leave the rest one strongly connected
+        # block, so the matrix keeps Arnoldi and is not split
         W = np.pad(_uniform(0, EIGVALS_CUTOVER + 1), (0, 1))
         assert _strong_components(W) is None
         assert spectral_radius(W) == _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER)

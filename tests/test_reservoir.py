@@ -16,13 +16,15 @@ from soesn import (
     init_state,
     run_batch,
     scale_to_spectral_radius,
+    spectral_radius,
 )
 from soesn.errors import DimensionError, InputError, NumericError
 from soesn.oscillation import classify_states
+from soesn.reservoir import STATE_FLOOR
 from soesn._csv17g import fast_lines
 from soesn.topology import TWO_NEURON_ENSEMBLE, build_dense, inject_ensemble
 
-from conftest import fstring_write_csv
+from conftest import float32_update, fstring_write_csv
 
 
 class FakeRng:
@@ -59,6 +61,9 @@ class TestInitState:
         assert np.max(np.abs(state)) >= 1e-6
 
 
+f32 = np.float32
+
+
 def two_unit_reservoir(leak=0.5, state=(0.3, -0.2)):
     W = scale_to_spectral_radius(np.array([[1.0, 1.0], [-1.0, 1.0]]), 1.25)
     return Reservoir(W, leak, np.array(state))
@@ -76,11 +81,11 @@ class TestStep:
         assert r.state[0] == 0.0
 
     def test_scalar_arithmetic_oracle(self):
-        # hand-rolled elementwise evaluation of the update rule
+        # hand-rolled elementwise evaluation of the update rule, in float32
         r = two_unit_reservoir()
-        s = 1.25 / math.sqrt(2.0)
-        expected0 = 0.5 * 0.3 + 0.5 * math.tanh(s * 0.3 + s * (-0.2))
-        expected1 = 0.5 * (-0.2) + 0.5 * math.tanh(-s * 0.3 + s * (-0.2))
+        s, half, x0, x1 = f32(1.25 / math.sqrt(2.0)), f32(0.5), f32(0.3), f32(-0.2)
+        expected0 = half * x0 + half * np.tanh(s * x0 + s * x1)
+        expected1 = half * x1 + half * np.tanh(-s * x0 + s * x1)
         r.step()
         assert r.state[0] == pytest.approx(expected0, abs=1e-15)
         assert r.state[1] == pytest.approx(expected1, abs=1e-15)
@@ -105,7 +110,7 @@ class TestStep:
         state = rng.uniform(-0.5, 0.5, 20)
         r = Reservoir(W, 1.0, state)
         r.step()
-        assert np.array_equal(r.state, np.tanh(W @ state))
+        assert np.array_equal(r.state, np.tanh(W.astype(f32) @ state.astype(f32)))
 
 
 class TestConstruction:
@@ -168,12 +173,24 @@ class TestRun:
             r.run(5)
 
     def test_overflowing_drive_saturates(self):
-        # W @ x overflows to inf on every step; tanh takes it to 1, quietly
+        # the weights round to inf in float32, so W @ x is inf on every
+        # step; tanh takes it to 1, quietly, and each step is x / 2 + 1 / 2
         W, state = np.full((2, 2), 1e308), [0.9, 0.95]
         rows = Reservoir(W, 0.5, state).run(5).rows
-        assert np.allclose(rows[-1], 1.0 - 0.5**5 * (1.0 - rows[0]), rtol=0, atol=1e-15)
+        expected = np.array(state, f32)
+        for _ in range(5):
+            expected = f32(0.5) * expected + f32(0.5)
+        assert np.allclose(rows[-1], expected, rtol=0, atol=1e-15)
         stepped = Reservoir(W, 0.5, state)
         assert np.array_equal([stepped.step().state for _ in range(5)], rows[1:])
+
+    def test_weights_beyond_float32_round_to_inf(self):
+        # 1e39 is finite in float64 and inf in float32, quietly: against a
+        # zero state it gives inf * 0, a NaN drive, on the first step
+        r = Reservoir(np.full((2, 2), 1e39), 0.5, [0.0, 0.5])
+        with pytest.raises(NumericError, match="unit 0 on step 1"):
+            r.run(5)
+        assert r.step_count == 0 and r.state.tolist() == [0.0, 0.5]
 
     def test_failed_run_stops_at_last_finite_state(self):
         # unit 1's drive becomes inf - inf once the two states differ in sign,
@@ -237,11 +254,18 @@ class TestRunBatch:
         return W, states, leak, scale
 
     def test_rows_match_reservoir_runs(self):
+        # each row runs the update at its own scale and leak on the batch's
+        # one float32 product; a power-of-two scale factors out of the
+        # product exactly, so a width-1 batch then runs as Reservoir does on
+        # the scaled weights
         W, states, leak, scale = self._rows()
         tail = run_batch(W, states, leak, scale, 30, 31)
+        expected = float32_update(W, states, leak, scale, 30)
         for j in range(len(states)):
-            alone = Reservoir(scale[j] * W, leak[j], states[j]).run(30).rows
-            assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
+            assert np.max(np.abs(tail[:, j] - expected[:, j])) <= 1e-12
+            row = run_batch(W, states[j:j + 1], leak[j:j + 1], [2.0 ** -j], 30, 31)[:, 0]
+            alone = Reservoir(2.0 ** -j * W, leak[j], states[j]).run(30).rows
+            assert np.max(np.abs(row - alone)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 100, 512])
     def test_width_one_row_is_reservoir_run_bit_for_bit(self, n):
@@ -258,18 +282,48 @@ class TestRunBatch:
                                   whole[-keep:])
 
     def test_injected_rows_run_the_ensemble(self):
+        # the injected rows' corrected leading drives are those of
+        # inject_ensemble's weights, in float64 before they are rounded, and
+        # the rows run the float32 update with that correction
         W, states, leak, scale = self._rows()
         injected = np.isin(np.arange(len(states)), [1, 3])
         tail = run_batch(W, states, leak, scale, 30, 31, injected)
+        expected = float32_update(W, states, leak, scale, 30, injected)
         for j in range(len(states)):
+            assert np.max(np.abs(tail[:, j] - expected[:, j])) <= 1e-12
             weights = inject_ensemble(scale[j] * W) if injected[j] else scale[j] * W
-            alone = Reservoir(weights, leak[j], states[j]).run(30).rows
-            assert np.max(np.abs(tail[:, j] - alone)) <= 1e-12
+            corrected = scale[j] * W
+            if injected[j]:
+                corrected[:2, :2] += TWO_NEURON_ENSEMBLE - scale[j] * W[:2, :2]
+            assert np.max(np.abs(corrected - weights)) <= 1e-12
 
     def test_overflowing_drive_saturates(self):
         tail = run_batch(np.ones((2, 2)), [[0.9, 0.95]], [0.5], [1e308], 5, 6)
         alone = Reservoir(np.full((2, 2), 1e308), 0.5, [0.9, 0.95]).run(5).rows
         assert np.array_equal(tail[:, 0], alone)
+
+    def test_scale_beyond_float32_rounds_to_inf(self):
+        # each row's scale is rounded to float32 once: row 1's 1e39 is inf,
+        # and its zero drive times inf is NaN
+        states = np.array([[0.9, 0.95], [0.0, 0.0]])
+        with pytest.raises(NumericError, match="batch row 1") as caught:
+            run_batch(np.ones((2, 2)), states, [0.5, 0.5], [0.5, 1e39], 5, 6)
+        assert caught.value.row == 1
+
+    def test_damped_stack_keeps_no_subnormal_state(self):
+        # float32 arithmetic on subnormals runs many times slower, and a
+        # damped state decays into them unless it is flushed to 0 below
+        # STATE_FLOOR, which leaves room for its products with the weights
+        n, stack, batch = 100, 2, 6
+        W = np.array([build_dense(n, seed=g) for g in range(stack)])
+        scale = np.array([[0.6 / spectral_radius(w)] * batch for w in W])
+        states = np.array([[init_state(n, seed=g * batch + j) for j in range(batch)]
+                           for g in range(stack)])
+        tail = run_batch(W, states, np.full((stack, batch), 0.2), scale, 1000, 1000)
+        size = np.abs(tail)
+        assert not np.any((size > 0.0) & (size < STATE_FLOOR))
+        assert STATE_FLOOR > 2.0 ** 16 * np.finfo(f32).tiny
+        assert np.all(tail[-1] == 0.0)  # every state decayed through the floor
 
     def test_non_finite_state_names_its_row(self):
         W, states, leak, scale = self._rows()
@@ -326,9 +380,9 @@ class TestRunBatch:
             assert tail[:, g].tobytes() == alone.tobytes()
 
     def test_stack_matches_a_broadcasting_loop_bit_for_bit(self):
-        # the plain update with each row's leak and scale broadcast over its
-        # units, and the injected rows' two leading drives corrected to the
-        # ensemble; leak and scale are read-only, so a write would raise
+        # the plain float32 update with each row's leak and scale broadcast
+        # over its units, and the injected rows' two leading drives corrected
+        # to the ensemble; leak and scale are read-only, so a write would raise
         stack, batch, n, tau = 3, 4, 30, 50
         W = np.array([build_dense(n, seed=g) for g in range(stack)])
         x = np.array([[init_state(n, seed=g * batch + j) for j in range(batch)]
@@ -340,16 +394,7 @@ class TestRunBatch:
         scale.setflags(write=False)
         leak.setflags(write=False)
         tail = run_batch(W, x, leak, scale, tau, tau + 1, injected)
-        rows = injected.nonzero()
-        lead = rows + (slice(2),)
-        fix = TWO_NEURON_ENSEMBLE - scale[rows][:, None, None] * W[rows[0], :2, :2]
-        expected = [x]
-        for _ in range(tau):
-            drive = scale[..., None] * (x @ np.swapaxes(W, -1, -2))
-            drive[lead] += np.matmul(fix, x[lead][..., None])[..., 0]
-            x = (1.0 - leak[..., None]) * x + leak[..., None] * np.tanh(drive)
-            expected.append(x)
-        assert tail.tobytes() == np.array(expected).tobytes()
+        assert tail.tobytes() == float32_update(W, x, leak, scale, tau, injected).tobytes()
 
     def test_non_finite_state_names_its_stack_entry(self):
         W, states, leak, scale = self._rows()

@@ -261,8 +261,8 @@ class TestBuildWeights:
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "block_diagonal", "weakly_coupled"])
     def test_one_radius_call_per_block(self, kind, monkeypatch):
-        # a dense or sparse matrix is one block; the 7-row blocks of an
-        # uneven split take their radius padded to the first block's 8 rows
+        # a dense or sparse matrix is one block; an uneven split's blocks
+        # take their radius at their own sides, 8 and 7 rows
         sides = []
 
         def counted(W):
@@ -272,7 +272,7 @@ class TestBuildWeights:
         monkeypatch.setattr(topology, "spectral_radius", counted)
         spec = TopologySpec(kind=kind, n=30, sub_count=4, seed=3)
         build_weights(spec, 1.25)
-        assert sides == ([(30, 30)] if kind in ("dense", "sparse") else [(8, 8)] * 4)
+        assert sides == ([(30, 30)] if kind in ("dense", "sparse") else [(8, 8)] * 2 + [(7, 7)] * 2)
 
     def test_uneven_population_accepted(self):
         spec = TopologySpec(kind="weakly_coupled", n=500, sub_count=8, seed=1)
