@@ -208,6 +208,8 @@ def _load_config_params(path: str, command: str) -> dict:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     if "command" in data:
@@ -225,37 +227,27 @@ def _load_config_params(path: str, command: str) -> dict:
 
 def _resolve(cls, args):
     """The command's config: defaults, overlaid by --config, overlaid by the
-    flags given.
-
-    Values travel keyed by field path, so a flag overrides one field of a
-    nested object. The seed (the field typed Seed) resolves flag > config >
-    $SOESN_SEED > default, so a stray environment seed never breaks a rerun
-    from config.echo.json.
+    flags given: one nested dict, where a flag writes its field's path and
+    so overrides one field of a nested object. The seed (the field typed
+    Seed) resolves flag > config > $SOESN_SEED > default, so a stray
+    environment seed never breaks a rerun from config.echo.json.
     """
-    given = {}
-    if args.config:
-        for key, value in _load_config_params(args.config, args.command).items():
-            nested = isinstance(value, dict)
-            given[(key,)] = {} if nested else value
-            if nested:
-                given.update({(key, k): v for k, v in value.items()})
-    paths = dict(_config_fields(cls))
-    for dest, value in vars(args).items():
-        if dest in paths:
-            given[tuple(dest.split("."))] = value
-    (seed,) = [tuple(path.split(".")) for path, f in paths.items() if f.type is Seed]
-    env = os.environ.get("SOESN_SEED")
-    if env is not None and seed not in given:
-        try:
-            given[seed] = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SOESN_SEED must be an integer, got {env!r}") from exc
-    data = {}
-    for (head, *rest), value in given.items():
-        if not rest:
-            data[head] = value
-        elif isinstance(data.setdefault(head, {}), dict):
-            data[head][rest[0]] = value
+    data = _load_config_params(args.config, args.command) if args.config else {}
+    flags, env = vars(args), os.environ.get("SOESN_SEED")
+    for path, f in _config_fields(cls):
+        *heads, name = path.split(".")
+        node = data
+        for head in heads:
+            node = node.setdefault(head, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):  # from_dict rejects it by name
+            continue
+        if path in flags:
+            node[name] = flags[path]
+        elif f.type is Seed and env is not None and name not in node:
+            try:
+                node[name] = int(env)
+            except ValueError as exc:
+                raise ConfigError(f"SOESN_SEED must be an integer, got {env!r}") from exc
     return cls.from_dict(data, args.command)
 
 
@@ -512,9 +504,10 @@ def main(argv=None) -> int:
     # ridge fit's bits change with the count, and a payload's bytes must
     # not depend on the count the process starts with
     _set_blas_threads(1)
-    if "\0" in args.out:  # no path holds one; os raises ValueError, not OSError
-        print(f"soesn: I/O error: --out {args.out!r} holds a NUL byte", file=sys.stderr)
-        return EXIT_IO
+    for flag, path in (("--config", args.config), ("--out", args.out)):
+        if path and "\0" in path:  # no path holds one; os raises ValueError, not OSError
+            print(f"soesn: I/O error: {flag} {path!r} holds a NUL byte", file=sys.stderr)
+            return EXIT_IO
     path = existing = os.path.abspath(args.out)
     while not os.path.lexists(existing):  # the run makes every directory below it
         existing = os.path.dirname(existing)

@@ -280,12 +280,16 @@ class TestConfigHandling:
             assert read(outs[0] / name) == read(outs[1] / name)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
+        # it reaches the nested seed from flags alone, and under a config's
+        # topology object that gives no seed
         monkeypatch.setenv("SOESN_SEED", "123")
-        out = tmp_path / "env"
-        main(["generate", "--n", "20", "--tau", "150", "--out", str(out),
-              "--deterministic"])
-        echo = json.loads(read(out / "config.echo.json"))
-        assert echo["params"]["topology"]["seed"] == 123
+        config = _config_file(tmp_path, {"topology": {"n": 20}, "tau": 150})
+        for name, argv in [("flags", ["--n", "20", "--tau", "150"]),
+                           ("config", ["--config", config])]:
+            out = tmp_path / name
+            assert main(["generate", *argv, "--out", str(out), "--deterministic"]) == EXIT_OK
+            echo = json.loads(read(out / "config.echo.json"))
+            assert echo["params"]["topology"]["seed"] == 123
 
     def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOESN_SEED", "123")
@@ -701,8 +705,9 @@ class TestExitCodes:
         {"params": [1]},
         b"\xff\xfe{}",
         '{"rho": 1' + "0" * 5000 + "}",  # past Python's int-to-str digit limit
+        "[" * 100000,  # past the parser's recursion limit
     ], ids=["bad-json", "not-an-object", "command-mismatch", "params-not-an-object",
-            "not-utf-8", "oversized-int"])
+            "not-utf-8", "oversized-int", "nested-too-deeply"])
     def test_bad_config_file_is_config_error(self, command, content, tmp_path):
         if isinstance(content, dict) and "command" not in content:
             content = {"command": command, **content}
@@ -746,12 +751,22 @@ class TestExitCodes:
             assert "non-finite state at unit" in capsys.readouterr().err
 
     def test_nul_byte_in_out_is_io_error(self, tmp_path, monkeypatch, capsys):
-        # os raises ValueError, not OSError, for such a path
+        # os raises ValueError, not OSError, for such a path; --config is
+        # checked alike, as a missing --config is an I/O error too
         monkeypatch.chdir(tmp_path)
-        assert main(["generate", "--n", "20", "--tau", "150", "--out", "a\x00b"]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "I/O error" in err and "NUL" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        for flag in ("--out", "--config"):
+            assert main(["generate", "--n", "20", "--tau", "150", flag, "a\x00b"]) == EXIT_IO
+            err = capsys.readouterr().err
+            assert f"I/O error: {flag}" in err and "NUL" in err and "Traceback" not in err
+            assert list(tmp_path.iterdir()) == []
+
+    def test_flag_under_a_non_object_config_key_is_config_error(self, tmp_path, capsys):
+        # the flag is not written into the 5: the config's value is named
+        config = _config_file(tmp_path, {"command": "generate", "params": {"topology": 5}})
+        argv = ["generate", "--config", config, "--n", "20", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "generate.topology must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,target", [
         ("generate", "soesn.cli.build_weights"), ("sweep", "soesn.experiments.build_dense"),
@@ -792,6 +807,15 @@ class TestExitCodes:
         assert main([command, *SMALL_FLAGS[command], "--out", str(tmp_path / "o")]) \
             == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_integer_env_seed_is_unread_when_a_seed_is_given(self, source, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setenv("SOESN_SEED", "abc")
+        argv = ["--seed", "7"] if source == "flag" else ["--config", _config_file(
+            tmp_path, {"topology": {"n": 20, "seed": 7}, "tau": 150})]
+        assert main(["generate", *SMALL_FLAGS["generate"], *argv,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_existing_output_without_force_is_io_error(self, command, tmp_path):
