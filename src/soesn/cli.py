@@ -26,7 +26,7 @@ from .errors import ConfigError, InputError, NumericError
 from .numerics import _set_blas_threads
 from .oscillation import classify_trajectory
 from .reservoir import Reservoir, init_state
-from .seeding import ROLE_LEAK, ROLE_STATE, SEED_HELP, Seed, check_seed, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, SEED_HELP, Seed, derive_seed
 from .topology import (
     VALID_KINDS,
     ConfigFields,
@@ -36,11 +36,10 @@ from .topology import (
     sample_leak_vector,
 )
 from .experiments import (
+    MIN_TAU,
     InjectConfig,
     ReproduceConfig,
     SweepConfig,
-    _require,
-    _require_window,
     distribution_from_outcomes,
     injection_ratio_experiment,
     reproduce_with_prediction,
@@ -64,17 +63,11 @@ class GenerateConfig(ConfigFields):
     `svg`) draws the first `plot_units` units, at least one."""
 
     topology: TopologySpec = field(default_factory=TopologySpec)
-    rho: float = option(1.25, "target spectral radius")
-    leak: float = option(0.5, "constant leak rate")
-    tau: int = option(1000, "steps to run")
-    plot_units: int = option(5, "units drawn in the trace SVG")
+    rho: float = option(1.25, "target spectral radius", above=0.0)
+    leak: float = option(0.5, "constant leak rate", above=0.0, high=1.0)
+    tau: int = option(1000, "steps to run", low=MIN_TAU)
+    plot_units: int = option(5, "units drawn in the trace SVG", low=1)
     svg: bool = option(True, "emit the trace SVG")
-
-    def __post_init__(self):
-        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
-        _require_window(self.tau)
-        _require(self.plot_units >= 1, f"plot_units must be at least 1, got {self.plot_units}")
 
 
 @dataclass(frozen=True)
@@ -82,16 +75,10 @@ class TopologyDemoConfig(ConfigFields):
     """`soesn topology-demo`: every topology kind at `n` units and radius
     `rho`, run `tau` steps."""
 
-    n: int = 100
-    rho: float = 1.25
-    tau: int = 1000
+    n: int = option(100, low=1)
+    rho: float = option(1.25, above=0.0)
+    tau: int = option(1000, low=MIN_TAU)
     seed: Seed = option(0, SEED_HELP)
-
-    def __post_init__(self):
-        _require(self.n >= 1, "n must be at least 1")
-        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _require_window(self.tau)
-        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +137,8 @@ def _flag_type(kind):
 def build_parser() -> argparse.ArgumentParser:
     """One flag per config field: `--` and the field's name with `-` for
     `_` (or its _FLAG_NAMES entry), its dest the field's path, its help and
-    choices from the field's metadata. Unset flags stay out of the
-    namespace."""
+    choices from the field's metadata (its bounds stay there: ConfigFields
+    checks them). Unset flags stay out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="soesn",
         allow_abbrev=False,
@@ -185,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for trials, at least 1 (never changes results)")
         for path, f in _config_fields(cls):
             flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            options = dict(f.metadata)
+            options = {key: f.metadata.get(key) for key in ("help", "choices")}
             if f.type is bool:
                 options["action"] = argparse.BooleanOptionalAction
             elif not options.get("choices"):

@@ -22,7 +22,7 @@ from .numerics import _blas_threads, _radius_factors, _set_blas_threads, spectra
 from .oscillation import WINDOW, classify_states, classify_trajectory
 from .readout import predict, train_ridge
 from .reservoir import Reservoir, init_state, run_batch
-from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, SEED_HELP, Seed, check_seed, derive_seed
+from .seeding import ROLE_LEAK, ROLE_STATE, ROLE_WEIGHTS, SEED_HELP, Seed, derive_seed
 from .topology import (
     ConfigFields,
     TopologySpec,
@@ -55,21 +55,12 @@ def _map_trials(worker, tasks, jobs):
 
 
 # ---------------------------------------------------------------------------
-# Experiment configs: defaults and range checks, made once when built
+# Experiment configs: defaults and valid values, checked once when built
 # ---------------------------------------------------------------------------
 
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
-
-def _require_window(tau: int) -> None:
-    """A run of `tau` steps records tau + 1 rows, and the classifier needs
-    one full window of them."""
-    _require(tau + 1 >= WINDOW,
-             f"tau must be at least {WINDOW - 1} (tau + 1 samples fill the "
-             f"classifier window), got {tau}")
+# A run of `tau` steps records tau + 1 rows, and the classifier needs one
+# full window of them.
+MIN_TAU = WINDOW - 1
 
 
 @dataclass(frozen=True)
@@ -81,25 +72,17 @@ class SweepConfig(ConfigFields):
     that ran and its rerun builds the same config."""
 
     leak_values: tuple[float, ...] = option(tuple(round(0.05 * i, 10) for i in range(1, 21)),
-                                            "comma-separated leak grid")
+                                            "comma-separated leak grid", above=0.0, high=1.0)
     rho_values: tuple[float, ...] = option(tuple(round(0.1 * i, 10) for i in range(1, 31)),
-                                           "comma-separated rho grid")
-    trials: int = option(20, "reservoirs per cell")
-    n: int = 100
-    tau: int = 1000
-    cells: int | None = option(None, "cap the grid to about this many cells (smoke runs)")
+                                           "comma-separated rho grid", above=0.0)
+    trials: int = option(20, "reservoirs per cell", low=1)
+    n: int = option(100, low=1)
+    tau: int = option(1000, low=MIN_TAU)
+    cells: int | None = option(None, "cap the grid to about this many cells (smoke runs)", low=1)
     seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
-        _require(len(self.leak_values) > 0 and all(0 < a <= 1 for a in self.leak_values),
-                 f"leak values must be a non-empty list in (0, 1], got {self.leak_values}")
-        _require(len(self.rho_values) > 0 and all(r > 0 for r in self.rho_values),
-                 f"rho values must be a non-empty list of positives, got {self.rho_values}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        _require(self.n >= 1, "n must be at least 1")
-        _require_window(self.tau)
-        _require(self.cells is None or self.cells >= 1, "cells must be at least 1")
-        check_seed(self.seed)
+        super().__post_init__()
         if self.cells is not None:
             cols = min(self.cells, len(self.rho_values))
             rows = max(1, min(len(self.leak_values), self.cells // cols))
@@ -113,21 +96,13 @@ class InjectConfig(ConfigFields):
     dense reservoirs with and without the two-neuron ensemble, at radius
     `rho` and constant `leak`, run `tau` steps."""
 
-    populations: tuple[int, ...] = option((4, 10, 25, 50, 100), "comma-separated population sizes")
-    trials: int = 200
-    tau: int = 1000
-    rho: float = 1.25
-    leak: float = 0.5
+    populations: tuple[int, ...] = option((4, 10, 25, 50, 100), "comma-separated population sizes",
+                                          low=2)
+    trials: int = option(200, low=1)
+    tau: int = option(1000, low=MIN_TAU)
+    rho: float = option(1.25, above=0.0)
+    leak: float = option(0.5, above=0.0, high=1.0)
     seed: Seed = option(0, SEED_HELP)
-
-    def __post_init__(self):
-        _require(len(self.populations) > 0 and all(p >= 2 for p in self.populations),
-                 f"populations must be a non-empty list of sizes >= 2, got {self.populations}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _require(0 < self.leak <= 1, f"leak must lie in (0, 1], got {self.leak}")
-        _require_window(self.tau)
-        check_seed(self.seed)
 
 
 _TARGET_DT = {"sine": 1.0, "square": 0.01, "lorenz": 0.01}
@@ -151,46 +126,30 @@ class ReproduceConfig(ConfigFields):
     """
 
     leak_mu: float = 0.6
-    leak_sigma: float = 0.1
-    rho: float = 1.25
-    ridge_lambda: float = 1e-8
-    washout: int = 100
-    max_attempts: int = 10
+    leak_sigma: float = option(0.1, low=0.0)
+    rho: float = option(1.25, above=0.0)
+    ridge_lambda: float = option(1e-8, low=0.0)
+    washout: int = option(100, low=0)
+    max_attempts: int = option(10, low=0)
     standardize: bool = option(False, "standardize target dimensions before the fit")
     target: str = option("sine", choices=tuple(_TARGET_DT))
     mode: str = option("pure_sine", "sine flavour", _SINE_MODES)
     freq: float = option(0.05, "pure sine frequency (cycles per step)")
-    dt: float | None = option(None, "target sample spacing")
-    tau: int | None = option(None, "target steps (samples - 1)")
-    n: int = 500
-    sub_count: int = option(8, "sub-reservoir count (single run)")
-    coupling_scale: float = TopologySpec.coupling_scale
-    coupling_density: float = TopologySpec.coupling_density
+    dt: float | None = option(None, "target sample spacing", above=0.0)
+    tau: int | None = option(None, "target steps (samples - 1)", low=MIN_TAU)
+    n: int = option(500, low=1)
+    sub_count: int = option(8, "sub-reservoir count (single run)", low=1)
+    coupling_scale: float = option(TopologySpec.coupling_scale, low=0.0)
+    coupling_density: float = option(TopologySpec.coupling_density, low=0.0, high=1.0)
     sub_counts: tuple[int, ...] | None = option(
-        None, "comma-separated counts: run the boxplot sweep instead")
-    trials: int = option(30, "trials per count in sweep mode")
+        None, "comma-separated counts: run the boxplot sweep instead", low=1)
+    trials: int = option(30, "trials per count in sweep mode", low=1)
     seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
-        _require(self.leak_sigma >= 0, f"leak_sigma must be non-negative, got {self.leak_sigma}")
-        _require(self.rho > 0, f"rho must be positive, got {self.rho}")
-        _require(self.ridge_lambda >= 0,
-                 f"ridge_lambda must be non-negative, got {self.ridge_lambda}")
-        _require(self.washout >= 0, f"washout must be non-negative, got {self.washout}")
-        _require(self.max_attempts >= 0,
-                 f"max_attempts must be non-negative, got {self.max_attempts}")
-        _require(self.target in _TARGET_DT,
-                 f"unknown target {self.target!r}; choose from {sorted(_TARGET_DT)}")
-        _require(self.mode in _SINE_MODES,
-                 f"unknown sine mode {self.mode!r}; choose from {_SINE_MODES}")
-        _require(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
-        _require_window(self.target_tau)
-        _require(self.target_tau > self.washout,
-                 f"tau must exceed the washout {self.washout}, got {self.target_tau}")
-        _require(self.sub_counts is None or len(self.sub_counts) > 0,
-                 f"sub_counts must be a non-empty list, got {self.sub_counts}")
-        _require(self.trials >= 1, "trials must be at least 1")
-        check_seed(self.seed)
+        super().__post_init__()
+        if self.target_tau <= self.washout:
+            raise InputError(f"tau must exceed the washout {self.washout}, got {self.target_tau}")
         for m in self.sub_counts or (self.sub_count,):
             self.topology(m)
 
@@ -688,7 +647,8 @@ def subreservoir_count_outcomes(
     single block is the dense baseline of the weakly coupled layout): each
     count's reproduce_trials, all run in one pool. Summarize each count
     with distribution_from_outcomes."""
-    _require(config.sub_counts is not None, "subreservoir_count_outcomes needs sub_counts")
+    if config.sub_counts is None:
+        raise ConfigError("subreservoir_count_outcomes needs sub_counts")
     counts, k = config.sub_counts, config.trials
     trials = [trial for mi, m in enumerate(counts) for trial in
               _trials(replace(config, sub_count=m, seed=derive_seed(config.seed, mi)))]

@@ -149,8 +149,8 @@ def classify_trajectory(trajectory: StateTrajectory) -> OscillationReport:
 
 def dominant_frequency_hz(dominant_bin: int, dt: float) -> float:
     """Convert a bin of the WINDOW-sample periodogram to a frequency in Hz."""
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise InputError(f"dt must be finite and positive, got {dt}")
     if dominant_bin == 0:
         raise InputError("bin 0 is the DC component, not a frequency")
     if not 0 < dominant_bin <= WINDOW / 2:

@@ -60,8 +60,8 @@ def train_ridge(X, Y, ridge_lambda: float = 1e-8, washout: int = 100) -> Readout
         raise InputError("X and Y must be 2-D (rows are timesteps)")
     if X.shape[0] != Y.shape[0]:
         raise DimensionError(f"row mismatch: X has {X.shape[0]}, Y has {Y.shape[0]}")
-    if ridge_lambda < 0:
-        raise InputError("ridge parameter must be non-negative")
+    if not 0 <= ridge_lambda < np.inf:
+        raise InputError(f"ridge parameter must be finite and non-negative, got {ridge_lambda}")
     if washout < 0:
         raise InputError("washout must be non-negative")
     if X.shape[0] - washout < 2:

@@ -3,6 +3,7 @@
 calibrated two-neuron oscillator ensemble that can be spliced into any of
 them to seed oscillation."""
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -42,10 +43,46 @@ def _conforms(value, kind) -> bool:
     return isinstance(value, getattr(kind, "__supertype__", kind))  # a Seed is any int
 
 
-def option(default, help: str | None = None, choices=None):
+def option(default, help: str | None = None, choices=None, *, above=None, low=None, high=None):
     """A config field defaulting to `default`; `help` and `choices` are its
-    command-line flag's."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+    command-line flag's. Its valid values are `choices`, or the numbers
+    greater than `above` and within [`low`, `high`], each bound optional.
+    A tuple field must not be empty and holds each entry to them; None
+    always passes. ConfigFields checks them when a config is built."""
+    return field(default=default, metadata={"help": help, "choices": choices,
+                                            "above": above, "low": low, "high": high})
+
+
+@functools.cache
+def _declared(cls) -> tuple:
+    """(name, is a Seed, choices, above, low, high) of each field of the
+    config class `cls` but a nested config: the values its `option` declares."""
+    keys = ("choices", "above", "low", "high")
+    return tuple((f.name, f.type is Seed, *map(f.metadata.get, keys))
+                 for f in fields(cls) if not hasattr(f.type, "from_dict"))
+
+
+def _check_field(name: str, value, choices, above, low, high) -> None:
+    """Raise InputError, naming the field, the rule and the value, unless
+    `value` is one of the values the field's `option` declares and finite
+    if a float; a tuple's entries are checked one by one."""
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    if not items:
+        raise InputError(f"{name} must not be empty, got {value!r}")
+    for i, item in enumerate(items):
+        if isinstance(item, float) and not math.isfinite(item):
+            rule = "finite"
+        elif choices is not None and item not in choices:
+            rule = f"one of {list(choices)}"
+        elif ((above is not None and not item > above) or (low is not None and not item >= low)
+              or (high is not None and not item <= high)):
+            lo = f"({above}" if above is not None else f"[{low}" if low is not None else "(-inf"
+            hi = "inf)" if high is None else f"{high}]"
+            rule = f"in {lo}, {hi}"
+        else:
+            continue
+        where = f"{name}[{i}]" if items is value else name
+        raise InputError(f"{where} must be {rule}, got {item!r}")
 
 
 class ConfigFields:
@@ -59,7 +96,20 @@ class ConfigFields:
     class takes a nested object) or a value the class's own checks reject.
     A list is stored as a tuple, its numbers as given, so the built config
     equals and hashes like one built in code and echoes the same bytes.
+
+    Building a config, from JSON or in code, checks each field against the
+    values its `option` declares, a float against inf and NaN and a Seed
+    with check_seed; a subclass's `__post_init__` adds its cross-field
+    rules after `super().__post_init__()`.
     """
+
+    def __post_init__(self):
+        for name, seed, *declared in _declared(type(self)):
+            value = getattr(self, name)
+            if seed:
+                check_seed(value)
+            elif value is not None:
+                _check_field(name, value, *declared)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,30 +154,20 @@ class TopologySpec(ConfigFields):
     """
 
     kind: str = option("dense", "weight-matrix layout", VALID_KINDS)
-    n: int = option(100, "population size")
-    density: float = option(0.1, "sparse connection probability")
-    sub_count: int = option(1, "number of sub-reservoirs")
-    coupling_scale: float = 0.05
-    coupling_density: float = 0.05
+    n: int = option(100, "population size", low=1)
+    density: float = option(0.1, "sparse connection probability", above=0.0, high=1.0)
+    sub_count: int = option(1, "number of sub-reservoirs", low=1)
+    coupling_scale: float = option(0.05, low=0.0)
+    coupling_density: float = option(0.05, low=0.0, high=1.0)
     inject_ensemble: bool = option(False, "splice in the calibrated two-neuron ensemble")
     seed: Seed = option(0, SEED_HELP)
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise InputError(f"unknown topology kind {self.kind!r}; choose from {VALID_KINDS}")
-        if self.n < 1:
-            raise InputError("population n must be at least 1")
-        if not 0.0 < self.density <= 1.0:
-            raise InputError(f"density must lie in (0, 1], got {self.density}")
-        if not 1 <= self.sub_count <= self.n:
-            raise InputError(f"sub_count must lie in [1, n], got {self.sub_count}")
-        if self.coupling_scale < 0.0:
-            raise InputError("coupling_scale must be non-negative")
-        if not 0.0 <= self.coupling_density <= 1.0:
-            raise InputError(f"coupling_density must lie in [0, 1], got {self.coupling_density}")
+        super().__post_init__()
+        if self.sub_count > self.n:
+            raise InputError(f"sub_count must be <= n ({self.n}), got {self.sub_count}")
         if self.inject_ensemble and self.n < 2:
             raise InputError(f"the two-unit ensemble needs n >= 2, got n={self.n}")
-        check_seed(self.seed)
 
 
 def block_sizes(n: int, sub_count: int) -> list[int]:
@@ -177,8 +217,8 @@ def build_weakly_coupled(
     come back unscaled; build_weights rescales each one to the working
     spectral radius.
     """
-    if coupling_scale < 0.0:
-        raise InputError("coupling_scale must be non-negative")
+    if not 0.0 <= coupling_scale < math.inf:
+        raise InputError(f"coupling_scale must be finite and non-negative, got {coupling_scale}")
     if not 0.0 <= coupling_density <= 1.0:
         raise InputError(f"coupling_density must lie in [0, 1], got {coupling_density}")
     sizes = block_sizes(n, sub_count)
@@ -232,8 +272,10 @@ def sample_leak_vector(n: int, mu: float, sigma: float, seed: int) -> np.ndarray
     update keeps its convex-combination form."""
     if n < 1:
         raise InputError("need at least one unit")
-    if sigma < 0:
-        raise InputError("sigma must be non-negative")
+    if not math.isfinite(mu):
+        raise InputError(f"mu must be finite, got {mu}")
+    if not 0 <= sigma < math.inf:
+        raise InputError(f"sigma must be finite and non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     return np.clip(rng.normal(mu, sigma, size=n), 0.05, 1.0)
 

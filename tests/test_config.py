@@ -1,18 +1,24 @@
 """Properties of the six config classes, over generated values: the JSON
-echo round trip rebuilds an equal, hashable config; an out-of-range leak,
-radius, population or seed is rejected both when built in code and when
-read from JSON; and a JSON value of the wrong type is a ConfigError."""
+echo round trip rebuilds an equal, hashable config; a value outside a
+field's declared range or choices, an empty list and an out-of-range seed
+are rejected both when built in code and when read from JSON, and through
+the CLI exit 2 with a message naming the field; a non-finite float is
+rejected when built in code, as from JSON; and a JSON value of the wrong
+type is a ConfigError."""
 
+import contextlib
+import io
 import json
+import math
 import sys
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soesn import InjectConfig, ReproduceConfig, SweepConfig, TopologySpec
-from soesn.cli import GenerateConfig, TopologyDemoConfig
+from soesn.cli import EXIT_CONFIG, GenerateConfig, TopologyDemoConfig, main
 from soesn.errors import ConfigError, InputError
 from soesn.seeding import Seed
 from soesn.topology import VALID_KINDS
@@ -104,6 +110,16 @@ bad_leaks = st.one_of(_finite(max_value=0.0), _finite(min_value=1.0, exclude_min
                       st.integers(max_value=0), st.integers(min_value=2))
 bad_rhos = st.one_of(_finite(max_value=0.0), st.integers(max_value=0))
 bad_seeds = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+bad_taus = st.integers(max_value=98)  # tau + 1 rows must fill the 100-row window
+bad_counts = st.integers(max_value=0)
+bad_fractions = st.one_of(_finite(max_value=0.0, exclude_max=True),
+                          _finite(min_value=1.0, exclude_min=True), st.integers(min_value=2))
+negatives = st.one_of(_finite(max_value=0.0, exclude_max=True), st.integers(max_value=-1))
+empty = st.just(())
+
+
+def _not_in(choices):
+    return st.text("abcdefghijklmnopqrstuvwxyz_ ", max_size=12).filter(lambda t: t not in choices)
 
 
 def _spliced(good, bad):
@@ -123,19 +139,77 @@ OUT_OF_RANGE = [
     (ReproduceConfig, "rho", bad_rhos),
     (SweepConfig, "rho_values", _spliced(positives, bad_rhos)),
     (InjectConfig, "populations", _spliced(st.integers(2, 1000), st.integers(max_value=1))),
+    (GenerateConfig, "plot_units", bad_counts),
+    (TopologySpec, "kind", _not_in(VALID_KINDS)),
+    (TopologySpec, "density", bad_leaks),
+    (TopologySpec, "coupling_scale", negatives),
+    (TopologySpec, "coupling_density", bad_fractions),
+    (SweepConfig, "cells", bad_counts),
+    (SweepConfig, "leak_values", empty),
+    (SweepConfig, "rho_values", empty),
+    (InjectConfig, "populations", empty),
+    (ReproduceConfig, "sub_counts", empty),
+    (ReproduceConfig, "leak_sigma", negatives),
+    (ReproduceConfig, "ridge_lambda", negatives),
+    (ReproduceConfig, "washout", st.integers(max_value=-1)),
+    (ReproduceConfig, "max_attempts", st.integers(max_value=-1)),
+    (ReproduceConfig, "dt", bad_rhos),
+    (ReproduceConfig, "target", _not_in(("sine", "square", "lorenz"))),
+    (ReproduceConfig, "mode", _not_in(("pure_sine", "literal_ode"))),
 ] + [(cls, "seed", bad_seeds)
-     for cls in (TopologySpec, SweepConfig, InjectConfig, ReproduceConfig, TopologyDemoConfig)]
+     for cls in (TopologySpec, SweepConfig, InjectConfig, ReproduceConfig, TopologyDemoConfig)] \
+  + [(cls, "tau", bad_taus)
+     for cls in (GenerateConfig, SweepConfig, InjectConfig, ReproduceConfig, TopologyDemoConfig)] \
+  + [(cls, "n", bad_counts) for cls in (TopologySpec, SweepConfig, TopologyDemoConfig)] \
+  + [(cls, "trials", bad_counts) for cls in (SweepConfig, InjectConfig, ReproduceConfig)]
+OUT_OF_RANGE_IDS = [f"{cls.__name__}.{name}" + ("=()" if values is empty else "")
+                    for cls, name, values in OUT_OF_RANGE]
 
 
-@pytest.mark.parametrize("cls,name,values", OUT_OF_RANGE,
-                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in OUT_OF_RANGE])
+@pytest.mark.parametrize("cls,name,values", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
 @given(data=st.data())
 def test_out_of_range_value_is_rejected(cls, name, values, data):
     value = data.draw(values)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=rf"\b{name}\b"):
         cls(**{name: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         cls.from_dict(json.loads(json.dumps({name: value})))
+
+
+COMMANDS = {GenerateConfig: "generate", SweepConfig: "sweep", InjectConfig: "inject-experiment",
+            ReproduceConfig: "reproduce", TopologyDemoConfig: "topology-demo"}
+
+
+@pytest.mark.parametrize("cls,name,values", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_out_of_range_value_exits_2_naming_its_field(cls, name, values, data, tmp_path_factory):
+    # a TopologySpec field is read as generate's nested `topology` object
+    value = data.draw(values)
+    command, params, label = (("generate", {"topology": {name: value}}, "generate.topology")
+                              if cls is TopologySpec else (COMMANDS[cls], {name: value}, None))
+    folder = tmp_path_factory.mktemp("run")
+    config = folder / "config.json"
+    config.write_text(json.dumps({"command": command, "params": params}))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main([command, "--config", str(config), "--out", str(folder / "o")]) == EXIT_CONFIG
+    assert f"{label or command}: {name}" in err.getvalue()
+    assert not (folder / "o").exists()
+
+
+# every float field, a tuple of floats included, of the six config classes
+FLOAT_FIELDS = [(cls, f.name) for cls in (TopologySpec, *COMMANDS) for f in fields(cls)
+                if float in getattr(f.type, "__args__", (f.type,))]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_non_finite_float_is_rejected_when_built_in_code(cls, name, bad):
+    # such a config used to build and echo `Infinity`, which from_dict refuses
+    value = (0.5, bad) if isinstance(getattr(cls, name, None), tuple) else bad
+    with pytest.raises(InputError, match=rf"\b{name}\b.* must be finite"):
+        cls(**{name: value})
 
 
 strings = st.sampled_from(["", "1", "1.5", "true", "abc"])

@@ -171,6 +171,12 @@ class TestDominantFrequency:
         with pytest.raises(InputError):
             dominant_frequency_hz(51, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_dt_outside_its_range_rejected(self, dt):
+        # NaN used to give a NaN frequency and inf a frequency of 0.0
+        with pytest.raises(InputError, match="dt"):
+            dominant_frequency_hz(10, dt)
+
 
 class TestLeakFrequencyRelation:
     def test_higher_leak_oscillates_faster(self):

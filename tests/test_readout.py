@@ -87,6 +87,12 @@ class TestTrainRidge:
         with pytest.raises(InputError):
             train_ridge(np.ones((10, 2)), np.ones((10, 1)), ridge_lambda=-1.0)
 
+    @pytest.mark.parametrize("ridge_lambda", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, ridge_lambda):
+        # NaN used to come back as train_nrmse [nan], inf as a RuntimeWarning
+        with pytest.raises(InputError, match="ridge parameter"):
+            train_ridge(np.ones((10, 2)), np.ones((10, 1)), ridge_lambda=ridge_lambda, washout=0)
+
     def test_ridge_residual_monotone_in_lambda(self, rng):
         X = rng.normal(0, 1, (120, 15))
         Y = rng.normal(0, 1, (120, 2))

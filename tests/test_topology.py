@@ -128,6 +128,11 @@ class TestWeaklyCoupled:
                 W = build_weakly_coupled(n, m, scale, density, seed)
                 assert W.tobytes() == expected.tobytes(), (scale, density, seed)
 
+    @pytest.mark.parametrize("scale", [-0.1, np.inf, np.nan])
+    def test_coupling_scale_outside_its_range_rejected(self, scale):
+        with pytest.raises(InputError, match="coupling_scale"):
+            build_weakly_coupled(8, 2, scale, 0.5, seed=0)
+
     def test_coupling_bounds_and_fraction(self):
         W = build_weakly_coupled(100, 4, 0.05, 0.05, seed=5)
         mask = np.zeros((100, 100), dtype=bool)
@@ -225,6 +230,13 @@ class TestSampleLeakVector:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InputError):
             sample_leak_vector(5, 0.6, -0.1, seed=0)
+
+    @pytest.mark.parametrize("mu,sigma", [(0.5, np.nan), (0.5, np.inf), (np.nan, 0.1),
+                                          (-np.inf, 0.1)])
+    def test_non_finite_sigma_or_mu_rejected(self, mu, sigma):
+        # a NaN sigma used to give NaN leaks, outside the promised [0.05, 1]
+        with pytest.raises(InputError):
+            sample_leak_vector(5, mu, sigma, seed=0)
 
 
 class TestBuildWeights:
