@@ -34,6 +34,7 @@ from .topology import (
     build_weights,
     option,
     sample_leak_vector,
+    unwrap,
 )
 from .experiments import (
     MIN_TAU,
@@ -118,20 +119,19 @@ def _config_fields(cls, prefix=""):
             yield prefix + f.name, f
 
 
-def _flag_type(kind):
-    """The argparse type of a config field annotated `kind`; a `T | None`
-    field takes `none` to clear it."""
-    if getattr(kind, "__origin__", None) is tuple:  # tuple[T, ...]
-        return _list_of(kind.__args__[0])
-    if hasattr(kind, "__args__"):  # T | None
-        parse = _flag_type(kind.__args__[0])
+def _flag_type(annotation):
+    """The argparse type of a config field annotated `annotation`; a
+    `T | None` field takes `none` to clear it."""
+    kind, many, optional = unwrap(annotation)
+    parse = _list_of(kind) if many else getattr(kind, "__supertype__", kind)  # a Seed is an int
+    if not optional:
+        return parse
 
-        def optional(text: str):
-            return None if text == "none" else parse(text)
+    def clearable(text: str):
+        return None if text == "none" else parse(text)
 
-        optional.__name__ = parse.__name__  # argparse names it in errors
-        return optional
-    return getattr(kind, "__supertype__", kind)  # a Seed is an int
+    clearable.__name__ = parse.__name__  # argparse names it in errors
+    return clearable
 
 
 def build_parser() -> argparse.ArgumentParser:

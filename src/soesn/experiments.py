@@ -463,8 +463,8 @@ def gen_lorenz(
     samples of (x, y, z)."""
     if tau < 2:
         raise InputError("tau must be at least 2")
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise InputError(f"dt must be finite and positive, got {dt}")
     state = np.asarray(x0, dtype=float)
     if state.shape != (3,):
         raise InputError("x0 must have three components")

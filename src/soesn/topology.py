@@ -25,19 +25,26 @@ TWO_NEURON_ENSEMBLE = np.array([[1.0, 1.0], [-1.0, 1.0]]) * (1.25 / np.sqrt(2.0)
 TWO_NEURON_ENSEMBLE.setflags(write=False)
 
 
+def unwrap(annotation) -> tuple:
+    """(kind, many, optional) of a config field's annotation: `T | None` is
+    an optional T, `tuple[T, ...]` holds many T, and the kind T is int,
+    float, bool, str, Seed or a config class."""
+    args = getattr(annotation, "__args__", ())
+    optional = type(None) in args
+    if optional:  # T | None
+        (annotation,) = set(args) - {type(None)}
+    many = getattr(annotation, "__origin__", None) is tuple
+    if many:  # tuple[T, ...]
+        annotation = annotation.__args__[0]
+    return annotation, many, optional
+
+
 def _conforms(value, kind) -> bool:
-    if getattr(kind, "__origin__", None) is tuple:  # tuple[T, ...]: a JSON list
-        element = kind.__args__[0]
-        return isinstance(value, (list, tuple)) and all(_conforms(v, element) for v in value)
-    if hasattr(kind, "__args__"):  # T | None
-        return any(_conforms(value, k) for k in kind.__args__)
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:  # an int counts if a double can hold it
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:
-            return False
+    """Whether `value` is of the field kind `kind` (see unwrap)."""
+    if isinstance(value, bool) or kind is bool:  # a bool is not an int
+        return kind is bool and isinstance(value, bool)
+    if kind is float and isinstance(value, int):  # if a double can hold it
+        return abs(value) <= sys.float_info.max
     if kind is int:  # it sizes an array or a loop, which stop at sys.maxsize
         return isinstance(value, int) and value <= sys.maxsize
     return isinstance(value, getattr(kind, "__supertype__", kind))  # a Seed is any int
@@ -48,29 +55,32 @@ def option(default, help: str | None = None, choices=None, *, above=None, low=No
     command-line flag's. Its valid values are `choices`, or the numbers
     greater than `above` and within [`low`, `high`], each bound optional.
     A tuple field must not be empty and holds each entry to them; None
-    always passes. ConfigFields checks them when a config is built."""
+    passes only an optional field. ConfigFields checks them."""
     return field(default=default, metadata={"help": help, "choices": choices,
                                             "above": above, "low": low, "high": high})
 
 
 @functools.cache
 def _declared(cls) -> tuple:
-    """(name, is a Seed, choices, above, low, high) of each field of the
-    config class `cls` but a nested config: the values its `option` declares."""
+    """(name, kind, many, optional, choices, above, low, high) of each field
+    of the config class `cls`: its unwrapped annotation and the values its
+    `option` declares."""
     keys = ("choices", "above", "low", "high")
-    return tuple((f.name, f.type is Seed, *map(f.metadata.get, keys))
-                 for f in fields(cls) if not hasattr(f.type, "from_dict"))
+    return tuple((f.name, *unwrap(f.type), *map(f.metadata.get, keys)) for f in fields(cls))
 
 
-def _check_field(name: str, value, choices, above, low, high) -> None:
-    """Raise InputError, naming the field, the rule and the value, unless
-    `value` is one of the values the field's `option` declares and finite
-    if a float; a tuple's entries are checked one by one."""
-    items = value if isinstance(value, (tuple, list)) else (value,)
-    if not items:
-        raise InputError(f"{name} must not be empty, got {value!r}")
+def _check_field(name: str, value, kind, many, optional, choices, above, low, high):
+    """`value` as the field stores it, a list as a tuple; InputError, naming
+    the field, the rule and the value, if it breaks a rule of ConfigFields."""
+    if value is None and optional:
+        return value
+    if many and not (isinstance(value, (list, tuple)) and value):
+        raise InputError(f"{name} must be a non-empty list, got {value!r}")
+    items = tuple(value) if many else (value,)
     for i, item in enumerate(items):
-        if isinstance(item, float) and not math.isfinite(item):
+        if not _conforms(item, kind):
+            rule = getattr(kind, "__supertype__", kind).__name__
+        elif isinstance(item, float) and not math.isfinite(item):
             rule = "finite"
         elif choices is not None and item not in choices:
             rule = f"one of {list(choices)}"
@@ -81,35 +91,34 @@ def _check_field(name: str, value, choices, above, low, high) -> None:
             rule = f"in {lo}, {hi}"
         else:
             continue
-        where = f"{name}[{i}]" if items is value else name
+        where = f"{name}[{i}]" if many else name
         raise InputError(f"{where} must be {rule}, got {item!r}")
+    if kind is Seed:
+        check_seed(value)
+    return items if many else value
 
 
 class ConfigFields:
-    """JSON round trip for a config dataclass.
+    """One check and a JSON round trip for a config dataclass.
+
+    Building a config, in code or from JSON, checks each field once: its
+    type (a bool is not an int, an int other than a Seed is at most
+    sys.maxsize, an int is a float if a double can hold it, a float must be
+    finite, a tuple field takes a non-empty list, and None only an optional
+    field), then the values its `option` declares, and a Seed with
+    check_seed. A list is stored as a tuple, its numbers as given, so a
+    config equals, hashes and echoes alike however it was built. A
+    subclass's `__post_init__` adds its cross-field rules after
+    `super().__post_init__()`.
 
     `to_dict` is the payload a run echoes. `from_dict` fills omitted fields
-    from the defaults and raises ConfigError for an unknown field, a value
-    of the wrong type (a bool is not an int, an int other than a Seed is at
-    most sys.maxsize, an int is a float if a double can hold it, a float
-    must be finite, a list is a tuple, and a field typed as another config
-    class takes a nested object) or a value the class's own checks reject.
-    A list is stored as a tuple, its numbers as given, so the built config
-    equals and hashes like one built in code and echoes the same bytes.
-
-    Building a config, from JSON or in code, checks each field against the
-    values its `option` declares, a float against inf and NaN and a Seed
-    with check_seed; a subclass's `__post_init__` adds its cross-field
-    rules after `super().__post_init__()`.
+    from the defaults, reads a nested object with its class's `from_dict`
+    and raises ConfigError for an unknown field or a value the check rejects.
     """
 
     def __post_init__(self):
-        for name, seed, *declared in _declared(type(self)):
-            value = getattr(self, name)
-            if seed:
-                check_seed(value)
-            elif value is not None:
-                _check_field(name, value, *declared)
+        for name, *declared in _declared(type(self)):
+            object.__setattr__(self, name, _check_field(name, getattr(self, name), *declared))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,22 +132,10 @@ class ConfigFields:
         unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
-        values = {}
-        for name, value in data.items():
-            kind = kinds[name]
-            if hasattr(kind, "from_dict"):
-                value = kind.from_dict(value, f"{label}.{name}")
-            elif not _conforms(value, kind):
-                expected = getattr(kind, "__supertype__", kind)
-                expected = expected.__name__ if isinstance(expected, type) else expected
-                raise ConfigError(f"{label}.{name} must be {expected}, got {value!r}")
-            elif isinstance(value, list):  # only tuple fields take one
-                value = tuple(value)
-            values[name] = value
+        values = {name: kinds[name].from_dict(value, f"{label}.{name}")
+                  if hasattr(kinds[name], "from_dict") else value for name, value in data.items()}
         try:
             return cls(**values)
-        except ConfigError:
-            raise
         except InputError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
 

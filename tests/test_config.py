@@ -3,8 +3,9 @@ echo round trip rebuilds an equal, hashable config; a value outside a
 field's declared range or choices, an empty list and an out-of-range seed
 are rejected both when built in code and when read from JSON, and through
 the CLI exit 2 with a message naming the field; a non-finite float is
-rejected when built in code, as from JSON; and a JSON value of the wrong
-type is a ConfigError."""
+rejected when built in code, as from JSON; a value of the wrong type is
+rejected naming its field, built in code or read from JSON; and every
+field has a type the check knows."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from soesn import InjectConfig, ReproduceConfig, SweepConfig, TopologySpec
 from soesn.cli import EXIT_CONFIG, GenerateConfig, TopologyDemoConfig, main
 from soesn.errors import ConfigError, InputError
 from soesn.seeding import Seed
-from soesn.topology import VALID_KINDS
+from soesn.topology import VALID_KINDS, ConfigFields, unwrap
 
 
 def _finite(**bounds):
@@ -215,30 +217,27 @@ def test_non_finite_float_is_rejected_when_built_in_code(cls, name, bad):
 strings = st.sampled_from(["", "1", "1.5", "true", "abc"])
 
 
-def _wrong_values(kind):
-    """JSON values of the wrong type for a field typed `kind`: a string,
-    list or object where a number belongs, true or 1.5 where an int
+def _wrong_values(annotation):
+    """JSON values of the wrong type for a field annotated `annotation`: a
+    string, list or object where a number belongs, true or 1.5 where an int
     belongs, an int above sys.maxsize where an int other than a Seed
-    belongs, a number where a string, a list or an object belongs, and
-    null unless the field is optional."""
-    seed = kind is Seed
-    kind = getattr(kind, "__supertype__", kind)
-    options = getattr(kind, "__args__", ()) if getattr(kind, "__origin__", None) is None else ()
-    optional = type(None) in options
-    if optional:
-        (kind,) = [k for k in options if k is not type(None)]
+    belongs, an int beyond a double where a float belongs, a number where a
+    string, a list or an object belongs, and null unless the field is
+    optional."""
+    kind, many, optional = unwrap(annotation)
     wrong = [] if optional else [st.none()]
-    if getattr(kind, "__origin__", None) is tuple:  # a JSON list of kind.__args__[0]
-        element = kind.__args__[0]
+    if many:  # a JSON list of kind
         wrong += [strings, st.integers(), st.just({"v": 1}), st.booleans(),
-                  st.tuples(_wrong_values(element).filter(lambda v: v is not None)).map(list)]
-    elif kind in (int, float):
+                  st.tuples(_wrong_values(kind).filter(lambda v: v is not None)).map(list)]
+    elif kind in (int, float, Seed):
         wrong += [strings, st.lists(st.integers(), max_size=2),
                   st.just({"v": 1}), st.booleans()]
-        if kind is int:
+        if kind is float:
+            wrong.append(st.just(2**1024))
+        else:
             wrong += [st.just(1.5), _finite().filter(lambda v: v != int(v))]
-            if not seed:  # a size or a count: numpy and range stop at sys.maxsize
-                wrong.append(st.integers(min_value=sys.maxsize + 1))
+        if kind is int:  # a size or a count: numpy and range stop at sys.maxsize
+            wrong.append(st.integers(min_value=sys.maxsize + 1))
     elif kind is bool:
         wrong += [strings, st.integers(), st.just(1.5), st.just([True])]
     elif kind is str:
@@ -251,12 +250,45 @@ def _wrong_values(kind):
 
 WRONG_TYPED = [TopologySpec, GenerateConfig, SweepConfig, InjectConfig, ReproduceConfig,
                TopologyDemoConfig]
+# values of the wrong type that JSON cannot carry: a dict where a config
+# belongs (from_dict reads a JSON object into one), and numpy scalars,
+# which a config could never echo as JSON
+WRONG_IN_CODE = {
+    GenerateConfig: {"topology": ({"n": 5}, "topology must be TopologySpec")},
+    TopologySpec: {"n": (np.int64(5), "n must be int"),
+                   "inject_ensemble": (np.bool_(True), "inject_ensemble must be bool")},
+}
 
 
 @pytest.mark.parametrize("cls", WRONG_TYPED, ids=[cls.__name__ for cls in WRONG_TYPED])
 @given(data=st.data())
 def test_wrong_typed_value_is_a_config_error(cls, data):
+    # the same check whether a config is built in code or read from JSON
     for f in fields(cls):
-        value = data.draw(_wrong_values(f.type), label=f.name)
+        value = json.loads(json.dumps(data.draw(_wrong_values(f.type), label=f.name)))
         with pytest.raises(ConfigError, match=f.name):
-            cls.from_dict(json.loads(json.dumps({f.name: value})))
+            cls.from_dict({f.name: value})
+        with pytest.raises(InputError, match=f.name) as raised:
+            cls(**{f.name: value})
+        if isinstance(value, float) and unwrap(f.type)[0] in (int, Seed):
+            assert f"{f.name} must be int" in str(raised.value)
+    for name, (value, message) in WRONG_IN_CODE.get(cls, {}).items():
+        with pytest.raises(InputError, match=message):
+            cls(**{name: value})
+
+
+def test_a_list_is_stored_as_a_tuple():
+    assert SweepConfig(leak_values=[0.5]) == SweepConfig(leak_values=(0.5,))
+    assert hash(SweepConfig(leak_values=[0.5])) == hash(SweepConfig(leak_values=(0.5,)))
+
+
+@pytest.mark.parametrize("cls", WRONG_TYPED, ids=[cls.__name__ for cls in WRONG_TYPED])
+def test_every_field_has_a_kind_the_check_knows(cls):
+    # a field typed list[int] or dict would otherwise pass unchecked
+    for f in fields(cls):
+        kind = unwrap(f.type)[0]
+        assert kind in (int, float, bool, str, Seed) or issubclass(kind, ConfigFields), f.name
+        if f.metadata.get("choices") is not None:
+            assert kind is str, f.name
+        if any(f.metadata.get(key) is not None for key in ("above", "low", "high")):
+            assert kind in (int, float, Seed), f.name

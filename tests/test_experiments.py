@@ -302,6 +302,12 @@ class TestLorenz:
         with pytest.raises(NumericError, match="step"):
             gen_lorenz(1000, dt=1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, dt):
+        # a NaN or infinite step used to pass and "diverge" at step 1
+        with pytest.raises(InputError, match="dt must be finite and positive"):
+            gen_lorenz(10, dt=dt)
+
     def test_default_parameters_match_paper_setup(self):
         target = gen_lorenz(2)
         assert np.array_equal(target.values[0], [0.0, 1.0, 1.05])
