@@ -22,7 +22,6 @@ from .experiments import (
     ReproduceConfig,
     SubCountDistribution,
     SweepConfig,
-    SweepResult,
     TargetSignal,
     TrialOutcome,
     distribution_from_outcomes,

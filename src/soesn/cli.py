@@ -245,15 +245,18 @@ def _timestamp(args) -> str | None:
 
 
 def _prepare_out(args, *names: str) -> list[str]:
-    """The paths of the command's output files `names` in --out, which is
-    made if missing; refuses to overwrite any of them, or the echo, without
-    --force."""
+    """The paths in --out, which is made if missing, of `names`: every file
+    the command can write. Refuses to overwrite any of them, or the echo,
+    without --force; with it, deletes each that exists, the echo first, so
+    no echo is left beside payloads its run did not write."""
     os.makedirs(args.out, exist_ok=True)
     existing = [name for name in (ECHO, *names) if os.path.exists(os.path.join(args.out, name))]
     if existing and not args.force:
         raise FileExistsError(
             f"refusing to overwrite {existing} in {args.out}; pass --force to allow"
         )
+    for name in existing:
+        os.remove(os.path.join(args.out, name))
     return [os.path.join(args.out, name) for name in names]
 
 
@@ -342,8 +345,9 @@ def _run_and_write(args, config, spec: TopologySpec, leak, paths, head: dict,
 
 def cmd_generate(args, config: GenerateConfig) -> str:
     spec = config.topology
-    paths = _prepare_out(args, "trajectory.csv", "oscillation.json",
-                         *(["traces.svg"] if config.svg else []))
+    paths = _prepare_out(args, "trajectory.csv", "oscillation.json", "traces.svg")
+    if not config.svg:
+        paths.pop()
     report = _run_and_write(args, config, spec, config.leak, paths, {}, config.plot_units,
                             f"unit traces (n={spec.n}, rho={config.rho}, leak={config.leak})")
     verdict = "self-oscillatory" if report.reservoir_is_self_oscillatory else "damped"
@@ -352,16 +356,16 @@ def cmd_generate(args, config: GenerateConfig) -> str:
 
 def cmd_sweep(args, config: SweepConfig) -> str:
     csv_path, svg_path = _prepare_out(args, "sweep.csv", "heatmap.svg")
-    result = sweep_heatmap(config, jobs=args.jobs)
+    grid = sweep_heatmap(config, jobs=args.jobs)
 
-    # a JSON config may give the grid as integers; the rows are floats
+    # rows of Python floats: a JSON grid may hold ints, and repr names a numpy float's type
     _write_csv(csv_path, _metadata(args, config),
                ("leak", "rho", "ratio", "trials"),
-               ((float(leak), float(rho), result.ratio(li, ri), config.trials)
+               ((float(leak), float(rho), float(grid[li, ri]), config.trials)
                 for li, leak in enumerate(config.leak_values)
                 for ri, rho in enumerate(config.rho_values)))
     svgplot.heatmap(
-        svg_path, result.grid,
+        svg_path, grid,
         list(config.rho_values), list(config.leak_values),
         f"self-oscillation ratio (n={config.n}, trials={config.trials})",
         "spectral radius", "leak rate", timestamp=_timestamp(args),
@@ -391,13 +395,14 @@ def cmd_inject(args, config: InjectConfig) -> str:
 
 def cmd_reproduce(args, config: ReproduceConfig) -> str:
     target = config.target_signal()
+    paths = _prepare_out(args, "nrmse.json", "overlay.svg",
+                         "boxplot.csv", "trials.jsonl", "summary.json")
     if config.sub_counts:
-        return _reproduce_sweep(args, config, target)
-    return _reproduce_single(args, config, target)
+        return _reproduce_sweep(args, config, target, *paths[2:])
+    return _reproduce_single(args, config, target, *paths[:2])
 
 
-def _reproduce_single(args, config, target) -> str:
-    json_path, svg_path = _prepare_out(args, "nrmse.json", "overlay.svg")
+def _reproduce_single(args, config, target, json_path, svg_path) -> str:
     outcome, prediction = reproduce_with_prediction(config, target)
 
     payload = {"metadata": _metadata(args, config), "target": target.name} | asdict(outcome)
@@ -422,9 +427,7 @@ def _reproduce_single(args, config, target) -> str:
     return f"reproduce[{target.name}]: {status}; outputs in {args.out}"
 
 
-def _reproduce_sweep(args, config, target) -> str:
-    csv_path, jsonl_path, summary_path = _prepare_out(
-        args, "boxplot.csv", "trials.jsonl", "summary.json")
+def _reproduce_sweep(args, config, target, csv_path, jsonl_path, summary_path) -> str:
     per_count = subreservoir_count_outcomes(config, target, jobs=args.jobs)
     distributions = [distribution_from_outcomes(m, outs) for m, outs in per_count]
 

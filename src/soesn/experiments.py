@@ -291,21 +291,10 @@ def _self_oscillatory(tasks, rho, leak, injected, tau: int, jobs: int) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Fraction of self-oscillatory reservoirs per (leak, rho) cell of the
-    swept config's grid."""
-
-    grid: np.ndarray
-    config: SweepConfig
-
-    def ratio(self, leak_index: int, rho_index: int) -> float:
-        return float(self.grid[leak_index, rho_index])
-
-
-def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
+def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> np.ndarray:
     """Monte-Carlo oscillation ratio over the (leak, spectral radius) grid
-    of `config`.
+    of `config`: the fraction of self-oscillatory reservoirs per cell, a
+    (len(leak_values), len(rho_values)) array.
 
     Common random numbers: trial t draws one dense base matrix and one
     initial state (from derive_seed(seed, t)), and every cell runs them,
@@ -324,7 +313,7 @@ def sweep_heatmap(config: SweepConfig, jobs: int = 1) -> SweepResult:
     leak, rho = zip(*product(leaks, rhos))
     flags = _self_oscillatory(tasks, rho, leak, (False,) * len(rho), config.tau, jobs)
     # the mean of 0/1 flags is exact, so it equals count / trials bit for bit
-    return SweepResult(flags.mean(axis=0).reshape(len(leaks), len(rhos)), config)
+    return flags.mean(axis=0).reshape(len(leaks), len(rhos))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def spectral_radius(W) -> float:
         return float(np.abs(np.linalg.eigvals(W)).max())
     components = _strong_components(W)
     if components is None:
-        return _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER)
+        return _arnoldi_radius(W)
     return max((spectral_radius(W[np.ix_(c, c)]) for c in components), default=0.0)
 
 
@@ -105,19 +105,19 @@ def _reaches_all(A: np.ndarray) -> bool:
     return bool(reached.all())
 
 
-def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
+def _arnoldi_radius(W: np.ndarray) -> float:
     """Arnoldi iteration with explicit restarts: repeated matrix-vector
     products build a Krylov subspace whose projected eigenvalues
     approximate the dominant ones. The random matrices used here typically
     carry a complex dominant pair with clustered top moduli, which defeats
     plain power iteration but is routine for a Krylov space sized with the
     matrix. Convergence is declared when the dominant Ritz pair's residual
-    drops below `tol` relative to the estimate; `max_iter` caps the total
-    number of matrix-vector products across restarts.
+    drops below ARNOLDI_TOL relative to the estimate; ARNOLDI_MAX_ITER caps
+    the total number of matrix-vector products across restarts.
 
     That residual is a backward error: the estimate is an exact eigenvalue
-    modulus of a matrix within tol * estimate of W in the 2-norm. For a
-    non-normal W the radius itself can be off by far more than tol.
+    modulus of a matrix within ARNOLDI_TOL * estimate of W in the 2-norm.
+    For a non-normal W the radius itself can be off by far more.
 
     Raises NumericError (reporting the last estimate) if the cap is reached
     without convergence.
@@ -131,7 +131,7 @@ def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
     floor = 1e-12 * float(np.max(np.abs(W)))
     estimate = 0.0
     matvecs = 0
-    while matvecs < max_iter:
+    while matvecs < ARNOLDI_MAX_ITER:
         V = np.empty((n, m + 1))
         H = np.zeros((m + 1, m))
         V[:, 0] = v
@@ -162,7 +162,7 @@ def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
             return estimate
         y = _ritz_vector(H[:k, :k], theta)
         residual = H[k, k - 1] * abs(y[-1])
-        if residual <= tol * max(estimate, floor):
+        if residual <= ARNOLDI_TOL * max(estimate, floor):
             return estimate
         # restart from the dominant Ritz vector (its real span carries a
         # complex pair just as well)
@@ -174,7 +174,7 @@ def _arnoldi_radius(W: np.ndarray, tol: float, max_iter: int) -> float:
             norm = np.linalg.norm(v)
         v = v / norm
     raise NumericError(
-        f"spectral radius did not converge within {max_iter} matrix-vector "
+        f"spectral radius did not converge within {ARNOLDI_MAX_ITER} matrix-vector "
         f"products (last estimate {estimate!r})"
     )
 
@@ -209,16 +209,17 @@ def _radius_factors(radius: float, rho_target):
     """The factors `rho_target / radius` that take a matrix of spectral
     radius `radius` to the radii `rho_target` (a number or an array). Raises
     InputError for a non-positive target and CannotScaleError for a radius
-    too close to zero to rescale or a factor too large for a float."""
+    too close to zero to rescale or a factor beyond float32's finite range,
+    which the state update (run in float32) would round to inf."""
     if not np.all(rho_target > 0):  # NaN is not positive either
         raise InputError(f"target spectral radius must be positive, got {np.min(rho_target)}")
     if radius < 1e-12:
         raise CannotScaleError(f"spectral radius {radius!r} is too close to zero to rescale")
     with np.errstate(over="ignore"):
         factors = rho_target / radius
-    if not np.all(np.isfinite(factors)):
+    if not np.all(factors <= float(np.finfo(np.float32).max)):
         raise CannotScaleError(
-            f"the scale factor to radius {float(np.max(rho_target))!r} overflows"
+            f"the scale factor to radius {float(np.max(rho_target))!r} overflows float32"
         )
     return factors
 

@@ -10,7 +10,7 @@ The rule is fixed (WINDOW, AMPLITUDE_FLOOR, PEAK_SHARE) and every report
 records it.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,23 +45,11 @@ class OscillationReport:
         return [u.dominant_bin for u in self.per_unit if u.is_oscillating]
 
     def to_json_dict(self) -> dict:
-        return {
-            "per_unit": [
-                {
-                    "is_oscillating": u.is_oscillating,
-                    "dominant_bin": u.dominant_bin,
-                    "tail_stddev": u.tail_stddev,
-                }
-                for u in self.per_unit
-            ],
-            "reservoir_is_self_oscillatory": self.reservoir_is_self_oscillatory,
-            "phase_locked": self.phase_locked,
-            "window": WINDOW,
-            "thresholds": {
-                "amplitude_floor": AMPLITUDE_FLOOR,
-                "peak_share": PEAK_SHARE,
-            },
-        }
+        """The report's fields, each tuple as a list, plus the rule applied."""
+        report = asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value for key, value in items})
+        thresholds = {"amplitude_floor": AMPLITUDE_FLOOR, "peak_share": PEAK_SHARE}
+        return report | {"window": WINDOW, "thresholds": thresholds}
 
 
 def classify_unit(signal) -> UnitClassification:

@@ -86,18 +86,13 @@ class Reservoir:
     def n(self) -> int:
         return self.W.shape[0]
 
-    def step(self) -> "Reservoir":
-        """Advance the state one tick: run(1), keeping only the new state."""
-        self.run(1)
-        return self
-
     def run(self, tau: int) -> "StateTrajectory":
         """Advance `tau` ticks, recording every state including the initial one.
 
         The width-1 case of run_batch's loop, on the weights as they are.
         The reservoir is left at the final state, so consecutive runs
         concatenate: run(a) then run(b) visits the same states as run(a+b),
-        and both give the same bits as `tau` calls of step(). A non-finite
+        and both give the same bits as `tau` calls of run(1). A non-finite
         state raises a NumericError naming the first failing step and unit,
         and leaves the reservoir at the last finite state.
         """

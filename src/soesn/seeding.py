@@ -2,7 +2,7 @@
 
 from typing import NewType
 
-from .errors import InputError
+from .errors import InputError, _shown
 
 _MASK = (1 << 64) - 1
 
@@ -24,7 +24,7 @@ def check_seed(seed: int) -> None:
     """A base seed names one stream only if derive_seed never masks it: it
     must lie in [0, 2**64)."""
     if not 0 <= seed <= _MASK:
-        raise InputError(f"seed must lie in [0, 2**64), got {seed}")
+        raise InputError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
 
 
 def _splitmix64(z: int) -> int:

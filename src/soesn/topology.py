@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _shown
 from .numerics import _radius_factors, spectral_radius
 from .seeding import SEED_HELP, Seed, check_seed
 
@@ -75,7 +75,7 @@ def _check_field(name: str, value, kind, many, optional, choices, above, low, hi
     if value is None and optional:
         return value
     if many and not (isinstance(value, (list, tuple)) and value):
-        raise InputError(f"{name} must be a non-empty list, got {value!r}")
+        raise InputError(f"{name} must be a non-empty list, got {_shown(value)}")
     items = tuple(value) if many else (value,)
     for i, item in enumerate(items):
         if not _conforms(item, kind):
@@ -92,7 +92,7 @@ def _check_field(name: str, value, kind, many, optional, choices, above, low, hi
         else:
             continue
         where = f"{name}[{i}]" if many else name
-        raise InputError(f"{where} must be {rule}, got {item!r}")
+        raise InputError(f"{where} must be {rule}, got {_shown(item)}")
     if kind is Seed:
         check_seed(value)
     return items if many else value
@@ -127,7 +127,7 @@ class ConfigFields:
     def from_dict(cls, data, label: str | None = None):
         label = label or cls.__name__
         if not isinstance(data, dict):
-            raise ConfigError(f"{label} must be a JSON object, got {data!r}")
+            raise ConfigError(f"{label} must be a JSON object, got {_shown(data)}")
         kinds = {f.name: f.type for f in fields(cls)}
         unknown = set(data) - set(kinds)
         if unknown:

@@ -101,8 +101,7 @@ def sample_oscillatory_reservoirs(count=20, n=100, rho=1.25, leak=0.5):
 def test_c01_subcritical_radius_suppresses_oscillation():
     config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 2.0), trials=200, n=100,
                          tau=1000, seed=BASE_SEED)
-    result = sweep_heatmap(config, jobs=JOBS)
-    low, high = result.ratio(0, 0), result.ratio(0, 1)
+    low, high = sweep_heatmap(config, jobs=JOBS)[0].tolist()
     check(
         "C1", "subcritical-radius-suppression",
         low <= 0.02 and high >= low + 0.20,

@@ -724,31 +724,24 @@ class TestExitCodes:
         ["inject-experiment", "--populations", "2", "--trials", "1", "--tau", "99",
          "--rho", "1e308"],
         ["topology-demo", "--n", "4", "--tau", "99", "--rho", "1e308"],
+        *(pytest.param(argv, id=f"{argv[0]}-1e300") for argv in [
+            ["generate", "--n", "20", "--tau", "150", "--rho", "1e300"],
+            ["sweep", "--n", "4", "--tau", "99", "--trials", "1", "--leak-values", "0.5",
+             "--rho-values", "1e300"],
+            ["reproduce", "--n", "8", "--sub", "2", "--tau", "150", "--washout", "10",
+             "--rho", "1e300"],
+            ["inject-experiment", "--populations", "2", "--trials", "1", "--tau", "99",
+             "--rho", "1e300"],
+            ["topology-demo", "--n", "4", "--tau", "99", "--rho", "1e300"],
+        ]),
     ], ids=lambda argv: argv[0])
-    def test_overflowing_scale_factor_is_numeric_error(self, argv, tmp_path):
-        # rho / radius is inf for these seeded matrices: no command may go on
-        # with it (the suite turns a leaked overflow warning into a failure)
+    def test_overflowing_scale_factor_is_numeric_error(self, argv, tmp_path, capsys):
+        # rho / radius is inf for these seeded matrices at 1e308, and finite
+        # but beyond float32, which the update runs in, at 1e300: no command
+        # may go on with it (the suite turns a leaked overflow warning into
+        # a failure)
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERIC
-
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--n", "20", "--tau", "150"],
-        ["sweep", "--n", "4", "--tau", "99", "--trials", "1", "--leak-values", "0.5",
-         "--rho-values", "1e300"],
-        ["reproduce", "--n", "8", "--sub", "2", "--tau", "150", "--washout", "10"],
-        ["inject-experiment", "--populations", "2", "--trials", "1", "--tau", "99"],
-        ["topology-demo", "--n", "4", "--tau", "99"],
-    ], ids=lambda argv: argv[0])
-    def test_scale_factor_beyond_float32_is_ok_or_numeric_error(self, argv, tmp_path, capsys):
-        # rho / radius is finite but rounds to inf in the float32 update: a
-        # drive of inf saturates, and inf * 0 or inf - inf is a NaN that
-        # names its unit (the suite turns a leaked overflow warning into a
-        # failure)
-        if "--rho-values" not in argv:
-            argv = argv + ["--rho", "1e300"]
-        code = main(argv + ["--out", str(tmp_path / "o")])
-        assert code in (EXIT_OK, EXIT_NUMERIC)
-        if code == EXIT_NUMERIC:
-            assert "non-finite state at unit" in capsys.readouterr().err
+        assert "the scale factor to radius 1e+3" in capsys.readouterr().err
 
     def test_nul_byte_in_out_is_io_error(self, tmp_path, monkeypatch, capsys):
         # os raises ValueError, not OSError, for such a path; --config is
@@ -841,6 +834,36 @@ class TestExitCodes:
             assert main([*argv, "--out", str(out), "--deterministic"]) == EXIT_IO
             assert os.listdir(out) == [name]
             assert read(out / name) == read(first / name)
+
+    @pytest.mark.parametrize("first,second", [
+        (["reproduce", "--n", "20", "--sub-counts", "1,2", "--trials", "1", "--tau", "200",
+          "--max-attempts", "1"], ["reproduce", *SMALL_FLAGS["reproduce"]]),
+        (["reproduce", *SMALL_FLAGS["reproduce"], "--max-attempts", "2"],  # oscillates
+         ["reproduce", *SMALL_FLAGS["reproduce"], "--max-attempts", "0"]),
+        (["generate", *SMALL_FLAGS["generate"]],
+         ["generate", *SMALL_FLAGS["generate"], "--no-svg"]),
+    ], ids=["sweep-then-single", "overlay-then-none", "svg-then-no-svg"])
+    def test_force_replaces_the_whole_output_set(self, first, second, tmp_path):
+        # a forced rerun leaves exactly the files it wrote, never an earlier
+        # run's payload beside an echo that cannot produce it
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        assert main([*first, "--out", str(out), "--deterministic"]) == EXIT_OK
+        assert main([*second, "--out", str(out), "--deterministic", "--force"]) == EXIT_OK
+        assert main([*second, "--out", str(fresh), "--deterministic"]) == EXIT_OK
+        assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            assert read(out / name) == read(fresh / name)
+
+    def test_failed_forced_rerun_leaves_no_echo(self, tmp_path, capsys):
+        # the old outputs are deleted, the echo first, before anything is
+        # written: a payload path that cannot be replaced is an I/O error
+        argv = ["topology-demo", *SMALL_FLAGS["topology-demo"], "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        os.remove(tmp_path / "sparse_trajectory.csv")
+        os.mkdir(tmp_path / "sparse_trajectory.csv")
+        assert main(argv + ["--force"]) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+        assert not (tmp_path / "config.echo.json").exists()
 
 
 class TestStandardize:

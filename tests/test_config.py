@@ -277,6 +277,21 @@ def test_wrong_typed_value_is_a_config_error(cls, data):
             cls(**{name: value})
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda: TopologySpec(seed=10**5000), "seed"),
+    (lambda: GenerateConfig(rho=10**5000), "rho"),
+    (lambda: TopologySpec(n=-10**5000), "n"),
+    (lambda: SweepConfig(rho_values=10**5000), "rho_values"),
+    (lambda: GenerateConfig(topology=[10**5000]), "topology"),
+], ids=["seed", "rho", "n", "rho_values", "topology"])
+def test_an_int_too_long_to_print_is_named_by_its_size(build, name):
+    # Python refuses to format an int of more than 4300 digits, so the
+    # message gives its size instead of raising a bare ValueError
+    with pytest.raises(InputError, match=rf"^{name} must .*, got "
+                                         r"(an int|a negative int|a list holding an int)"):
+        build()
+
+
 def test_a_list_is_stored_as_a_tuple():
     assert SweepConfig(leak_values=[0.5]) == SweepConfig(leak_values=(0.5,))
     assert hash(SweepConfig(leak_values=[0.5])) == hash(SweepConfig(leak_values=(0.5,)))

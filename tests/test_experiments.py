@@ -213,7 +213,7 @@ class TestStackCut:
         sweep = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=5, n=30, tau=200,
                             seed=2)
         inject = InjectConfig(populations=(4, 12), trials=5, tau=200, seed=2)
-        grids = [sweep_heatmap(sweep, jobs).grid.tobytes() for jobs in (1, 2, 3)]
+        grids = [sweep_heatmap(sweep, jobs).tobytes() for jobs in (1, 2, 3)]
         ratios = [repr(injection_ratio_experiment(inject, jobs)) for jobs in (1, 2, 3)]
         assert counts == [1, 2, 3] + [2, 4, 6]
         assert grids[0] == grids[1] == grids[2]
@@ -317,22 +317,22 @@ class TestSweepHeatmap:
     def test_single_trial_ratio_is_binary(self):
         config = SweepConfig(leak_values=(0.5,), rho_values=(1.25,), trials=1, n=40, tau=300,
                              seed=5)
-        result = sweep_heatmap(config)
-        assert result.grid[0, 0] in (0.0, 1.0)
+        grid = sweep_heatmap(config)
+        assert grid[0, 0] in (0.0, 1.0)
 
     def test_deterministic_across_calls(self):
         config = SweepConfig(leak_values=(0.3, 0.7), rho_values=(0.8, 1.5), trials=3, n=40,
                              tau=300, seed=11)
         a = sweep_heatmap(config)
         b = sweep_heatmap(config)
-        assert np.array_equal(a.grid, b.grid)
+        assert np.array_equal(a, b)
 
     def test_jobs_do_not_change_results(self):
         config = SweepConfig(leak_values=(0.5,), rho_values=(0.8, 1.5), trials=4, n=40,
                              tau=300, seed=13)
         serial = sweep_heatmap(config, jobs=1)
         parallel = sweep_heatmap(config, jobs=2)
-        assert np.array_equal(serial.grid, parallel.grid)
+        assert np.array_equal(serial, parallel)
 
     def test_csv_shape(self, tmp_path):
         assert main(["sweep", "--leak-values", "0.3,0.7", "--rho-values", "0.8,1.5,2.0",
@@ -355,10 +355,7 @@ class TestSweepHeatmap:
         for config in (capped, replace(capped, seed=5)):
             assert (config.leak_values, config.rho_values) == (leaks[:rows], rhos[:cols])
         assert SweepConfig.from_dict(json.loads(json.dumps(capped.to_dict()))) == capped
-        # the config that ran is the config given
-        result = sweep_heatmap(capped)
-        assert result.config == capped
-        assert result.grid.shape == (rows, cols)
+        assert sweep_heatmap(capped).shape == (rows, cols)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -407,10 +404,10 @@ class TestSweepHeatmap:
     def test_grid_matches_trial_by_trial_reference(self, jobs):
         leaks, rhos = (0.3, 0.8), (0.8, 1.5, 2.5)
         config = SweepConfig(leak_values=leaks, rho_values=rhos, trials=4, n=30, tau=200, seed=21)
-        result = sweep_heatmap(config, jobs=jobs)
+        grid = sweep_heatmap(config, jobs=jobs)
         reference = reference_sweep_grid(leaks, rhos, 4, 30, 200, 21)
-        assert result.grid.tobytes() == reference.tobytes()
-        assert 0.0 < result.grid.mean() < 1.0
+        assert grid.tobytes() == reference.tobytes()
+        assert 0.0 < grid.mean() < 1.0
 
 
 class TestInjectionExperiment:

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from soesn import PowerSpectrum, periodogram, scale_to_spectral_radius, spectral_radius
 from soesn.errors import CannotScaleError, DimensionError, InputError
 from soesn.numerics import (
-    ARNOLDI_MAX_ITER,
-    ARNOLDI_TOL,
     EIGVALS_CUTOVER,
     _arnoldi_radius,
     _ritz_vector,
     _strong_components,
 )
-from soesn.topology import build_sparse
+from soesn.topology import build_dense, build_sparse
 
 from conftest import naive_dft_power
 
@@ -61,7 +59,7 @@ class TestSpectralRadius:
         # vectors, and its Ritz values are the eigenvalues (the matrix is
         # reducible, so spectral_radius would split it into 1x1 blocks)
         W = np.diag([2.0] + [1.0] * EIGVALS_CUTOVER)
-        assert _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER) == 2.0
+        assert _arnoldi_radius(W) == 2.0
 
     def test_irreducible_rank_one_space_is_exact(self):
         # all ones: irreducible, rank one, radius n; the space closes after
@@ -72,7 +70,7 @@ class TestSpectralRadius:
     def test_arnoldi_of_the_zero_matrix_is_zero(self):
         # the first product is zero, so the space closes at once on the
         # Ritz value 0
-        assert _arnoldi_radius(np.zeros((150, 150)), ARNOLDI_TOL, ARNOLDI_MAX_ITER) == 0.0
+        assert _arnoldi_radius(np.zeros((150, 150))) == 0.0
 
     def test_non_convergence_reports_last_estimate(self):
         # a circulant shift has every eigenvalue on the unit circle, so no
@@ -101,6 +99,16 @@ class TestSpectralRadii:
         stack[1] *= 7.0
         for W in stack:
             assert spectral_radius(W) == pytest.approx(_eigvals_radius(W), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [EIGVALS_CUTOVER + 1, 200, 500, 512])
+    def test_arnoldi_matches_eigvals_on_the_library_draws(self, n):
+        # the dense and sparse draws whose radius Arnoldi takes: a Krylov
+        # space too small for their clustered top moduli (40 at these sizes)
+        # converges on a non-dominant eigenvalue while its residual test
+        # passes, 4.6e-4 off at n=512, seed 3
+        for seed in range(4):
+            for W in (build_dense(n, seed), build_sparse(n, 0.1, seed)):
+                assert spectral_radius(W) == pytest.approx(_eigvals_radius(W), rel=1e-6)
 
     def test_zero_matrices(self):
         for m in (3, EIGVALS_CUTOVER + 1):
@@ -171,7 +179,7 @@ class TestReducibleAboveCutover:
         # block, so the matrix keeps Arnoldi and is not split
         W = np.pad(_uniform(0, EIGVALS_CUTOVER + 1), (0, 1))
         assert _strong_components(W) is None
-        assert spectral_radius(W) == _arnoldi_radius(W, ARNOLDI_TOL, ARNOLDI_MAX_ITER)
+        assert spectral_radius(W) == _arnoldi_radius(W)
 
 
 def test_ritz_vector_survives_an_exactly_singular_shift():

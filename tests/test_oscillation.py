@@ -17,6 +17,7 @@ from soesn import (
     scale_to_spectral_radius,
 )
 from soesn.errors import InputError
+from soesn.oscillation import AMPLITUDE_FLOOR, WINDOW
 
 from conftest import classifier_corpus, naive_dft_power
 
@@ -58,6 +59,15 @@ class TestClassifyUnit:
         t = np.arange(1000)
         unit = classify_unit(0.5 + 4e-4 * np.sin(2 * np.pi * 10 * t / 100.0))
         assert not unit.is_oscillating
+
+    def test_amplitude_floor_itself_is_not_oscillating(self):
+        # a window alternating +/-AMPLITUDE_FLOOR has a tail stddev of
+        # exactly the floor, which does not count; one ulp more does (all
+        # its power is in one bin)
+        at = classify_unit(AMPLITUDE_FLOOR * (-1.0) ** np.arange(WINDOW))
+        assert at.tail_stddev == AMPLITUDE_FLOOR and not at.is_oscillating
+        above = classify_unit(np.nextafter(AMPLITUDE_FLOOR, 1.0) * (-1.0) ** np.arange(WINDOW))
+        assert above.tail_stddev > AMPLITUDE_FLOOR and above.is_oscillating
 
     def test_corpus_is_classified_perfectly(self):
         for name, signal, expected in classifier_corpus():

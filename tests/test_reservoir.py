@@ -72,12 +72,12 @@ def two_unit_reservoir(leak=0.5, state=(0.3, -0.2)):
 class TestStep:
     def test_leak_half_no_weights(self):
         r = Reservoir(np.zeros((1, 1)), 0.5, np.array([1.0]))
-        r.step()
+        r.run(1)
         assert r.state[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_full_leak_erases_state(self):
         r = Reservoir(np.zeros((1, 1)), 1.0, np.array([0.8]))
-        r.step()
+        r.run(1)
         assert r.state[0] == 0.0
 
     def test_scalar_arithmetic_oracle(self):
@@ -86,14 +86,14 @@ class TestStep:
         s, half, x0, x1 = f32(1.25 / math.sqrt(2.0)), f32(0.5), f32(0.3), f32(-0.2)
         expected0 = half * x0 + half * np.tanh(s * x0 + s * x1)
         expected1 = half * x1 + half * np.tanh(-s * x0 + s * x1)
-        r.step()
+        r.run(1)
         assert r.state[0] == pytest.approx(expected0, abs=1e-15)
         assert r.state[1] == pytest.approx(expected1, abs=1e-15)
 
     def test_weights_and_leak_untouched(self):
         r = two_unit_reservoir()
         W_before, leak_before = r.W.copy(), r.leak.copy()
-        r.step()
+        r.run(1)
         assert np.array_equal(r.W, W_before)
         assert np.array_equal(r.leak, leak_before)
         assert r.step_count == 1
@@ -103,13 +103,13 @@ class TestStep:
         r.W = r.W.copy()
         r.W[1, 0] = np.nan
         with pytest.raises(NumericError, match="unit 1"):
-            r.step()
+            r.run(1)
 
     def test_leak_one_reduces_to_tanh(self, rng):
         W = rng.uniform(-0.5, 0.5, (20, 20))
         state = rng.uniform(-0.5, 0.5, 20)
         r = Reservoir(W, 1.0, state)
-        r.step()
+        r.run(1)
         assert np.array_equal(r.state, np.tanh(W.astype(f32) @ state.astype(f32)))
 
 
@@ -141,7 +141,7 @@ class TestRun:
     def test_single_step_matches_manual(self):
         r1, r2 = two_unit_reservoir(), two_unit_reservoir()
         trajectory = r1.run(1)
-        r2.step()
+        r2.run(1)
         assert trajectory.steps == 2
         assert np.array_equal(trajectory.rows[1], r2.state)
 
@@ -182,7 +182,7 @@ class TestRun:
             expected = f32(0.5) * expected + f32(0.5)
         assert np.allclose(rows[-1], expected, rtol=0, atol=1e-15)
         stepped = Reservoir(W, 0.5, state)
-        assert np.array_equal([stepped.step().state for _ in range(5)], rows[1:])
+        assert np.array_equal([stepped.run(1).rows[-1] for _ in range(5)], rows[1:])
 
     def test_weights_beyond_float32_round_to_inf(self):
         # 1e39 is finite in float64 and inf in float32, quietly: against a
@@ -201,7 +201,7 @@ class TestRun:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError) as expected:
                 while True:
-                    stepped.step()
+                    stepped.run(1)
             with pytest.raises(NumericError, match="unit 1 on step 3") as raised:
                 r.run(50)
         assert str(raised.value) == str(expected.value)
@@ -217,7 +217,7 @@ class TestRun:
         state = init_state(n, seed=n)
         trajectory = Reservoir(W, leak, state).run(300)
         stepped = Reservoir(W, leak, state)
-        rows = [stepped.state] + [stepped.step().state for _ in range(300)]
+        rows = [stepped.state] + [stepped.run(1).rows[-1] for _ in range(300)]
         assert trajectory.rows.tobytes() == np.array(rows).tobytes()
 
     def test_determinism_bit_exact(self):
