@@ -5,12 +5,15 @@ nonlinearity): targets with a nonzero mean have to be carried by DC content
 in the states themselves.
 """
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, UndefinedMetricError
+from .numerics import _openblas_call
 
 
 @dataclass
@@ -46,11 +49,16 @@ def nrmse(y_true, y_pred) -> float:
 def train_ridge(X, Y, ridge_lambda: float = 1e-8, washout: int = 100) -> ReadoutModel:
     """Fit output weights by ridge regression on the post-washout rows.
 
-    Solves (X'X + lambda*I) W = X'Y through a factorization of the
-    regularized normal equations (never an explicit inverse), with one
-    refinement pass to tighten the residual. For lambda = 0 the system may
-    be singular, so that case falls back to a least-squares solve and emits
-    a note instead of failing.
+    Solves (X'X + lambda*I) W = X'Y through one LU factorization of the
+    regularized normal equations (never an explicit inverse), used for the
+    solve and for one refinement pass that tightens the residual. With
+    numpy's bundled OpenBLAS the factorization is LAPACK `getrf` and each
+    solve `getrs`, which is what `np.linalg.solve` (LAPACK `gesv`) runs, so
+    at one BLAS thread the weights are those of two `solve` calls bit for
+    bit; under another BLAS the fit makes those two calls. An exactly
+    singular system raises numpy's LinAlgError. For lambda = 0 the system
+    may be singular, so that case falls back to a least-squares solve and
+    emits a note instead of failing.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -82,9 +90,7 @@ def train_ridge(X, Y, ridge_lambda: float = 1e-8, washout: int = 100) -> Readout
     else:
         A = Xw.T @ Xw
         A.flat[:: A.shape[0] + 1] += ridge_lambda  # the diagonal, in place
-        B = Xw.T @ Yw
-        W_out = np.linalg.solve(A, B)
-        W_out += np.linalg.solve(A, B - A @ W_out)
+        W_out = _refined_solve(A, Xw.T @ Yw)
 
     prediction = Xw @ W_out
     errors = np.empty(Y.shape[1])
@@ -95,6 +101,56 @@ def train_ridge(X, Y, ridge_lambda: float = 1e-8, washout: int = 100) -> Readout
         else:
             errors[j] = nrmse(Yw[:, j], prediction[:, j])
     return ReadoutModel(W_out=W_out, ridge_lambda=ridge_lambda, train_nrmse=errors)
+
+
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_INT64S = ctypes.POINTER(ctypes.c_int64)
+
+
+def _refined_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # A^-1 B plus one refinement pass, A factorized once
+    routines = _lu_routines()
+    if routines is None:
+        W = np.linalg.solve(A, B)
+        W += np.linalg.solve(A, B - A @ W)
+        return W
+    getrf, getrs = routines
+    n, k = B.shape
+    # LAPACK's column-major float64 layout, as gesv gets it
+    lu = np.array(A, dtype=np.float64, order="F")
+    pivots = np.empty(n, dtype=np.int64)
+    size, targets, lead = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(max(1, n))
+    info = ctypes.c_int64(0)
+    getrf(size, size, lu.ctypes.data_as(_DOUBLES), lead, pivots.ctypes.data_as(_INT64S), info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def solve(rhs):
+        X = np.array(rhs, dtype=np.float64, order="F")
+        getrs(b"N", size, targets, lu.ctypes.data_as(_DOUBLES), lead,
+              pivots.ctypes.data_as(_INT64S), X.ctypes.data_as(_DOUBLES), lead, info)
+        return np.ascontiguousarray(X)  # solve's layout, for the product with A
+
+    W = solve(B)
+    W += solve(B - A @ W)
+    return W
+
+
+@functools.cache
+def _lu_routines():
+    """LAPACK `dgetrf` and `dgetrs` of numpy's bundled OpenBLAS (64-bit
+    integers, column-major matrices), looked up once per process, or None
+    when numpy runs on another BLAS."""
+    getrf = _openblas_call("scipy_dgetrf_64_")
+    getrs = _openblas_call("scipy_dgetrs_64_")
+    if getrf is None or getrs is None:
+        return None
+    # (m, n, a, lda, ipiv, info) and (trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+    getrf.argtypes = [_INT64S, _INT64S, _DOUBLES, _INT64S, _INT64S, _INT64S]
+    getrs.argtypes = [ctypes.c_char_p, _INT64S, _INT64S, _DOUBLES, _INT64S, _INT64S,
+                      _DOUBLES, _INT64S, _INT64S]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
 
 
 def predict(model: ReadoutModel, X) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soesn import ReadoutModel, nrmse, predict, train_ridge
+from soesn import ReadoutModel, nrmse, predict, readout, train_ridge
 from soesn.errors import DimensionError, InputError, UndefinedMetricError
 
 from conftest import ridge_oracle
@@ -126,6 +126,45 @@ class TestTrainRidge:
         model = train_ridge(X, Y, ridge_lambda=1e-6, washout=0)
         oracle = ridge_oracle(X, Y, 1e-6)
         assert np.max(np.abs(model.W_out - oracle)) / np.max(np.abs(oracle)) <= 1e-6
+
+
+
+def _two_solves(X, Y, lam):
+    # the fit as two np.linalg.solve calls (LAPACK gesv each)
+    A = X.T @ X
+    A.flat[:: A.shape[0] + 1] += lam
+    B = X.T @ Y
+    W = np.linalg.solve(A, B)
+    W += np.linalg.solve(A, B - A @ W)
+    return W
+
+
+class TestOneFactorization:
+    """train_ridge factorizes X'X + lambda*I once for its solve and its
+    refinement pass; with the test process's one BLAS thread that gives the
+    bits of two np.linalg.solve calls, on the bundled OpenBLAS and under the
+    fallback alike."""
+
+    @pytest.mark.parametrize("targets", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    @pytest.mark.parametrize("lookup", ["openblas", "fallback"])
+    def test_weights_equal_two_solves_bit_for_bit(self, monkeypatch, lookup, n, targets):
+        if lookup == "fallback":
+            monkeypatch.setattr(readout, "_lu_routines", lambda: None)
+        rng = np.random.default_rng(n * 10 + targets)
+        X = rng.uniform(-1, 1, (n + 389, n))
+        Y = rng.normal(0, 1, (n + 389, targets))
+        model = train_ridge(X, Y, ridge_lambda=1e-8, washout=0)
+        assert np.array_equal(model.W_out, _two_solves(X, Y, 1e-8))
+
+    @pytest.mark.parametrize("lookup", ["openblas", "fallback"])
+    def test_exactly_singular_system_raises_linalg_error(self, monkeypatch, lookup):
+        # two equal columns: X'X is [[10, 10], [10, 10]], and lambda is lost
+        # in its rounding, so the regularized matrix is exactly singular
+        if lookup == "fallback":
+            monkeypatch.setattr(readout, "_lu_routines", lambda: None)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            train_ridge(np.ones((10, 2)), np.ones((10, 1)), ridge_lambda=1e-300, washout=0)
 
 
 class TestPredict:
