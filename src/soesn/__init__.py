@@ -6,7 +6,7 @@ readout for reproducing target waveforms, and a deterministic experiment
 harness plus CLI around it all.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     CannotScaleError,

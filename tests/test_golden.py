@@ -3,18 +3,22 @@ pinned CLI runs, and byte-identical reruns from committed config.echo.json
 files. Every case runs with --deterministic, which leaves the timestamp
 comment out of the SVGs, so they are byte-stable too.
 
-The digests are those of artifact_version 0.3.0, whose state update runs
-in float32. They were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
-(x86-64, Python 3.11, OpenBLAS core SkylakeX), with BLAS on one thread, as
-every CLI run sets it; another numpy or BLAS build, or another OpenBLAS
-kernel, may round differently and move them, which says nothing about the
-change under test. `golden/` holds the config.echo.json each case wrote
-when the digests were recorded; a rerun from it must reproduce every
-payload, the echo included.
+The digests are those of artifact_version 0.4.0, whose state update runs
+in float32 and whose radius above 100 rows comes from thick-restart
+Arnoldi. They were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64,
+Python 3.11, OpenBLAS core SkylakeX), with BLAS on one thread, as every CLI
+run sets it; another numpy or BLAS build, or another OpenBLAS kernel, may
+round differently and move them, which says nothing about the change under
+test, so a mismatch names the core it ran under and the one they were
+recorded under. `golden/` holds the config.echo.json each case wrote when
+the digests were recorded; a rerun from it must reproduce every payload,
+the echo included.
 """
 
+import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,17 +27,18 @@ import pytest
 
 import soesn
 from soesn.cli import EXIT_OK, main
-from soesn.numerics import _blas_threads
+from soesn.numerics import _blas_threads, _openblas_call
 
 GOLDEN = Path(__file__).parent / "golden"
+RECORDED_CORE = "SkylakeX"  # the OpenBLAS kernel the digests were recorded under
 
 CASES = {
     "generate": (
         ["generate", "--topology", "weakly_coupled", "--n", "40", "--sub", "4",
          "--inject", "--tau", "300", "--seed", "7"],
         {
-            "config.echo.json": "70291f98bf466a14aa396d14c1634c329e3fa108d57546363bcde6a93a165504",
-            "oscillation.json": "a7265b313a7829eb6e996ef56f7f4c54e0f8501d15b2125ea4afda0f29931511",
+            "config.echo.json": "5337e986c33de4b8c43f1916923b199e5e1c28167c1306a24ccfa9503d0d33cb",
+            "oscillation.json": "13ca96dabb52e33a47af4d2282b3f4adf723ec96743acb50278ecfa0dbc947da",
             "traces.svg": "240b935bdc00e17b7f4bb7d0882124eaf989f773bd8c962adbf209c6fee7ebf9",
             "trajectory.csv": "b6590bb19ccb8e12c3c8da1e1081c96b1adcd6347d9959af479c8fb94ce77f8a",
         },
@@ -44,27 +49,27 @@ CASES = {
         ["generate", "--topology", "weakly_coupled", "--n", "203", "--sub", "2",
          "--tau", "120", "--seed", "7"],
         {
-            "config.echo.json": "130811beb111ef0a057a3721902408fbf24f542f6b92c95c3467be177e6f760f",
-            "oscillation.json": "0fca0362e5487b8ba758fc60791cfb2f8a3c01eb875d40b6ecfaf7fed144e986",
-            "traces.svg": "553803b7bf7d25f717bdb1674425e32c7047d861b51d203fdfaf0bd16d6b6808",
-            "trajectory.csv": "adf49dcf363fa5b2e95b6da4178929167ef90e9eba39df2b95a0d3fa4bfabe5a",
+            "config.echo.json": "8539f3651aea0269f3dea19863f10b1cda893deeb425ce6a0800e98f0a7a9101",
+            "oscillation.json": "27691b154f7bbce7ba7e1db3ffe17018b4f6a6fd6db0cee74479ad0d003b7e73",
+            "traces.svg": "b2c6cf1cfbeb31cc8ed4bbe59976f18d0cd995f618c1e38a3ae3f67bcb31215b",
+            "trajectory.csv": "691f6988f887a240ec9f324169501c238049f6a5e41b12d2c4bb6e8941b55da4",
         },
     ),
     "sweep": (
         ["sweep", "--leak-values", "0.3,0.6", "--rho-values", "0.8,1.5,2.0",
          "--cells", "2", "--trials", "3", "--n", "40", "--tau", "300", "--seed", "9"],
         {
-            "config.echo.json": "6dbbdf338d9842174220ebd14db4979b90b65f4559848fd226a1f54be37475d0",
+            "config.echo.json": "2024ff637ddb11df09d3d24b442b4c3aed5dbc85a7eb1e80b8d4dc385ce54817",
             "heatmap.svg": "6f96d3de9950d58deb89f309679abc64013a95560017b6cfdaea5f0f8fe673df",
-            "sweep.csv": "fa3d6741f6f5d2ceb2cee4daf55ab77090850583df28b9634e81ab29016a6cb6",
+            "sweep.csv": "299eb6d2d10e0bcd8b698c9d16cf7c1f1ff056e8bd70d95110ca5895b1e6e1e1",
         },
     ),
     "inject-experiment": (
         ["inject-experiment", "--populations", "4,10", "--trials", "5",
          "--tau", "300", "--seed", "3"],
         {
-            "config.echo.json": "3faa0dc5b4077e96686304c5549dd8d93c43decc8bd686b349c8673b613c8d47",
-            "injection.csv": "e7fc8ca3e0453a5d6fa4d78d70a4042457fc5e70da788f408411a2716f47468c",
+            "config.echo.json": "bf0fa81c93eb26a475850b4ad27e128bc82dd28ac8cfa12c6e8d22ec2dc6dd2c",
+            "injection.csv": "be846c916178991f417841a8d803d53c00c9030a75ab5ba5a7b335f25175ee27",
             "injection.svg": "70e619472b4cd8a9642a788d1a10e396c9398cbb92ad4e6fc46c2c9637aef50c",
         },
     ),
@@ -72,8 +77,8 @@ CASES = {
         ["reproduce", "--target", "sine", "--n", "60", "--sub", "3",
          "--tau", "300", "--seed", "3"],
         {
-            "config.echo.json": "7794a835a3ca3b413ec84785ab2e2ee954da98faa2af090e78074471010efb2d",
-            "nrmse.json": "865d0c8af681dd1a6967b544602d946129059e432341c970783ae500bcd73c97",
+            "config.echo.json": "77e31745b81f64e1ad849dd29d7b77f0dd87b927734a38d68d98edd703dda1b8",
+            "nrmse.json": "9ba2c645dc2e08ba498047abd751eabbf47bee8cc08e2f97d452725d248e5791",
             "overlay.svg": "08e9ddb6fe5e90d175289fd7a2b100816c9fd8803a1e67b661d307e9e4a8973b",
         },
     ),
@@ -81,8 +86,8 @@ CASES = {
         ["reproduce", "--target", "lorenz", "--n", "60", "--sub", "3",
          "--tau", "300", "--standardize", "--seed", "3"],
         {
-            "config.echo.json": "add2df63c5e8e03c49586e4f8785c069e204eed83be3defc1e50bd78402c7473",
-            "nrmse.json": "a3a06fcd7d1c1b54cc4f5d39d772a9b322e0d059ef5ffeed8b36edcad9119566",
+            "config.echo.json": "dbb4c520977d06bed0ac27dd5dedb5a4fdfc8d97ba0651d07af9c9016a27cdd0",
+            "nrmse.json": "d1d801adfc6ada08ac9d5ac4cbf816584ca8e88e106dcb48f996261827719af3",
             "overlay.svg": "c1526c6e68b33b8353c111489c3ba1cc4b4691e6a9138ef5aed9049dcd41838d",
         },
     ),
@@ -90,26 +95,26 @@ CASES = {
         ["reproduce", "--target", "sine", "--n", "48", "--sub-counts", "1,4",
          "--trials", "2", "--tau", "300", "--seed", "5"],
         {
-            "boxplot.csv": "df4352eb7690a46acd27cd49a1e53485fbb701520a931cd3a6236512fd266576",
-            "config.echo.json": "29bd45ee2045360160c4aa9688d358645922e6cb08906d0618114908453716be",
-            "summary.json": "8c0ce1b4e4b70221c9ebd2bb84b8072ff08330ed82a008c2b698ce11d8bee236",
-            "trials.jsonl": "f5d850d1891c4c441fd0f7dfd87b90c319eb4f8b13fe6fe7c03861a9fa3e73fd",
+            "boxplot.csv": "d3da3f06a35f8f0e26988087c55032f37288287b5ecc7a0ff64e9181bf50a9db",
+            "config.echo.json": "868b8fa63fca55b35144125521633efc1ea6d3dedef6052dd84289cd9001f780",
+            "summary.json": "9f171f13555b02cd79fea16bc74a87a15eb089a33b77e2d6aac74ab143d46e72",
+            "trials.jsonl": "5395cb8c2c30c7a47a1469ce73ad9d147d918ac6b59361796b0affc1f8b7b914",
         },
     ),
     "topology-demo": (
         ["topology-demo", "--n", "24", "--tau", "200", "--seed", "2"],
         {
-            "block_diagonal_report.json": "4d4115acb8e37d27d33f2a9ebdae320e4e4a2b1928d0f5ca952d9484571be461",
+            "block_diagonal_report.json": "da2f3a2d03a526f9cba41be828c7ca4c9709d5eddd74d40ed592bc51fba44f41",
             "block_diagonal_traces.svg": "6665e8ea0079001c45ce8495d10f17b7a4e4a5648469080e13e9ba62af4ab671",
             "block_diagonal_trajectory.csv": "769b5eb7dd51c76504ae3a1a0dc950552ac1b5fd8b611d50fbdc145812a21e4c",
-            "config.echo.json": "4d2c5ce4a77bacc26f9ff0b75bf19a96c35adce5ce8a33f52d7233c3efa22881",
-            "dense_report.json": "120ff047fa9d8f42ba35a03666417989287b0f040d668c1f4e602ef74ba46fbf",
+            "config.echo.json": "5b238dd08716c6b28987e2636aa89c24ff9a9c29497066abdfdefd17682da613",
+            "dense_report.json": "7db510566d71d2622d49da39b3fcff69b57d9f1212c4c9bb15adc9548c08b2ba",
             "dense_traces.svg": "ef44498273d029abdd16a3cc7b0f1a48c0e4da4e1cc668624990682d14cff1c9",
             "dense_trajectory.csv": "90a80e23aa882ee943f061da01f731a8ac37df93970b63c45c20b1c524b5b287",
-            "sparse_report.json": "ad485a938aecc7a7dabb5099de0151b7f255c34e67cc910564755ae49b1cee00",
+            "sparse_report.json": "b8876ea26f704e388f85b3836868c13aedcc24d7f6ab2f59fbd8920fff0d3cc5",
             "sparse_traces.svg": "a71bbbce6b6db8eface967e8c9de1ea205c089c29f5defa0ba7cb3e37271b367",
             "sparse_trajectory.csv": "ba06871dc8577e37ce9cdd6c4b3af2b3cf45c236a8ad58a0505588a4a9b19836",
-            "weakly_coupled_report.json": "c28b0e210380d7de4d1810d4fbf21222df3677c1f3b5654b00673e87768b14f5",
+            "weakly_coupled_report.json": "ab90a2f617ec899c3e8d90f9e423ee861fde5ee478aedbf31063a95d6a3c3579",
             "weakly_coupled_traces.svg": "20ed42b0930f8deb76bf1daa270eaca46c9447cd0444880fccd4c55478506920",
             "weakly_coupled_trajectory.csv": "23d6d47497b6839c9f443b8e6a98c7c453da33331df39ac71cf311b3881f1d6f",
         },
@@ -125,11 +130,28 @@ def payload_digests(out: Path) -> dict:
     }
 
 
+def running_core() -> str:
+    """The OpenBLAS core this process runs, or a note that numpy runs on
+    another BLAS."""
+    corename = _openblas_call("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "(numpy does not run on the bundled OpenBLAS)"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def assert_digests(out: Path, digests: dict) -> None:
+    assert payload_digests(out) == digests, (
+        f"payload digests differ under OpenBLAS core {running_core()}; "
+        f"they were recorded under {RECORDED_CORE}"
+    )
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_flag_run_matches_golden(case, tmp_path):
     argv, digests = CASES[case]
     assert main(argv + ["--out", str(tmp_path), "--deterministic"]) == EXIT_OK
-    assert payload_digests(tmp_path) == digests
+    assert_digests(tmp_path, digests)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -138,15 +160,15 @@ def test_rerun_from_committed_echo_matches_golden(case, tmp_path):
     config = GOLDEN / f"{case}.config.echo.json"
     code = main([argv[0], "--config", str(config), "--out", str(tmp_path), "--deterministic"])
     assert code == EXIT_OK
-    assert payload_digests(tmp_path) == digests
+    assert_digests(tmp_path, digests)
 
 
 # A hand-written config (not an echo) whose grids hold JSON integers: the
 # echo keeps them as given, sweep.csv writes them as floats.
 INT_GRID_DIGESTS = {
-    "config.echo.json": "19094cd910d6558ff9b2db22130cba92d2fcfa7d4f8b229d50938ad2c5273cc3",
+    "config.echo.json": "28e533bcf5fe2e3373b0b5e07504a8d203271cc19165f0b8d99bd3c5b78d56ab",
     "heatmap.svg": "2e9a646f56d97f655bfa2a8d76a3b9c61d581309f6b0949b20c5e02632618eda",
-    "sweep.csv": "e5f820dca9401a837ba778ae4c7144b12eb1511c13819b107a6195d35675bd49",
+    "sweep.csv": "103017e750a30d2a110fddea27b5add7a8bd4a94926d1504a9aab11c0b9f8796",
 }
 
 
@@ -154,7 +176,14 @@ def test_integer_grid_config_matches_golden(tmp_path):
     config = GOLDEN / "sweep-int-grid.config.json"
     code = main(["sweep", "--config", str(config), "--out", str(tmp_path), "--deterministic"])
     assert code == EXIT_OK
-    assert payload_digests(tmp_path) == INT_GRID_DIGESTS
+    assert_digests(tmp_path, INT_GRID_DIGESTS)
+
+
+def test_a_mismatch_names_the_running_and_the_recorded_core(tmp_path):
+    (tmp_path / "payload.json").write_text("{}")
+    message = f"under OpenBLAS core {running_core()}; they were recorded under SkylakeX"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        assert_digests(tmp_path, {"payload.json": "0" * 64})
 
 
 @pytest.mark.skipif(_blas_threads() is None, reason="numpy does not run on the bundled OpenBLAS")

@@ -16,8 +16,9 @@ from soesn import (
     periodogram,
     scale_to_spectral_radius,
 )
+from soesn import oscillation
 from soesn.errors import InputError
-from soesn.oscillation import AMPLITUDE_FLOOR, WINDOW
+from soesn.oscillation import AMPLITUDE_FLOOR, PEAK_SHARE, WINDOW
 
 from conftest import classifier_corpus, naive_dft_power
 
@@ -68,6 +69,22 @@ class TestClassifyUnit:
         assert at.tail_stddev == AMPLITUDE_FLOOR and not at.is_oscillating
         above = classify_unit(np.nextafter(AMPLITUDE_FLOOR, 1.0) * (-1.0) ** np.arange(WINDOW))
         assert above.tail_stddev > AMPLITUDE_FLOOR and above.is_oscillating
+
+    @pytest.mark.parametrize("equal_bins, oscillating", [(20, False), (19, True)])
+    def test_peak_share_itself_is_not_oscillating(self, monkeypatch, equal_bins, oscillating):
+        # a crafted spectrum of equal non-DC bins under a full-swing window:
+        # with 20 of them the peak's share is 1/20, which rounds to
+        # PEAK_SHARE itself and does not count; with 19 it is above
+        def spectrum(centered):
+            power = np.zeros((len(centered) // 2 + 1, centered.shape[1]))
+            power[1 : equal_bins + 1] = 1.0
+            return power
+
+        monkeypatch.setattr(oscillation, "_centered_power", spectrum)
+        assert 1.0 / 20.0 == PEAK_SHARE
+        unit = classify_unit(0.5 * (-1.0) ** np.arange(WINDOW))
+        assert unit.tail_stddev > AMPLITUDE_FLOOR
+        assert unit.is_oscillating is oscillating
 
     def test_corpus_is_classified_perfectly(self):
         for name, signal, expected in classifier_corpus():
