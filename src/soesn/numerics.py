@@ -23,17 +23,6 @@ ARNOLDI_TOL = 1e-8
 ARNOLDI_MAX_ITER = 10_000
 
 
-def _restart_sizes(n: int) -> tuple[int, int]:
-    # (m, k) for a thick restart at n rows: a Krylov space of m vectors, of
-    # which a restart keeps the real basis of the k largest-modulus Ritz
-    # vectors. Measured against `eigvals` on the dense and sparse library
-    # draws at n = 101 to 1000 (one BLAS thread): every radius was within
-    # 2e-9 of it. Below 256 rows (30, 8) ties the cheapest of the others;
-    # it stops there because it found a non-dominant eigenvalue of a
-    # 10%-sparse n=500 matrix, 3.0e-3 off.
-    return (30, 8) if n < 256 else (50, 12)
-
-
 def spectral_radius(W) -> float:
     """Largest eigenvalue modulus of a square matrix: the package's one
     radius call.
@@ -43,13 +32,14 @@ def spectral_radius(W) -> float:
     connected (units whose row and column are both zero left out) takes the
     largest radius of its strongly connected diagonal blocks, each through
     this function, so a zero radius stays exactly zero; any other matrix
-    goes to restarted Arnoldi, which is cheaper there. Arnoldi stops once
-    the dominant Ritz pair's relative residual is below ARNOLDI_TOL (within
-    ARNOLDI_MAX_ITER products): a backward error, so a non-normal matrix's
-    radius can be off by more (an upper-triangular matrix plus 1e-12 times
-    a random lower part gave 0.687 where `eigvals` gives 0.644). Raises
-    DimensionError unless W is a square matrix of at least one row and
-    InputError for a non-finite entry.
+    goes to thick-restart Arnoldi (_arnoldi_radius), which is cheaper there.
+    Arnoldi stops once the dominant Ritz pair's relative residual is below
+    ARNOLDI_TOL (within ARNOLDI_MAX_ITER products): a backward error, so a
+    non-normal matrix's radius can be off by more (an upper-triangular
+    matrix plus 1e-12 times a random lower part gave 0.687 where `eigvals`
+    gives 0.644 under the explicit restart of 0.3.0; the thick restart
+    gives 0.6439). Raises DimensionError unless W is a square matrix of at
+    least one row and InputError for a non-finite entry.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] == 0:
@@ -118,12 +108,11 @@ def _arnoldi_radius(W: np.ndarray) -> float:
     plain power iteration. A restart keeps the real basis of the k
     largest-modulus Ritz vectors (a complex pair whole), orthonormalized,
     with the projection and the residual row that go with it, so the space
-    keeps what it has found and the projected eigenproblem stays m wide;
-    (m, k) come from _restart_sizes. Convergence is declared when the
-    dominant Ritz pair's residual drops below ARNOLDI_TOL relative to the
-    estimate; ARNOLDI_MAX_ITER caps the total number of matrix-vector
-    products across restarts. A Krylov space that closes (an invariant
-    subspace) gives exact Ritz values at once.
+    keeps what it has found and the projected eigenproblem stays m wide.
+    Convergence is declared when the dominant Ritz pair's residual drops
+    below ARNOLDI_TOL relative to the estimate; ARNOLDI_MAX_ITER caps the
+    total number of matrix-vector products across restarts. A Krylov space
+    that closes (an invariant subspace) gives exact Ritz values at once.
 
     That residual is a backward error: the estimate is an exact eigenvalue
     modulus of a matrix within ARNOLDI_TOL * estimate of W in the 2-norm.
@@ -133,7 +122,12 @@ def _arnoldi_radius(W: np.ndarray) -> float:
     without convergence.
     """
     n = W.shape[0]
-    m, k = _restart_sizes(n)
+    # Measured against `eigvals` on the dense and sparse library draws at
+    # n = 101 to 1000 (one BLAS thread): every radius was within 2e-9 of it.
+    # Below 256 rows (30, 8) ties the cheapest of the others; it stops there
+    # because it found a non-dominant eigenvalue of a 10%-sparse n=500
+    # matrix, 3.0e-3 off.
+    m, k = (30, 8) if n < 256 else (50, 12)
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n)
     V = np.empty((m + 1, n))  # the orthonormal basis, one vector per row

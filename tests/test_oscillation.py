@@ -13,10 +13,10 @@ from soesn import (
     classify_unit,
     dominant_frequency_hz,
     init_state,
+    oscillation,
     periodogram,
     scale_to_spectral_radius,
 )
-from soesn import oscillation
 from soesn.errors import InputError
 from soesn.oscillation import AMPLITUDE_FLOOR, PEAK_SHARE, WINDOW
 

@@ -128,7 +128,6 @@ class TestTrainRidge:
         assert np.max(np.abs(model.W_out - oracle)) / np.max(np.abs(oracle)) <= 1e-6
 
 
-
 def _two_solves(X, Y, lam):
     # the fit as two np.linalg.solve calls (LAPACK gesv each)
     A = X.T @ X
